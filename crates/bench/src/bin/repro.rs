@@ -87,53 +87,41 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => scale = Scale::quick(),
-            "--seed" => {
-                seed = args.next().expect("--seed N").parse().expect("seed must be u64")
-            }
-            "--out" => out_dir = args.next().expect("--out DIR"),
-            "--trace-out" => trace_out = Some(args.next().expect("--trace-out PATH")),
-            "--metrics-out" => metrics_out = Some(args.next().expect("--metrics-out PATH")),
+            "--seed" => seed = value_or_exit(&mut args, &a, "an unsigned integer"),
+            "--out" => out_dir = value_or_exit(&mut args, &a, "a directory"),
+            "--trace-out" => trace_out = Some(value_or_exit(&mut args, &a, "a file path")),
+            "--metrics-out" => metrics_out = Some(value_or_exit(&mut args, &a, "a file path")),
             "--resilience" => wanted.push("resilience".to_string()),
             "--phase-profile" => {
                 phase_profile(seed);
                 return;
             }
             "--bench-compare" => {
-                let fresh = args.next().expect("--bench-compare FRESH.json [BASELINE.json...]");
+                let fresh: String = value_or_exit(&mut args, &a, "a fresh BENCH_JSON file");
                 let baselines: Vec<String> = args.collect();
                 std::process::exit(bench_compare(&fresh, &baselines));
             }
             "--campaign" => {
-                campaign_path = Some(args.next().expect("--campaign SCENARIO.{json,toml}"));
+                campaign_path = Some(value_or_exit(&mut args, &a, SCENARIO_FILE));
             }
             "--forensics-out" => {
-                forensics_out = Some(args.next().expect("--forensics-out DIR"));
+                forensics_out = Some(value_or_exit(&mut args, &a, "a directory"));
             }
             "--chaos" => {
-                chaos_path = Some(args.next().expect("--chaos SCENARIO.{json,toml}"));
+                chaos_path = Some(value_or_exit(&mut args, &a, SCENARIO_FILE));
             }
             "--chaos-plans" => {
-                chaos_plans = Some(
-                    args.next()
-                        .expect("--chaos-plans N")
-                        .parse()
-                        .expect("chaos plan count must be u64"),
-                );
+                chaos_plans = Some(value_or_exit(&mut args, &a, "an unsigned integer"));
             }
             "--chaos-corpus" => {
-                chaos_corpus = Some(args.next().expect("--chaos-corpus DIR"));
+                chaos_corpus = Some(value_or_exit(&mut args, &a, "a directory"));
             }
             "--chaos-canary" => chaos_canary = true,
             "--flight-topk" => {
-                flight_topk = Some(
-                    args.next()
-                        .expect("--flight-topk N")
-                        .parse()
-                        .expect("flight top-K must be a small integer"),
-                );
+                flight_topk = Some(value_or_exit(&mut args, &a, "an unsigned integer"));
             }
             "--validate-scenario" => {
-                validate_paths.push(args.next().expect("--validate-scenario SCENARIO.{json,toml}"));
+                validate_paths.push(value_or_exit(&mut args, &a, SCENARIO_FILE));
             }
             "--telemetry-status" => {
                 println!(
@@ -284,6 +272,34 @@ fn main() {
     if exit_code != 0 {
         std::process::exit(exit_code);
     }
+}
+
+/// What a scenario-file flag needs, for its error message.
+const SCENARIO_FILE: &str = "a scenario file (.json or .toml)";
+
+/// Parse the value given after `flag`. A missing or unparsable value is
+/// the error `error: <flag> needs <what>`.
+fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<String>,
+    what: &str,
+) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("error: {flag} needs {what}"))
+}
+
+/// Take and parse the next argument as `flag`'s value, or print the
+/// [`flag_value`] error and exit with code 2.
+fn value_or_exit<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    flag_value(flag, args.next(), what).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Regression threshold for `--bench-compare`: a fresh benchmark slower
@@ -1658,10 +1674,14 @@ const AMPLIFICATION_GATE_PP: f64 = 2.0;
 
 fn resilience(ctx: &mut Ctx) -> i32 {
     use diversifi::world::{World, WorldConfig};
-    use diversifi_simcore::{FaultKind, FaultPlan, SimTime};
+    use diversifi_simcore::{FaultKind, FaultPlan, SimTime, WorkerArena};
     use diversifi_voip::emodel::mos_from_stats;
     use diversifi_voip::{burst_ratio, CodecModel, StreamTrace};
+    use diversifi_wifi::RealizationCache;
 
+    // Per-worker scratch of both sweeps below: a task's two arms share one
+    // seed, so they share one pair of realisations.
+    let paired_scratch = || (RealizationCache::new(2), WorkerArena::new());
     let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
     let ms = SimDuration::from_millis;
     let scenarios: Vec<(&str, RunMode, FaultPlan)> = vec![
@@ -1744,7 +1764,8 @@ fn resilience(ctx: &mut Ctx) -> i32 {
 
     let tasks: Vec<(usize, u64)> =
         (0..scenarios.len()).flat_map(|si| (0..n).map(move |k| (si, k))).collect();
-    let rows = SweepRunner::new(ctx.threads).run(&tasks, |_, &(si, k)| {
+    let sweep = SweepRunner::new(ctx.threads);
+    let rows = sweep.run_with(&tasks, paired_scratch, |_, &(si, k), (cache, arena)| {
         let (_, mode, plan) = &scenarios[si];
         let mut a = LinkConfig::office(Channel::CH1, 22.0);
         a.ge = GeParams::weak_link();
@@ -1757,8 +1778,8 @@ fn resilience(ctx: &mut Ctx) -> i32 {
         let mut dvf = base.clone();
         dvf.mode = *mode;
         let s = SeedFactory::new(seed ^ 0x5E511E ^ ((si as u64) << 32) ^ k);
-        let rb = World::new(&base, &s).run();
-        let rd = World::new(&dvf, &s).run();
+        let rb = World::new_cached_in(&base, &s, cache, arena).run_in(arena);
+        let rd = World::new_cached_in(&dvf, &s, cache, arena).run_in(arena);
         Rec {
             si,
             loss_b: rb.trace.loss_rate(DEFAULT_DEADLINE) * 100.0,
@@ -1913,7 +1934,7 @@ fn resilience(ctx: &mut Ctx) -> i32 {
         qoe_d: f64,
     }
 
-    let fps_rows = SweepRunner::new(ctx.threads).run(&tasks, |_, &(si, k)| {
+    let fps_rows = sweep.run_with(&tasks, paired_scratch, |_, &(si, k), (cache, arena)| {
         let (_, mode, plan) = &scenarios[si];
         let mut a = LinkConfig::office(Channel::CH1, 22.0);
         a.ge = GeParams::weak_link();
@@ -1926,8 +1947,12 @@ fn resilience(ctx: &mut Ctx) -> i32 {
         let mut dvf = base.clone();
         dvf.mode = *mode;
         let s = SeedFactory::new(seed ^ 0xF5511E ^ ((si as u64) << 32) ^ k);
-        let ob = *World::new(&base, &s).run().workload.fps().expect("fps outcome");
-        let od = *World::new(&dvf, &s).run().workload.fps().expect("fps outcome");
+        let mut run = |cfg: &WorldConfig| {
+            let r = World::new_cached_in(cfg, &s, cache, arena).run_in(arena);
+            *r.workload.fps().expect("fps outcome")
+        };
+        let ob = run(&base);
+        let od = run(&dvf);
         FpsRec {
             si,
             miss_b: 100.0 * ob.state.miss_rate(),
@@ -2025,5 +2050,31 @@ fn resilience(ctx: &mut Ctx) -> i32 {
             eprintln!("[resilience]   {f}");
         }
         1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flag_value_parses_or_names_the_flag() {
+        assert_eq!(flag_value::<u64>("--seed", Some("42".into()), "an unsigned integer"), Ok(42));
+        assert_eq!(
+            flag_value::<String>("--out", Some("dir".into()), "a directory"),
+            Ok("dir".to_string())
+        );
+        assert_eq!(
+            flag_value::<u64>("--seed", None, "an unsigned integer"),
+            Err("error: --seed needs an unsigned integer".to_string())
+        );
+        assert_eq!(
+            flag_value::<usize>("--flight-topk", Some("-1".into()), "an unsigned integer"),
+            Err("error: --flight-topk needs an unsigned integer".to_string())
+        );
+        assert_eq!(
+            flag_value::<String>("--chaos", None, SCENARIO_FILE),
+            Err("error: --chaos needs a scenario file (.json or .toml)".to_string())
+        );
     }
 }

@@ -15,9 +15,10 @@ use crate::scenario::{Arm, Scenario};
 use crate::world::World;
 use diversifi_simcore::{
     run_campaign_observed, CampaignConfig, CampaignHealth, CampaignProgress, ChannelId,
-    DigestSchema, FlightKey, HeartbeatSample, SeedFactory, ShardDigest, WorstK,
+    DigestSchema, FlightKey, HeartbeatSample, SeedFactory, ShardDigest, WorkerArena, WorstK,
 };
 use diversifi_voip::{session_metrics, FpsConfig, WorkloadKind, DEFAULT_DEADLINE, FPS_QOE_POOR};
+use diversifi_wifi::RealizationCache;
 use serde::Serialize;
 
 /// Channel names for every Table 1 cell: `subset/class/{total,poor}`.
@@ -538,14 +539,25 @@ where
 
 /// One closed-loop world run per experiment arm at the scenario's
 /// deployment (empty when the scenario declares no arms).
+///
+/// Every arm runs at the scenario seed on the same two links, so the arms
+/// share one pair of channel realisations and one arena. Both live only
+/// for this call.
 pub fn run_arm_probes(scn: &Scenario) -> Vec<ArmReport> {
-    scn.arms.iter().map(|arm| run_arm_probe(scn, arm)).collect()
+    let cache = RealizationCache::new(2);
+    let mut arena = WorkerArena::new();
+    scn.arms.iter().map(|arm| run_arm_probe(scn, arm, &cache, &mut arena)).collect()
 }
 
-fn run_arm_probe(scn: &Scenario, arm: &Arm) -> ArmReport {
+fn run_arm_probe(
+    scn: &Scenario,
+    arm: &Arm,
+    cache: &RealizationCache,
+    arena: &mut WorkerArena,
+) -> ArmReport {
     let cfg = scn.world_config(arm);
     let seeds = SeedFactory::new(scn.seed);
-    let r = World::new(&cfg, &seeds).run();
+    let r = World::new_cached_in(&cfg, &seeds, cache, arena).run_in(arena);
     let n = r.trace.len().max(1) as f64;
     let fps = r.workload.fps();
     ArmReport {

@@ -38,6 +38,27 @@
 //! The oracle is VoIP-scored (residual loss at [`DEFAULT_DEADLINE`]); the
 //! FPS workload has its own deadline accounting and is out of scope here.
 //!
+//! # Per-worker world context
+//!
+//! Every thread that evaluates plans keeps one private context: a
+//! [`RealizationCache`] of two entries (one plan's two links) and a
+//! [`WorkerArena`]. Both arms of a plan run through
+//! [`World::new_cached_in`] / [`World::run_in`] on it, so the DiversiFi
+//! arm reuses the two realisations the baseline arm just built, and so do
+//! the shrinker's candidates, which keep their plan's `(seed, index)`.
+//! Fault windows act at run time and never enter a realisation. Event-queue
+//! and fault-bookkeeping capacity carries over from plan to plan.
+//!
+//! None of this can change a verdict. A realisation is a pure function of
+//! its [`RealizationKey`](diversifi_wifi::RealizationKey) (link shadowing
+//! and Gilbert–Elliott parameters, horizon, master seed, link index), so a
+//! hit returns exactly the value a miss would build, whichever plans ran
+//! on the thread before. The arena lends only capacity. Verdicts therefore
+//! cannot depend on scan order, shard assignment or thread count. A plan
+//! whose world panics discards the context, as the campaign engine
+//! discards a quarantined shard's scratch, so nothing a half-finished run
+//! left behind reaches the next plan.
+//!
 //! [`sim_assert!`]: diversifi_simcore::sim_assert
 //! [`PacketLedger`]: diversifi_simcore::check::PacketLedger
 
@@ -47,11 +68,12 @@ use diversifi_simcore::chaos::{generate_plan, shrink_plan, ChaosBudget, ChaosRep
 use diversifi_simcore::check;
 use diversifi_simcore::{
     run_campaign_observed, CampaignConfig, DigestSchema, FaultKind, FaultPlan, FlightCapture,
-    FlightKey, SeedFactory, SimDuration, SimTime,
+    FlightKey, SeedFactory, SimDuration, SimTime, WorkerArena,
 };
 use diversifi_voip::DEFAULT_DEADLINE;
-use diversifi_wifi::{Channel, GeParams, LinkConfig};
+use diversifi_wifi::{Channel, GeParams, LinkConfig, RealizationCache};
 use serde::Serialize;
+use std::cell::RefCell;
 
 /// One chaos campaign's configuration: how many plans to scan, under what
 /// budget, against which deployment, and what the oracles tolerate.
@@ -175,6 +197,24 @@ fn dvf_mode(plan: &FaultPlan) -> RunMode {
     }
 }
 
+/// A thread's world context for plan evaluation (see the module docs).
+struct WorldContext {
+    cache: RealizationCache,
+    arena: WorkerArena,
+}
+
+impl WorldContext {
+    fn new() -> WorldContext {
+        // One plan's two links: both arms and every shrink candidate of
+        // the plan hit them; the next plan evicts them.
+        WorldContext { cache: RealizationCache::new(2), arena: WorkerArena::new() }
+    }
+}
+
+thread_local! {
+    static WORLD_CONTEXT: RefCell<WorldContext> = RefCell::new(WorldContext::new());
+}
+
 /// Evaluate one plan against the oracles. Pure function of
 /// `(cfg, seed, index, plan)`; `None` means every oracle held.
 pub fn evaluate_plan(
@@ -208,14 +248,22 @@ pub fn evaluate_plan(
     let mut dvf = base.clone();
     dvf.mode = dvf_mode(plan);
     let seeds = SeedFactory::new(seed).subfactory("chaos.world", index);
-    let ran = check::capture_panic(|| {
-        let rb = World::new(&base, &seeds).run();
-        let rd = World::new(&dvf, &seeds).run();
-        (
-            rb.trace.loss_rate(DEFAULT_DEADLINE),
-            rd.trace.loss_rate(DEFAULT_DEADLINE),
-            rd.fault_outcomes,
-        )
+    let ran = WORLD_CONTEXT.with(|ctx| {
+        let mut ctx = ctx.borrow_mut();
+        let WorldContext { cache, arena } = &mut *ctx;
+        let ran = check::capture_panic(|| {
+            let rb = World::new_cached_in(&base, &seeds, cache, arena).run_in(arena);
+            let rd = World::new_cached_in(&dvf, &seeds, cache, arena).run_in(arena);
+            (
+                rb.trace.loss_rate(DEFAULT_DEADLINE),
+                rd.trace.loss_rate(DEFAULT_DEADLINE),
+                rd.fault_outcomes,
+            )
+        });
+        if ran.is_err() {
+            *ctx = WorldContext::new();
+        }
+        ran
     });
     let (loss_base, loss_dvf, outcomes) = match ran {
         Ok(r) => r,

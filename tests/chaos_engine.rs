@@ -7,10 +7,12 @@
 //! `audit`, `trace`), so the canary guards both compiled directions of
 //! the invariant-audit layer.
 
-use diversifi::chaos::{replay_reproducer, run_chaos, ChaosConfig};
+use diversifi::chaos::{evaluate_plan, replay_reproducer, run_chaos, ChaosConfig, Violation};
 use diversifi::scenario::Scenario;
-use diversifi_simcore::chaos::ChaosReproducer;
-use diversifi_simcore::FaultKind;
+use diversifi::world::{RunMode, World, WorldConfig};
+use diversifi_simcore::chaos::{generate_plan, ChaosReproducer};
+use diversifi_simcore::{FaultKind, FaultPlan, SeedFactory, SimDuration, SimTime};
+use diversifi_voip::DEFAULT_DEADLINE;
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -127,5 +129,117 @@ fn chaos_free_scenarios_keep_their_pre_chaos_canonical_form() {
             "{file}: chaos-free scenario grew a chaos key — this would shift \
              its fingerprint and orphan existing campaign checkpoints"
         );
+    }
+}
+
+/// The oracles of `evaluate_plan`, recomputed from two bare
+/// `World::new(..).run()` arms: no realisation cache, no arena, nothing
+/// shared with any other plan.
+fn reference_verdict(cfg: &ChaosConfig, index: u64, plan: &FaultPlan) -> Option<Violation> {
+    if plan.is_empty() {
+        return None;
+    }
+    let mut base = WorldConfig::testbed(cfg.primary.clone(), cfg.secondary.clone());
+    base.mode = RunMode::PrimaryOnly;
+    base.spec.duration = cfg.budget.horizon;
+    base.faults = plan.clone();
+    let mut dvf = base.clone();
+    let middlebox = plan.specs.iter().any(|s| matches!(s.kind, FaultKind::MiddleboxRestart { .. }));
+    dvf.mode = if middlebox { RunMode::DiversifiMiddlebox } else { RunMode::DiversifiCustomAp };
+    let seeds = SeedFactory::new(cfg.seed).subfactory("chaos.world", index);
+    let rb = World::new(&base, &seeds).run();
+    let rd = World::new(&dvf, &seeds).run();
+    let loss_base = rb.trace.loss_rate(DEFAULT_DEADLINE);
+    let loss_dvf = rd.trace.loss_rate(DEFAULT_DEADLINE);
+    if loss_dvf > loss_base + cfg.tolerance {
+        return Some(Violation {
+            oracle: "no-amplification",
+            detail: format!(
+                "diversifi loss {:.4} vs primary-only {:.4} (tolerance {:.4})",
+                loss_dvf, loss_base, cfg.tolerance
+            ),
+            delta: loss_dvf - loss_base,
+        });
+    }
+    let horizon_end = SimTime::ZERO + cfg.budget.horizon;
+    let unrecovered: Vec<_> = rd
+        .fault_outcomes
+        .iter()
+        .filter(|o| o.end + cfg.mttr_slack <= horizon_end && o.recovered_at.is_none())
+        .collect();
+    let worst = unrecovered.first()?;
+    Some(Violation {
+        oracle: "unbounded-mttr",
+        detail: format!(
+            "{} window clearing at {:.1}s never saw service recover ({} such windows, \
+             {:.1}s of healthy tail)",
+            worst.label,
+            worst.end.as_nanos() as f64 / 1e9,
+            unrecovered.len(),
+            horizon_end.saturating_since(worst.end).as_nanos() as f64 / 1e9,
+        ),
+        delta: 2.0 + unrecovered.len() as f64,
+    })
+}
+
+/// A verdict with its severity as bits, so equality is bit-exact.
+fn bits(v: Option<Violation>) -> Option<(&'static str, String, u64)> {
+    v.map(|v| (v.oracle, v.detail, v.delta.to_bits()))
+}
+
+/// The smoke deployment and budget at a 6 s horizon with no loss
+/// tolerance, so that some plans violate and the verdict details are
+/// compared too.
+fn parity_cfg() -> ChaosConfig {
+    let mut cfg = ChaosConfig::from_scenario(&smoke_scenario());
+    cfg.budget.horizon = SimDuration::from_secs(6);
+    cfg.mttr_slack = SimDuration::from_secs(2);
+    cfg.tolerance = 0.0;
+    cfg.plans = 24;
+    cfg.shard_size = 4;
+    cfg.max_findings = 2;
+    cfg
+}
+
+#[test]
+fn shared_realisations_and_arena_leave_every_verdict_unchanged() {
+    let cfg = parity_cfg();
+    let seeds = SeedFactory::new(cfg.seed);
+    let plans: Vec<FaultPlan> =
+        (0..cfg.plans).map(|i| generate_plan(&seeds, i, &cfg.budget)).collect();
+    let want: Vec<_> =
+        plans.iter().zip(0..).map(|(p, i)| bits(reference_verdict(&cfg, i, p))).collect();
+    assert!(want.iter().any(Option::is_some), "no plan violates: the details go unchecked");
+    assert!(want.iter().any(Option::is_none), "every plan violates");
+
+    // Forward misses and evicts on every plan, reverse order revisits them
+    // with a cold cache, and each plan twice in a row hits on the second
+    // go; the arena is reused throughout.
+    let forward: Vec<u64> = (0..cfg.plans).collect();
+    let reverse: Vec<u64> = (0..cfg.plans).rev().collect();
+    let twice: Vec<u64> = (0..cfg.plans).flat_map(|i| [i, i]).collect();
+    for (order, schedule) in [("forward", forward), ("reverse", reverse), ("twice", twice)] {
+        for i in schedule {
+            let got = bits(evaluate_plan(&cfg, cfg.seed, i, &plans[i as usize]));
+            assert_eq!(got, want[i as usize], "plan {i}, {order}");
+        }
+    }
+
+    // The whole scan, shrinking included, is the same at every thread count.
+    let mut reference: Option<(Option<u64>, String)> = None;
+    for threads in [1usize, 2, 4] {
+        let mut cfg = cfg.clone();
+        cfg.threads = threads;
+        let report = run_chaos(&cfg).expect("scan runs");
+        assert!(report.complete, "threads={threads}");
+        assert!(!report.findings.is_empty(), "threads={threads}");
+        let blob = serde_json::to_string(&report.findings).expect("findings serialize");
+        match &reference {
+            None => reference = Some((report.fingerprint, blob)),
+            Some((fp, want)) => {
+                assert_eq!(report.fingerprint, *fp, "threads={threads}");
+                assert_eq!(&blob, want, "threads={threads}");
+            }
+        }
     }
 }
