@@ -1,10 +1,11 @@
 //! Event-queue hot-path benchmarks: steady-state churn at increasing
-//! numbers of pending events, plus the cancel and peek paths.
+//! numbers of pending events, plus the peek path.
 //!
 //! Every simulated world spends its inner loop in
-//! `EventQueue::{schedule, pop, peek_time, cancel}`, so these measure the
-//! slab + binary-heap implementation at the pending-set sizes the corpus
-//! (1k–10k) and multi-client fleets (100k–1M) actually reach.
+//! `EventQueue::{schedule, pop}`, so these measure the calendar wheel and
+//! its overflow heap at the pending-set sizes the corpus (1k–10k) and
+//! multi-client fleets (100k–1M) actually reach. Offsets spread over 1 s,
+//! so most pending events wait in the overflow heap.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use diversifi_simcore::{EventQueue, SimDuration, SimTime};
@@ -49,38 +50,11 @@ fn bench_churn(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cancel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue_cancel");
-    for n in [1_000u64, 100_000] {
-        // Timer-rearm shape: schedule a batch, cancel it unfired (the
-        // generation-stamped slab must reclaim the slots), repeat on top of
-        // n live events.
-        let mut q = prefill(n);
-        let mut next_id = n;
-        g.bench_with_input(BenchmarkId::new("schedule_cancel_1024", n), &n, |b, _| {
-            b.iter(|| {
-                let ids: Vec<_> = (0..1024)
-                    .map(|_| {
-                        next_id += 1;
-                        q.schedule(SimTime::from_nanos(pseudo_nanos(next_id)), next_id)
-                    })
-                    .collect();
-                for id in ids {
-                    q.cancel(id);
-                }
-                black_box(q.len())
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_peek(c: &mut Criterion) {
-    // `peek_time` runs once per world step; after the overhaul it is a
-    // single heap peek (cancelled entries are purged lazily by pop).
-    let mut q = prefill(100_000);
+    // `peek_time` compares the wheel head with the overflow-heap head.
+    let q = prefill(100_000);
     c.bench_function("event_queue_peek/100000", |b| b.iter(|| black_box(q.peek_time())));
 }
 
-criterion_group!(benches, bench_churn, bench_cancel, bench_peek);
+criterion_group!(benches, bench_churn, bench_peek);
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //!   `warm_no_arena` isolates what the arena recycling buys.
 //! - `hotpath/materialize_batch_60s` — the SoA batch kernel vs N
 //!   scattered per-link walks for a 4-link world.
-//! - `hotpath/queue_churn` — calendar vs heap backend on the dense-timer
+//! - `hotpath/queue_churn/calendar` — the event queue on the dense-timer
 //!   schedule shape (20 ms periodic + jittered sub-ms completions).
 //! - `hotpath/traced_sweep_4x` — `run_indexed_traced` end to end (4
 //!   traced runs + loser-tree k-way merge), the `telemetry/post/
@@ -18,9 +18,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use diversifi::world::{RunMode, World, WorldConfig};
-use diversifi_simcore::{
-    EventQueue, QueueBackend, SeedFactory, SimDuration, SimTime, WorkerArena,
-};
+use diversifi_simcore::{EventQueue, SeedFactory, SimDuration, SimTime, WorkerArena};
 use diversifi_voip::StreamSpec;
 use diversifi_wifi::{Channel, ChannelRealization, GeParams, LinkConfig, RealizationCache};
 
@@ -108,40 +106,31 @@ fn bench_materialize_batch(c: &mut Criterion) {
     g.finish();
 }
 
-/// Queue backends head to head on the world's timer shape: a 20 ms
-/// periodic tick plus a burst of jittered sub-millisecond completions per
-/// tick, with a sprinkle of cancels (lazy-cancelled timers).
+/// The event queue on the world's timer shape: a 20 ms periodic tick
+/// plus a burst of jittered sub-millisecond completions per tick. The
+/// `calendar` label is kept so the committed baseline stays comparable.
 fn bench_queue_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath/queue_churn");
-    for (label, backend) in [("heap", QueueBackend::Heap), ("calendar", QueueBackend::Calendar)] {
-        g.bench_function(label, |bch| {
-            bch.iter(|| {
-                let mut q: EventQueue<u32> = EventQueue::with_backend(backend);
-                let mut rng = SeedFactory::new(11).stream("churn", 0);
-                q.schedule(SimTime::ZERO, 0);
-                let mut pops = 0u64;
-                while let Some((now, tag)) = q.pop() {
-                    pops += 1;
-                    if tag == 0 && pops < 4000 {
-                        // Periodic tick: re-arm and fan out completions.
-                        q.schedule(now + SimDuration::from_millis(20), 0);
-                        let mut cancel = None;
-                        for i in 1..=6u32 {
-                            let d = SimDuration::from_micros(rng.range_u64(40, 900));
-                            let id = q.schedule(now + d, i);
-                            if i == 3 {
-                                cancel = Some(id);
-                            }
-                        }
-                        if let Some(id) = cancel {
-                            q.cancel(id);
-                        }
+    g.bench_function("calendar", |bch| {
+        bch.iter(|| {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut rng = SeedFactory::new(11).stream("churn", 0);
+            q.schedule(SimTime::ZERO, 0);
+            let mut pops = 0u64;
+            while let Some((now, tag)) = q.pop() {
+                pops += 1;
+                if tag == 0 && pops < 4000 {
+                    // Periodic tick: re-arm and fan out completions.
+                    q.schedule(now + SimDuration::from_millis(20), 0);
+                    for i in 1..=6u32 {
+                        let d = SimDuration::from_micros(rng.range_u64(40, 900));
+                        q.schedule(now + d, i);
                     }
                 }
-                black_box(pops)
-            })
-        });
-    }
+            }
+            black_box(pops)
+        })
+    });
     g.finish();
 }
 

@@ -25,8 +25,8 @@ use diversifi_net::{Middlebox, MiddleboxConfig, StreamPacket, TcpConfig, TcpRece
 use diversifi_simcore::telemetry::{self, Phase, TelemetrySession};
 use diversifi_simcore::{
     trace_event, ComponentId, DecisionKind, EventQueue, FaultEdge, FaultEffect, FaultOutcome,
-    FaultPlan, FaultWindow, QueueBackend, RngStream, SeedFactory, SimDuration, SimTime,
-    TraceDetail, TraceKind, WorkerArena, DAY_NANOS, WHEEL_DAYS,
+    FaultPlan, FaultWindow, RngStream, SeedFactory, SimDuration, SimTime, TraceDetail, TraceKind,
+    WorkerArena,
 };
 use diversifi_voip::{
     InputFate, StreamSpec, StreamTrace, WorkloadKind, WorkloadOutcome, WorkloadState,
@@ -223,14 +223,22 @@ const STREAM_FLOW: FlowId = FlowId(1);
 const TCP_FLOW: FlowId = FlowId(2);
 const CLIENT: ClientId = ClientId(0);
 
+/// A world event. Every pop moves one of these through the run loop, so
+/// it stays small: bulky per-exchange state (the in-flight frame and its
+/// MAC outcome) lives in `World::in_flight`, not in the event. The
+/// explicit word-sized tag puts every payload at an 8-byte-aligned offset,
+/// so an event moves as whole words; with a 1-byte tag the move from pop
+/// to dispatch copied 47 bytes at odd offsets and stalled on store
+/// forwarding.
 #[derive(Debug)]
+#[repr(u64)]
 enum Ev {
     /// The sender emits stream packet `seq`.
     SourceEmit(u64),
     /// A stream packet reaches an AP's queue. `ap`: 0 = primary, 1 = secondary.
     ApArrival { ap: usize, frame: Frame },
-    /// The AP's radio finished a frame exchange.
-    ApTxDone { ap: usize, adapter: AdapterId, frame: Frame, outcome: TxOutcome },
+    /// The AP's radio finished the exchange held in `World::in_flight[ap]`.
+    ApTxDone(usize),
     /// Try to start a transmission at an idle AP.
     ApKick(usize),
     /// Client state-machine timer.
@@ -270,6 +278,8 @@ enum Ev {
     Done,
 }
 
+const _: () = assert!(std::mem::size_of::<Ev>() <= 48, "world::Ev must stay at most 48 bytes");
+
 /// The world simulator. Borrows its configuration so paired arms (N modes ×
 /// one seed) share a single `WorldConfig` instead of cloning it per run.
 pub struct World<'a> {
@@ -277,7 +287,11 @@ pub struct World<'a> {
     q: EventQueue<Ev>,
     aps: [AccessPoint; 2],
     links: [LinkModel; 2],
-    busy: [bool; 2],
+    /// The frame exchange each AP's radio is running, as `(adapter, frame,
+    /// outcome)`: set when the exchange starts, taken by its
+    /// `Ev::ApTxDone`. `Some` means the radio is busy, so an AP never has
+    /// more than one exchange in flight.
+    in_flight: [Option<(AdapterId, Frame, TxOutcome)>; 2],
     client_side: Option<LinkSide>, // None while retuning
     alg: Algorithm1,
     mbox: Middlebox,
@@ -401,9 +415,7 @@ impl<'a> World<'a> {
         arena: &mut WorkerArena,
     ) -> World<'a> {
         let mut world = Self::new_cached(cfg, seeds, cache);
-        let mut q: EventQueue<Ev> = arena.take();
-        q.set_backend(Self::queue_backend(cfg));
-        world.q = q;
+        world.q = arena.take();
         world.pending_recovery = arena.take();
         world.active_brownouts = arena.take();
         world.active_storms = arena.take();
@@ -411,21 +423,6 @@ impl<'a> World<'a> {
         recovered.resize(world.fault_windows.len(), None);
         world.fault_recovered = recovered;
         world
-    }
-
-    /// The event-queue backend for this run: the calendar wheel when the
-    /// stream's packet clock is dense enough that most scheduling lands
-    /// inside the wheel span (the VoIP regime — emissions every 20 ms,
-    /// client timers down to 100 µs), the binary heap otherwise. Both
-    /// backends pop in the exact same order, so this is purely a
-    /// performance choice.
-    fn queue_backend(cfg: &WorldConfig) -> QueueBackend {
-        let span_ns = DAY_NANOS * WHEEL_DAYS;
-        if cfg.spec.interval.as_nanos().saturating_mul(4) <= span_ns {
-            QueueBackend::Calendar
-        } else {
-            QueueBackend::Heap
-        }
     }
 
     /// Horizon the realisations must cover: the measurement window plus the
@@ -471,10 +468,10 @@ impl<'a> World<'a> {
         let tcp_tx = TcpSender::new(TcpConfig::default());
 
         World {
-            q: EventQueue::with_backend(Self::queue_backend(cfg)),
+            q: EventQueue::new(),
             aps: [ap0, ap1],
             links,
-            busy: [false, false],
+            in_flight: [None, None],
             client_side,
             alg,
             mbox,
@@ -760,9 +757,7 @@ impl<'a> World<'a> {
             Ev::SourceEmit(seq) => self.on_source_emit(now, seq),
             Ev::ApArrival { ap, frame } => self.on_ap_arrival(now, ap, frame),
             Ev::ApKick(ap) => self.kick_ap(now, ap),
-            Ev::ApTxDone { ap, adapter, frame, outcome } => {
-                self.on_tx_done(now, ap, adapter, frame, outcome)
-            }
+            Ev::ApTxDone(ap) => self.on_tx_done(now, ap),
             Ev::ClientTimer => self.on_client_timer(now),
             Ev::BeginRetune { side } => {
                 // Only now does the client stop hearing its current channel
@@ -1084,14 +1079,13 @@ impl<'a> World<'a> {
     /// Start a transmission at `ap` if its radio is idle and traffic is
     /// eligible.
     fn kick_ap(&mut self, now: SimTime, ap: usize) {
-        if self.busy[ap] {
+        if self.in_flight[ap].is_some() {
             return;
         }
         let Some((adapter, frame)) = self.aps[ap].next_tx() else { return };
         if frame.flow == STREAM_FLOW {
             self.ledger.tx_start();
         }
-        self.busy[ap] = true;
         let mac_cfg = self.aps[ap].config().mac;
         let outcome = {
             let _sample = telemetry::span(Phase::ChannelSample);
@@ -1107,7 +1101,8 @@ impl<'a> World<'a> {
                 dur_us: outcome.completed_at.saturating_since(now).as_micros() as u32,
             },
         );
-        self.q.schedule(outcome.completed_at, Ev::ApTxDone { ap, adapter, frame, outcome });
+        self.in_flight[ap] = Some((adapter, frame, outcome));
+        self.q.schedule(outcome.completed_at, Ev::ApTxDone(ap));
     }
 
     fn client_listening(&self, ap: usize) -> bool {
@@ -1117,15 +1112,9 @@ impl<'a> World<'a> {
         )
     }
 
-    fn on_tx_done(
-        &mut self,
-        now: SimTime,
-        ap: usize,
-        adapter: AdapterId,
-        frame: Frame,
-        outcome: TxOutcome,
-    ) {
-        self.busy[ap] = false;
+    fn on_tx_done(&mut self, now: SimTime, ap: usize) {
+        let (adapter, frame, outcome) =
+            self.in_flight[ap].take().expect("ApTxDone fires only for the exchange in flight");
         self.q.schedule(now, Ev::ApKick(ap));
 
         if ap == 1 && frame.kind == FrameKind::Data {
@@ -1747,15 +1736,14 @@ mod tests {
         assert!(stats.hits > 0, "later rounds must reuse pooled containers: {stats:?}");
     }
 
+    /// A 1 s packet clock schedules every emission beyond the queue's
+    /// wheel span, so the run leans on its overflow heap; it must stay
+    /// deterministic.
     #[test]
-    fn queue_backend_selection_tracks_timer_density() {
+    fn sparse_packet_clock_runs_bit_identical() {
         let (a, b) = weak_pair();
         let mut cfg = WorldConfig::testbed(a, b);
-        // VoIP (20 ms packet clock) is the dense regime.
-        assert_eq!(World::queue_backend(&cfg), QueueBackend::Calendar);
         cfg.spec.interval = SimDuration::from_secs(1);
-        assert_eq!(World::queue_backend(&cfg), QueueBackend::Heap);
-        // Sparse streams still run correctly on the heap fallback.
         cfg.spec.duration = SimDuration::from_secs(20);
         cfg.mode = RunMode::PrimaryOnly;
         let r1 = World::new(&cfg, &seeds(22)).run();

@@ -2,7 +2,7 @@
 //!
 //! A corpus sweep builds and tears down one `World` per task — and every
 //! construction used to pay dozens of heap allocations: the event queue's
-//! heap, slab and free list, the packet trace, the recovery/fault
+//! wheel buckets and overflow heap, the packet trace, the recovery/fault
 //! bookkeeping vectors. [`WorkerArena`] is the antidote, following the
 //! same per-worker contract as [`MetricsScratch`](crate::MetricsScratch):
 //! each sweep worker owns one arena (see `SweepRunner::run_indexed_with`),

@@ -5,7 +5,8 @@
 //!
 //! - [`SimTime`] / [`SimDuration`] — nanosecond virtual time newtypes.
 //! - [`EventQueue`] — deterministic time-ordered event queue with FIFO
-//!   tie-breaking and lazy cancellation.
+//!   tie-breaking: a calendar wheel holding events inline, with an
+//!   overflow heap for far ones.
 //! - [`SeedFactory`] / [`RngStream`] — independent, reproducible random
 //!   streams per component, so runs are pure functions of (scenario, seed)
 //!   and A/B comparisons are paired.
@@ -78,7 +79,7 @@ pub use fault::{FaultEffect, FaultKind, FaultOutcome, FaultPlan, FaultSpec, Faul
 pub use flight::{FlightCapture, FlightKey, WorstK, FLIGHT_COMPILED};
 pub use metrics::{LogHistogram, MetricsRegistry};
 pub use par::SweepRunner;
-pub use queue::{EventId, EventQueue, QueueBackend, DAY_NANOS, WHEEL_DAYS};
+pub use queue::{EventQueue, DAY_NANOS, WHEEL_DAYS};
 pub use rng::{RngStream, SeedFactory};
 pub use scratch::MetricsScratch;
 pub use stats::{
@@ -205,93 +206,44 @@ mod proptests {
             }
         }
 
-        /// Model-based check of the slab/generation event queue against a
-        /// naive reference (a flat list popped by min `(at, seq)`): random
-        /// interleavings of schedule / cancel / pop must agree on every
-        /// popped timestamp and payload, on `len()`, on `peek_time()`, and
-        /// cancelling an already-popped handle must stay a no-op. Runs the
-        /// same operation sequence against **both** backends — the slab
-        /// heap and the calendar wheel — so the model pins them equally.
+        /// Model-based check of the event queue against
+        /// [`queue::ReferenceQueue`], a list sorted by `(at, seq)`: random
+        /// interleavings of schedule / pop / reset must agree on every
+        /// popped timestamp and payload, on `len()`, on `peek_time()` and
+        /// on the clock. Delays are mostly sub-millisecond (wheel buckets)
+        /// with an occasional far one (the overflow heap).
         #[test]
         fn event_queue_matches_reference_model(
             ops in proptest::collection::vec(0u32..1_000_000, 1..300),
         ) {
-            struct Ref {
-                at: SimTime,
-                seq: u64,
-                tag: u64,
-                live: bool,
-            }
-            for backend in [queue::QueueBackend::Heap, queue::QueueBackend::Calendar] {
-            let mut q = EventQueue::with_backend(backend);
-            let mut model: Vec<Ref> = Vec::new();
-            // Outstanding (device handle, model index) pairs.
-            let mut handles: Vec<(EventId, usize)> = Vec::new();
-            let (mut seq, mut tag) = (0u64, 0u64);
-            for op in &ops {
+            let mut q = EventQueue::new();
+            let mut model = queue::ReferenceQueue::new();
+            for (tag, op) in ops.iter().enumerate() {
                 let op = *op;
-                match op % 4 {
-                    0 | 1 => {
-                        // Mostly sub-millisecond deltas, with an
-                        // occasional far-future one so the calendar
-                        // backend's overflow heap is exercised too.
-                        let base = u64::from(op / 4) % 10_000;
+                match op % 8 {
+                    0..=3 => {
+                        let base = u64::from(op / 8) % 10_000;
                         let delta = if op % 97 == 0 {
                             SimDuration::from_nanos(base * 100_000_000)
                         } else {
                             SimDuration::from_nanos(base)
                         };
                         let at = q.now() + delta;
-                        let id = q.schedule(at, tag);
-                        model.push(Ref { at, seq, tag, live: true });
-                        handles.push((id, model.len() - 1));
-                        seq += 1;
-                        tag += 1;
+                        q.schedule(at, tag);
+                        model.schedule(at, tag);
                     }
-                    2 => {
-                        if !handles.is_empty() {
-                            let k = (op as usize / 4) % handles.len();
-                            let (id, mi) = handles.swap_remove(k);
-                            q.cancel(id);
-                            model[mi].live = false;
-                        }
+                    4..=6 => prop_assert_eq!(q.pop(), model.pop()),
+                    // Rare reset: a recycled queue must replay like a
+                    // fresh one.
+                    _ if op % 13 == 0 => {
+                        q.reset();
+                        model = queue::ReferenceQueue::new();
                     }
-                    _ => {
-                        let best = model
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, m)| m.live)
-                            .min_by_key(|(_, m)| (m.at, m.seq))
-                            .map(|(i, _)| i);
-                        let got = q.pop();
-                        match best {
-                            Some(i) => {
-                                model[i].live = false;
-                                prop_assert!(got.is_some(), "queue empty but model has live events");
-                                let (t, v) = got.unwrap();
-                                prop_assert_eq!(t, model[i].at);
-                                prop_assert_eq!(v, model[i].tag);
-                                // A handle to the popped event is now stale:
-                                // cancelling it must change nothing.
-                                if let Some(k) = handles.iter().position(|&(_, mi)| mi == i) {
-                                    let (id, _) = handles.swap_remove(k);
-                                    let before = q.len();
-                                    q.cancel(id);
-                                    prop_assert_eq!(q.len(), before);
-                                }
-                            }
-                            None => prop_assert!(got.is_none()),
-                        }
-                    }
+                    _ => {}
                 }
-                prop_assert_eq!(q.len(), model.iter().filter(|m| m.live).count());
-                let want_peek = model
-                    .iter()
-                    .filter(|m| m.live)
-                    .map(|m| m.at)
-                    .min();
-                prop_assert_eq!(q.peek_time(), want_peek);
-            }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.peek_time(), model.peek_time());
+                prop_assert_eq!(q.now(), model.now());
             }
         }
     }

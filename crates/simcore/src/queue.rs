@@ -2,40 +2,33 @@
 //!
 //! Events scheduled for the same instant are delivered in the order they were
 //! scheduled (FIFO tie-break via a monotonically increasing sequence number),
-//! so a simulation run is a pure function of (scenario, seed) — never of heap
-//! internals or hash ordering.
+//! so a simulation run is a pure function of (scenario, seed) — never of
+//! container internals or hash ordering. Pop order is the total order on
+//! `(at, seq)`.
 //!
-//! Cancellation is O(1): each scheduled event owns a slot in a generation-
-//! stamped slab, and cancelling flips the slot's liveness flag; the pending
-//! entry is discarded lazily when it reaches the head. A stale [`EventId`]
-//! (already fired, or already cancelled) fails the generation check and the
-//! cancel is a true no-op — it can never skew [`EventQueue::len`].
+//! # Storage
 //!
-//! # Backends
+//! One calendar wheel of [`DAY_NANOS`]-wide buckets spanning [`WHEEL_DAYS`]
+//! days from the current clock, plus an overflow heap for events beyond the
+//! span. Every pending event is stored once, inline, as `(at, seq, event)`:
+//! there is no payload slab and no handle, so a schedule or a pop moves one
+//! small record and touches no second allocation.
 //!
-//! Two storage backends implement the identical pop order (global minimum
-//! `(at, seq)`), selectable per queue via [`QueueBackend`]:
+//! - An event whose day lies within the span lands in its day's bucket at
+//!   schedule time (sorted insertion into a short vector). Pop takes the
+//!   tail of the first non-empty bucket at-or-after `now`, found through an
+//!   occupancy bitmap, so the dense-timer regime the world model generates
+//!   (20 ms VoIP ticks, sub-ms MAC service chains, keepalives and probes)
+//!   schedules and pops in O(1) with no heap rebalancing.
+//! - Far events (call teardown, sparse packet clocks, timers beyond the
+//!   span) wait in the overflow heap and are compared against the wheel
+//!   head at pop. They never migrate into the wheel.
 //!
-//! - **Heap** (default): a binary heap. O(log n) schedule/pop regardless
-//!   of the time distribution — the safe general-purpose choice.
-//! - **Calendar**: a calendar wheel of [`DAY_NANOS`]-wide buckets spanning
-//!   [`WHEEL_DAYS`] days from the current clock, with a heap for events
-//!   beyond the span. Events land in their day's bucket at schedule time
-//!   (sorted insertion into a short vector); pop takes the tail of the
-//!   first non-empty bucket at-or-after `now`, so the dense-timer regime
-//!   the world model generates (20 ms VoIP ticks, sub-ms MAC service
-//!   chains, keepalives and probes) schedules and pops in O(1) with no
-//!   heap rebalancing on the hot path. Far-future events (call teardown,
-//!   keepalive periods beyond the span) stay in the overflow heap and are
-//!   compared against the wheel head at pop.
-//!
-//! The two backends are pinned pop-order-identical by a differential test
-//! below and by the model-based proptest in `lib.rs`, which runs against
-//! both.
-//!
-//! The slab, generation stamps, FIFO tie-break, `len`/`peek_time`
-//! semantics and the schedule-in-the-past panic are backend-independent:
-//! the backend only decides *where* a pending entry waits.
+//! Scheduled events cannot be cancelled: a superseded timer still fires,
+//! and its handler checks whether anything is due (as the TCP sender's RTO
+//! check does). The pop order is pinned against a list sorted by
+//! `(at, seq)` (the test-only `ReferenceQueue`) by the differential tests
+//! below and the model-based proptest in `lib.rs`.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -55,193 +48,36 @@ pub const WHEEL_DAYS: u64 = 512;
 /// Words in the wheel's occupancy bitmap (one bit per bucket).
 const OCC_WORDS: usize = WHEEL_DAYS as usize / 64;
 
-/// A handle to a scheduled event, usable for cancellation.
-///
-/// Encodes (slot, generation); a handle outlives its event harmlessly —
-/// cancelling after the event fired is a no-op.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, gen: u32) -> EventId {
-        EventId((slot as u64) << 32 | gen as u64)
-    }
-
-    fn slot(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-
-    fn gen(self) -> u32 {
-        self.0 as u32
-    }
-}
-
-/// The ordering key of one pending event. Payloads live in the slab
-/// (`EventQueue::events`), so the heap/wheel shuffle 24-byte keys instead
-/// of full event values — sift swaps and bucket memmoves stay cheap no
-/// matter how large the caller's event enum is.
-#[derive(Clone, Copy)]
-struct Scheduled {
+/// One pending event, stored inline with its ordering key.
+struct Entry<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    event: E,
 }
 
-// BinaryHeap is a max-heap; invert the ordering so the earliest (time, seq)
-// pops first.
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+
+// BinaryHeap is a max-heap; invert the ordering so the earliest (at, seq)
+// pops first.
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key().cmp(&self.key())
     }
-}
-
-/// One slab slot: the generation of the handle it currently backs, and
-/// whether that event is still due to fire. A slot is freed (and its
-/// generation bumped) only when its pending entry drains, so slot indices
-/// held by the backend are always valid.
-#[derive(Clone, Copy)]
-struct Slot {
-    gen: u32,
-    live: bool,
-}
-
-/// Which storage backend a queue uses. Pop order is identical; only the
-/// complexity profile differs (see the [module docs](self)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Binary heap: O(log n) schedule/pop, robust to any time
-    /// distribution. The default.
-    #[default]
-    Heap,
-    /// Calendar wheel + overflow heap: O(1) schedule/pop in the
-    /// dense-timer regime where most events land within the wheel span
-    /// of the clock.
-    Calendar,
-}
-
-/// The calendar-wheel storage: near events bucketed by "day" (a
-/// [`DAY_NANOS`]-wide slice of time), far events in an overflow heap.
-///
-/// Invariant: since every pending event satisfies `at >= now` and events
-/// are only bucketed when their day is within [`WHEEL_DAYS`] of the
-/// schedule-time clock, every bucketed event's day lies in
-/// `[now/DAY_NANOS, now/DAY_NANOS + WHEEL_DAYS)` — so each bucket holds
-/// events of exactly one day, and a forward scan from `now`'s bucket
-/// visits days in increasing order.
-struct CalendarWheel {
-    /// `buckets[day % WHEEL_DAYS]`, each sorted by `(at, seq)`
-    /// *descending* so the bucket minimum pops from the back in O(1).
-    /// Allocated lazily on first use.
-    buckets: Vec<Vec<Scheduled>>,
-    /// One bit per bucket: set iff the bucket is non-empty. Pop finds the
-    /// next occupied bucket with a handful of word scans instead of
-    /// walking up to [`WHEEL_DAYS`] empty vectors between sparse events.
-    occ: [u64; OCC_WORDS],
-    /// Total entries across buckets (live + lazily-cancelled).
-    bucketed: usize,
-    /// Events beyond the wheel span, in a min-(at, seq) heap.
-    overflow: BinaryHeap<Scheduled>,
-}
-
-impl CalendarWheel {
-    fn new() -> CalendarWheel {
-        CalendarWheel {
-            buckets: Vec::new(),
-            occ: [0; OCC_WORDS],
-            bucketed: 0,
-            overflow: BinaryHeap::new(),
-        }
-    }
-
-    fn entries(&self) -> usize {
-        self.bucketed + self.overflow.len()
-    }
-
-    fn clear_occ(&mut self, idx: usize) {
-        self.occ[idx >> 6] &= !(1u64 << (idx & 63));
-    }
-
-    /// First occupied bucket in circular day order starting at `start`.
-    ///
-    /// The wheel invariant (every bucketed event's day lies within
-    /// [`WHEEL_DAYS`] of `now`'s day) makes the circular order from
-    /// `now`'s bucket exactly the increasing-day order, so the first
-    /// occupied bucket found holds the wheel's earliest day.
-    fn next_occupied(&self, start: usize) -> Option<usize> {
-        if self.bucketed == 0 {
-            return None;
-        }
-        let word0 = start >> 6;
-        let w = self.occ[word0] & (!0u64 << (start & 63));
-        if w != 0 {
-            return Some((word0 << 6) + w.trailing_zeros() as usize);
-        }
-        for step in 1..=OCC_WORDS {
-            let wi = (word0 + step) % OCC_WORDS;
-            let mut w = self.occ[wi];
-            if step == OCC_WORDS {
-                // Wrapped all the way back: only the bits below `start`.
-                w &= !(!0u64 << (start & 63));
-            }
-            if w != 0 {
-                return Some((wi << 6) + w.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Store one entry: sorted-insert into its day's bucket if the day is
-    /// within the wheel span of `now`, overflow heap otherwise.
-    fn insert(&mut self, s: Scheduled, now: SimTime) {
-        let day = s.at.as_nanos() / DAY_NANOS;
-        let day0 = now.as_nanos() / DAY_NANOS;
-        if day < day0 + WHEEL_DAYS {
-            if self.buckets.is_empty() {
-                self.buckets.resize_with(WHEEL_DAYS as usize, Vec::new);
-            }
-            let idx = (day % WHEEL_DAYS) as usize;
-            let bucket = &mut self.buckets[idx];
-            // Descending order; (at, seq) is unique, so no equal keys.
-            let pos = bucket.partition_point(|e| (e.at, e.seq) > (s.at, s.seq));
-            bucket.insert(pos, s);
-            self.occ[idx >> 6] |= 1u64 << (idx & 63);
-            self.bucketed += 1;
-        } else {
-            self.overflow.push(s);
-        }
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.occ = [0; OCC_WORDS];
-        self.bucketed = 0;
-        self.overflow.clear();
-    }
-}
-
-/// The wheel's live minimum: `(at, seq, bucket index)`.
-type WheelHead = (SimTime, u64, usize);
-/// The overflow heap's live minimum key: `(at, seq)`.
-type OverflowHead = (SimTime, u64);
-
-/// Backend storage for pending entries (ordering keys only — payloads
-/// stay in the owning queue's slab).
-enum Backend {
-    Heap(BinaryHeap<Scheduled>),
-    Calendar(CalendarWheel),
 }
 
 /// A time-ordered queue of events of type `E`.
@@ -262,17 +98,26 @@ enum Backend {
 /// assert_eq!(t, SimTime::from_millis(10));
 /// assert_eq!(ev, Ev::Tick(0));
 /// ```
+///
+/// Invariant: every pending event satisfies `at >= now`, and an event is
+/// bucketed only when its day is within [`WHEEL_DAYS`] of the clock at
+/// schedule time. So every bucketed day lies in `[now/DAY_NANOS,
+/// now/DAY_NANOS + WHEEL_DAYS)`: each bucket holds events of exactly one
+/// day, and a circular scan from `now`'s bucket visits days in increasing
+/// order.
 pub struct EventQueue<E> {
-    backend: Backend,
-    slots: Vec<Slot>,
-    /// Payload slab, parallel to `slots`: `events[slot]` holds the value
-    /// scheduled under that slot until it pops (or its cancelled entry
-    /// drains). Keeping payloads out of the backend means heap sifts and
-    /// bucket inserts move 24-byte keys, not whole event enums.
-    events: Vec<Option<E>>,
-    free: Vec<u32>,
-    /// Pending entries whose slot was cancelled (they drain lazily).
-    cancelled: usize,
+    /// `buckets[day % WHEEL_DAYS]`, each sorted by `(at, seq)`
+    /// *descending* so the bucket minimum pops from the back in O(1).
+    /// Allocated on first use.
+    buckets: Vec<Vec<Entry<E>>>,
+    /// One bit per bucket: set iff the bucket is non-empty. Pop finds the
+    /// next occupied bucket with a handful of word scans instead of
+    /// walking up to [`WHEEL_DAYS`] empty vectors between sparse events.
+    occ: [u64; OCC_WORDS],
+    /// Total entries across buckets.
+    bucketed: usize,
+    /// Events beyond the wheel span, in a min-(at, seq) heap.
+    overflow: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -284,71 +129,40 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at [`SimTime::ZERO`], on the default
-    /// heap backend.
+    /// An empty queue with the clock at [`SimTime::ZERO`]. Allocates
+    /// nothing until the first [`schedule`](Self::schedule).
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty queue pre-sized for `cap` pending events, so steady-state
-    /// scheduling never reallocates the heap or the slot slab.
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            backend: Backend::Heap(BinaryHeap::with_capacity(cap)),
-            slots: Vec::with_capacity(cap),
-            events: Vec::with_capacity(cap),
-            free: Vec::new(),
-            cancelled: 0,
+            buckets: Vec::new(),
+            occ: [0; OCC_WORDS],
+            bucketed: 0,
+            overflow: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
     }
 
-    /// An empty queue on the chosen backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
+    /// An empty queue with the wheel allocated and room for `cap` far
+    /// events in the overflow heap.
+    pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        q.set_backend(backend);
+        q.buckets.resize_with(WHEEL_DAYS as usize, Vec::new);
+        q.overflow.reserve(cap);
         q
     }
 
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Heap(_) => QueueBackend::Heap,
-            Backend::Calendar(_) => QueueBackend::Calendar,
-        }
-    }
-
-    /// Switch an **empty** queue to `backend` (no-op if it already runs
-    /// on it, preserving pooled capacity across arena reuse).
-    ///
-    /// # Panics
-    /// If events are pending: entries cannot be moved between backends
-    /// without perturbing the slab, and no caller needs that.
-    pub fn set_backend(&mut self, backend: QueueBackend) {
-        assert!(self.is_empty(), "cannot switch backend with events pending");
-        match (&mut self.backend, backend) {
-            (Backend::Heap(_), QueueBackend::Heap)
-            | (Backend::Calendar(_), QueueBackend::Calendar) => {}
-            (b, QueueBackend::Heap) => *b = Backend::Heap(BinaryHeap::new()),
-            (b, QueueBackend::Calendar) => *b = Backend::Calendar(CalendarWheel::new()),
-        }
-    }
-
-    /// Clear everything — pending events, slab, clock, sequence counter —
-    /// while keeping allocated capacity (and the backend choice). A reset
-    /// queue is observationally identical to a fresh one; this is what
-    /// makes queues poolable in a [`WorkerArena`](crate::WorkerArena)
-    /// without breaking run-to-run determinism.
+    /// Clear everything — pending events, clock, sequence counter — while
+    /// keeping allocated capacity. A reset queue is observationally
+    /// identical to a fresh one; this is what makes queues poolable in a
+    /// [`WorkerArena`](crate::WorkerArena) without breaking run-to-run
+    /// determinism.
     pub fn reset(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Calendar(w) => w.clear(),
+        for b in &mut self.buckets {
+            b.clear();
         }
-        self.slots.clear();
-        self.events.clear();
-        self.free.clear();
-        self.cancelled = 0;
+        self.occ = [0; OCC_WORDS];
+        self.bucketed = 0;
+        self.overflow.clear();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
     }
@@ -359,13 +173,9 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        let entries = match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(w) => w.entries(),
-        };
-        entries - self.cancelled
+        self.bucketed + self.overflow.len()
     }
 
     /// `true` if no events are pending.
@@ -373,27 +183,12 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Allocate a slab slot for a new entry.
-    fn alloc_slot(&mut self) -> u32 {
-        match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].live = true;
-                s
-            }
-            None => {
-                self.slots.push(Slot { gen: 0, live: true });
-                self.events.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
     /// Schedule `event` at absolute time `at`.
     ///
     /// Scheduling in the past is a logic error in the caller and panics: a
     /// discrete-event simulation that silently reorders causality produces
     /// quietly wrong results, which is worse than crashing.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "scheduled event at {at:?} but simulation time is already {:?}",
@@ -401,182 +196,98 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.alloc_slot();
-        self.events[slot as usize] = Some(event);
-        let entry = Scheduled { at, seq, slot };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Calendar(w) => w.insert(entry, self.now),
+        let entry = Entry { at, seq, event };
+        let day = at.as_nanos() / DAY_NANOS;
+        if day >= self.now.as_nanos() / DAY_NANOS + WHEEL_DAYS {
+            self.overflow.push(entry);
+            return;
         }
-        EventId::new(slot, self.slots[slot as usize].gen)
+        if self.buckets.is_empty() {
+            self.buckets.resize_with(WHEEL_DAYS as usize, Vec::new);
+        }
+        let idx = (day % WHEEL_DAYS) as usize;
+        let bucket = &mut self.buckets[idx];
+        // Descending (at, seq). `seq` exceeds every pending sequence number,
+        // so the new entry sorts just below every strictly later event.
+        let pos = bucket.partition_point(|e| e.at > at);
+        bucket.insert(pos, entry);
+        self.occ[idx >> 6] |= 1u64 << (idx & 63);
+        self.bucketed += 1;
     }
 
     /// Schedule `event` at `now() + delta` — the dominant caller pattern
     /// (frame service times, retry backoffs, periodic timers).
-    pub fn schedule_after(&mut self, delta: SimDuration, event: E) -> EventId {
+    pub fn schedule_after(&mut self, delta: SimDuration, event: E) {
         self.schedule(self.now + delta, event)
     }
 
-    /// Cancel a previously scheduled event. O(1): the slot is flagged dead
-    /// and the pending entry is skipped when it reaches the head. Cancelling
-    /// an already-fired or already-cancelled event is a true no-op (the
-    /// generation check rejects stale handles).
-    pub fn cancel(&mut self, id: EventId) {
-        let slot = id.slot() as usize;
-        if let Some(s) = self.slots.get_mut(slot) {
-            if s.gen == id.gen() && s.live {
-                s.live = false;
-                self.cancelled += 1;
+    /// The bucket holding the wheel's earliest event: the first occupied
+    /// bucket in circular order from `now`'s, which by the wheel invariant
+    /// is the earliest day.
+    fn wheel_head(&self) -> Option<usize> {
+        if self.bucketed == 0 {
+            return None;
+        }
+        let start = ((self.now.as_nanos() / DAY_NANOS) % WHEEL_DAYS) as usize;
+        let word0 = start >> 6;
+        let w = self.occ[word0] & (!0u64 << (start & 63));
+        if w != 0 {
+            return Some((word0 << 6) + w.trailing_zeros() as usize);
+        }
+        for step in 1..=OCC_WORDS {
+            let wi = (word0 + step) % OCC_WORDS;
+            let mut w = self.occ[wi];
+            if step == OCC_WORDS {
+                // Wrapped all the way back: only the bits below `start`.
+                w &= !(!0u64 << (start & 63));
+            }
+            if w != 0 {
+                return Some((wi << 6) + w.trailing_zeros() as usize);
             }
         }
+        unreachable!("bucketed events but an empty occupancy bitmap")
     }
 
-    /// Free `slot` for reuse, invalidating all outstanding handles to it
-    /// and dropping any payload still parked in the slab.
-    fn release(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
-        s.live = false;
-        self.events[slot as usize] = None;
-        self.free.push(slot);
+    /// The earliest pending entry of bucket `idx` (which must be occupied).
+    fn bucket_min(&self, idx: usize) -> &Entry<E> {
+        self.buckets[idx].last().expect("occupied bucket is non-empty")
     }
 
     /// Pop the earliest pending event, advancing the clock to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(_) => self.pop_heap(),
-            Backend::Calendar(_) => self.pop_calendar(),
-        };
-        if let Some((at, _)) = &popped {
-            crate::sim_assert!(
-                *at >= self.now,
-                "event queue produced time travel: popped {:?} with clock at {:?}",
-                at,
-                self.now
-            );
-            self.now = *at;
-        }
-        popped
-    }
-
-    fn pop_heap(&mut self) -> Option<(SimTime, E)> {
-        let EventQueue { backend, slots, events, free, cancelled, .. } = self;
-        let Backend::Heap(heap) = backend else { unreachable!() };
-        loop {
-            let s = heap.pop()?;
-            let slot = &mut slots[s.slot as usize];
-            let live = slot.live;
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.live = false;
-            let ev = events[s.slot as usize].take();
-            free.push(s.slot);
-            if !live {
-                *cancelled -= 1;
-                continue;
-            }
-            return Some((s.at, ev.expect("live entry has payload")));
-        }
-    }
-
-    /// Find the wheel's live minimum `(at, seq, bucket)`, draining dead
-    /// tails (and overflow-heap heads) along the way.
-    ///
-    /// The occupancy bitmap jumps straight to the next non-empty bucket
-    /// at-or-after `now`'s, so the scan cost is a few word operations
-    /// rather than a walk over empty days. Each bucket holds one day's
-    /// events sorted descending, so the first live tail found is the
-    /// wheel minimum.
-    fn calendar_heads(&mut self) -> (Option<WheelHead>, Option<OverflowHead>) {
-        let EventQueue { backend, slots, events, free, cancelled, now, .. } = self;
-        let Backend::Calendar(w) = backend else { unreachable!() };
-        let start = ((now.as_nanos() / DAY_NANOS) % WHEEL_DAYS) as usize;
-        let mut wheel_head = None;
-        'scan: while let Some(idx) = w.next_occupied(start) {
-            loop {
-                let Some(tail) = w.buckets[idx].last() else {
-                    w.clear_occ(idx);
-                    continue 'scan;
-                };
-                if slots[tail.slot as usize].live {
-                    wheel_head = Some((tail.at, tail.seq, idx));
-                    break 'scan;
+        let entry = match self.wheel_head() {
+            Some(idx)
+                if self
+                    .overflow
+                    .peek()
+                    .is_none_or(|far| self.bucket_min(idx).key() < far.key()) =>
+            {
+                let bucket = &mut self.buckets[idx];
+                let entry = bucket.pop().expect("occupied bucket is non-empty");
+                if bucket.is_empty() {
+                    self.occ[idx >> 6] &= !(1u64 << (idx & 63));
                 }
-                let dead = w.buckets[idx].pop().expect("tail vanished");
-                w.bucketed -= 1;
-                *cancelled -= 1;
-                let slot = &mut slots[dead.slot as usize];
-                slot.gen = slot.gen.wrapping_add(1);
-                events[dead.slot as usize] = None;
-                free.push(dead.slot);
+                self.bucketed -= 1;
+                entry
             }
-        }
-        // Overflow head: drain dead entries off the heap top.
-        while let Some(head) = w.overflow.peek() {
-            if slots[head.slot as usize].live {
-                break;
-            }
-            let dead = w.overflow.pop().expect("peeked entry vanished");
-            *cancelled -= 1;
-            let slot = &mut slots[dead.slot as usize];
-            slot.gen = slot.gen.wrapping_add(1);
-            events[dead.slot as usize] = None;
-            free.push(dead.slot);
-        }
-        (wheel_head, w.overflow.peek().map(|h| (h.at, h.seq)))
-    }
-
-    fn pop_calendar(&mut self) -> Option<(SimTime, E)> {
-        let (wheel_head, overflow_key) = self.calendar_heads();
-        let from_wheel = match (wheel_head, overflow_key) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some((at, seq, _)), Some(okey)) => (at, seq) < okey,
+            _ => self.overflow.pop()?,
         };
-        let Backend::Calendar(w) = &mut self.backend else { unreachable!() };
-        let s = if from_wheel {
-            let (_, _, idx) = wheel_head.expect("wheel head chosen");
-            w.bucketed -= 1;
-            let s = w.buckets[idx].pop().expect("wheel head vanished");
-            if w.buckets[idx].is_empty() {
-                w.clear_occ(idx);
-            }
-            s
-        } else {
-            w.overflow.pop().expect("overflow head vanished")
-        };
-        let ev = self.events[s.slot as usize].take();
-        self.release(s.slot);
-        Some((s.at, ev.expect("live entry has payload")))
+        crate::sim_assert!(
+            entry.at >= self.now,
+            "event queue produced time travel: popped {:?} with clock at {:?}",
+            entry.at,
+            self.now
+        );
+        self.now = entry.at;
+        Some((entry.at, entry.event))
     }
 
     /// Timestamp of the earliest pending event without popping it.
-    ///
-    /// Cancelled entries at the head are drained as they are discovered,
-    /// so repeated peeks stay cheap.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(_) => loop {
-                let Backend::Heap(heap) = &mut self.backend else { unreachable!() };
-                let head = heap.peek()?;
-                if self.slots[head.slot as usize].live {
-                    return Some(head.at);
-                }
-                let dead = heap.pop().expect("peeked entry vanished");
-                self.release(dead.slot);
-                self.cancelled -= 1;
-            },
-            Backend::Calendar(_) => {
-                // Same head selection as pop_calendar, without removal.
-                let (wheel_head, overflow_key) = self.calendar_heads();
-                match (wheel_head.map(|(at, seq, _)| (at, seq)), overflow_key) {
-                    (None, None) => None,
-                    (Some((at, _)), None) => Some(at),
-                    (None, Some((at, _))) => Some(at),
-                    (Some(wkey), Some(okey)) => Some(wkey.min(okey).0),
-                }
-            }
-        }
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let near = self.wheel_head().map(|idx| self.bucket_min(idx).at);
+        let far = self.overflow.peek().map(|e| e.at);
+        near.into_iter().chain(far).min()
     }
 }
 
@@ -589,10 +300,55 @@ impl<E: 'static> crate::arena::Recycle for EventQueue<E> {
     }
 }
 
+/// The queue's specification as a plain list kept sorted by `(at, seq)`:
+/// the oracle the wheel is checked against.
+#[cfg(test)]
+pub(crate) struct ReferenceQueue<E> {
+    pending: Vec<(SimTime, u64, E)>,
+    next_seq: u64,
+    now: SimTime,
+}
+
+#[cfg(test)]
+impl<E> ReferenceQueue<E> {
+    pub(crate) fn new() -> Self {
+        ReferenceQueue { pending: Vec::new(), next_seq: 0, now: SimTime::ZERO }
+    }
+
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
+        let key = (at, self.next_seq);
+        let pos = self.pending.partition_point(|&(t, s, _)| (t, s) < key);
+        self.pending.insert(pos, (at, self.next_seq, event));
+        self.next_seq += 1;
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (at, _, event) = self.pending.remove(0);
+        self.now = at;
+        Some((at, event))
+    }
+
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+        self.pending.first().map(|&(at, _, _)| at)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use crate::WorkerArena;
 
     #[derive(Debug, PartialEq, Clone, Copy)]
     struct Tag(u32);
@@ -636,95 +392,15 @@ mod tests {
         q.schedule(SimTime::from_millis(5), Tag(1));
     }
 
+    /// The past-schedule guard also holds after the clock jumped through
+    /// the overflow heap, far beyond the wheel span.
     #[test]
-    fn cancel_skips_event() {
+    #[should_panic(expected = "scheduled event at")]
+    fn calendar_scheduling_in_past_panics() {
         let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), Tag(1));
-        q.schedule(SimTime::from_millis(2), Tag(2));
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, Tag(2));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), Tag(1));
-        assert_eq!(q.pop().unwrap().1, Tag(1));
-        q.cancel(a); // must not affect later events
-        q.schedule(SimTime::from_millis(2), Tag(2));
-        assert_eq!(q.pop().unwrap().1, Tag(2));
-    }
-
-    #[test]
-    fn cancel_after_fire_keeps_len_consistent() {
-        // Regression: cancelling fired events used to insert tombstones
-        // that never drained, permanently skewing len()/is_empty() and
-        // eventually underflowing the length arithmetic.
-        let mut q = EventQueue::new();
-        let ids: Vec<_> =
-            (0..8).map(|i| q.schedule(SimTime::from_millis(i), Tag(i as u32))).collect();
-        for _ in 0..8 {
-            q.pop().unwrap();
-        }
-        assert!(q.is_empty());
-        for id in &ids {
-            q.cancel(*id); // all stale — every one must be a no-op
-        }
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
-        q.schedule(SimTime::from_millis(100), Tag(42));
-        assert_eq!(q.len(), 1, "stale cancels must not offset live counts");
-        assert_eq!(q.pop().unwrap().1, Tag(42));
-    }
-
-    #[test]
-    fn double_cancel_counted_once() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), Tag(1));
-        q.schedule(SimTime::from_millis(2), Tag(2));
-        q.cancel(a);
-        q.cancel(a);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, Tag(2));
-    }
-
-    #[test]
-    fn stale_handle_does_not_cancel_slot_reuser() {
-        // After an event fires its slot is recycled; the old handle's
-        // generation no longer matches and must not kill the new tenant.
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), Tag(1));
-        q.pop().unwrap();
-        let _b = q.schedule(SimTime::from_millis(2), Tag(2)); // reuses a's slot
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, Tag(2), "stale cancel must not hit reused slot");
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), Tag(1));
-        q.schedule(SimTime::from_millis(3), Tag(3));
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-    }
-
-    #[test]
-    fn peek_time_drains_cancelled_head_and_preserves_len() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), Tag(1));
-        let b = q.schedule(SimTime::from_millis(2), Tag(2));
-        q.schedule(SimTime::from_millis(3), Tag(3));
-        q.cancel(a);
-        q.cancel(b);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, Tag(3));
-        assert_eq!(q.peek_time(), None);
+        q.schedule(SimTime::from_secs(10), Tag(0));
+        q.pop();
+        q.schedule(SimTime::from_secs(9), Tag(1));
     }
 
     #[test]
@@ -737,11 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_cancellable_and_fifo() {
+    fn schedule_after_is_fifo() {
         let mut q = EventQueue::new();
-        let a = q.schedule_after(SimDuration::from_millis(5), Tag(1));
+        q.schedule_after(SimDuration::from_millis(5), Tag(1));
         q.schedule_after(SimDuration::from_millis(5), Tag(2));
-        q.cancel(a);
+        assert_eq!(q.pop().unwrap().1, Tag(1));
         assert_eq!(q.pop().unwrap().1, Tag(2));
     }
 
@@ -753,19 +429,6 @@ mod tests {
         let (now, _) = q.pop().unwrap();
         q.schedule(now + SimDuration::from_millis(20), Tag(1));
         assert_eq!(q.pop().unwrap().0, SimTime::from_millis(30));
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..10)
-            .map(|i| q.schedule(SimTime::from_millis(i), Tag(i as u32)))
-            .collect();
-        for id in &ids[..4] {
-            q.cancel(*id);
-        }
-        assert_eq!(q.len(), 6);
-        assert!(!q.is_empty());
     }
 
     #[test]
@@ -784,174 +447,171 @@ mod tests {
         }
     }
 
-    /// Run `f` once per backend, so behaviors are pinned on both.
-    fn for_both_backends(f: impl Fn(EventQueue<Tag>)) {
-        f(EventQueue::with_backend(QueueBackend::Heap));
-        f(EventQueue::with_backend(QueueBackend::Calendar));
+    #[test]
+    fn overflow_events_pop_in_order_with_fifo_ties() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), Tag(3));
+        q.schedule(SimTime::from_millis(10), Tag(1));
+        q.schedule(SimTime::from_millis(10), Tag(2));
+        // Far beyond the wheel span — these wait in the overflow heap.
+        q.schedule(SimTime::from_secs(300), Tag(9));
+        q.schedule(SimTime::from_secs(300), Tag(10));
+        q.schedule(SimTime::from_millis(20), Tag(4));
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, t)| t.0).collect();
+        assert_eq!(order, vec![1, 2, 4, 3, 9, 10]);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
-    fn both_backends_pop_in_time_order_with_fifo_ties() {
-        for_both_backends(|mut q| {
-            q.schedule(SimTime::from_millis(30), Tag(3));
-            q.schedule(SimTime::from_millis(10), Tag(1));
-            q.schedule(SimTime::from_millis(10), Tag(2));
-            // Far beyond the calendar wheel span — lands in overflow.
-            q.schedule(SimTime::from_secs(300), Tag(9));
-            q.schedule(SimTime::from_millis(20), Tag(4));
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, t)| t.0).collect();
-            assert_eq!(order, vec![1, 2, 4, 3, 9], "backend {:?}", q.backend());
-        });
-    }
-
-    #[test]
-    fn both_backends_cancel_and_peek() {
-        for_both_backends(|mut q| {
-            let a = q.schedule(SimTime::from_millis(1), Tag(1));
-            let b = q.schedule(SimTime::from_secs(200), Tag(2)); // overflow on calendar
-            q.schedule(SimTime::from_millis(3), Tag(3));
-            q.cancel(a);
-            q.cancel(b);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-            assert_eq!(q.pop().unwrap().1, Tag(3));
-            assert_eq!(q.peek_time(), None);
-            assert!(q.pop().is_none());
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduled event at")]
-    fn calendar_scheduling_in_past_panics() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
-        q.schedule(SimTime::from_millis(10), Tag(0));
-        q.pop();
-        q.schedule(SimTime::from_millis(5), Tag(1));
-    }
-
-    #[test]
-    fn calendar_stale_handle_does_not_cancel_slot_reuser() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
-        let a = q.schedule(SimTime::from_millis(1), Tag(1));
-        q.pop().unwrap();
-        let _b = q.schedule(SimTime::from_millis(2), Tag(2)); // reuses a's slot
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, Tag(2));
-    }
-
-    #[test]
-    fn set_backend_requires_empty_and_reset_restores_fresh_state() {
+    fn reset_restores_fresh_state() {
         let mut q: EventQueue<Tag> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::Heap);
-        q.set_backend(QueueBackend::Calendar);
-        assert_eq!(q.backend(), QueueBackend::Calendar);
         q.schedule(SimTime::from_millis(5), Tag(1));
         q.schedule(SimTime::from_secs(500), Tag(2));
         q.pop().unwrap();
         q.reset();
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.backend(), QueueBackend::Calendar);
-        // Sequence counter and slab restart from scratch: a reset queue
-        // behaves exactly like a fresh one.
+        assert_eq!(q.peek_time(), None);
+        // The sequence counter restarts too: a reset queue behaves exactly
+        // like a fresh one.
         q.schedule(SimTime::from_millis(1), Tag(7));
         assert_eq!(q.pop(), Some((SimTime::from_millis(1), Tag(7))));
     }
 
-    #[test]
-    #[should_panic(expected = "cannot switch backend")]
-    fn set_backend_panics_with_pending_events() {
-        let mut q: EventQueue<Tag> = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), Tag(1));
-        q.set_backend(QueueBackend::Calendar);
+    /// Deterministic xorshift so the differential tests need no RNG crate.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
     }
 
-    /// The satellite differential test: identical randomized
-    /// schedule/cancel/pop interleavings — dense (timer-regime) and
-    /// sparse (keepalive-regime) time distributions — must produce
-    /// bit-identical pop sequences, lengths and peeks on both backends.
+    /// Drive `q` and a fresh [`ReferenceQueue`] through `rounds` random
+    /// schedule/pop steps whose delays come from `delay`, comparing every
+    /// pop, `len`, `peek_time` and clock, then drain both.
+    fn check_against_reference(
+        q: &mut EventQueue<u32>,
+        seed: u64,
+        rounds: u32,
+        mut delay: impl FnMut(&mut dyn FnMut() -> u64) -> u64,
+    ) {
+        let mut next = xorshift(seed);
+        let mut model = ReferenceQueue::new();
+        for round in 0..rounds {
+            if next() % 5 < 3 {
+                let at = q.now() + SimDuration::from_nanos(delay(&mut next));
+                q.schedule(at, round);
+                model.schedule(at, round);
+            } else {
+                assert_eq!(q.pop(), model.pop(), "round {round}");
+            }
+            assert_eq!(q.len(), model.len(), "round {round}");
+            assert_eq!(q.peek_time(), model.peek_time(), "round {round}");
+            assert_eq!(q.now(), model.now(), "round {round}");
+        }
+        while let Some(want) = model.pop() {
+            assert_eq!(q.pop(), Some(want));
+        }
+        assert!(q.pop().is_none() && q.is_empty());
+    }
+
+    const SPAN_NANOS: u64 = DAY_NANOS * WHEEL_DAYS;
+
+    /// The VoIP regime: 20 ms ticks fanning out sub-millisecond MAC
+    /// completions, everything inside the wheel span.
     #[test]
-    fn heap_and_calendar_pop_order_is_identical() {
-        // Deterministic xorshift so the test needs no external RNG.
-        fn run(backend: QueueBackend, dense: bool) -> Vec<(SimTime, u32, usize)> {
-            let mut state = 0xDEADBEEFCAFEu64 ^ (dense as u64);
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut q = EventQueue::with_backend(backend);
-            let mut handles: Vec<EventId> = Vec::new();
-            let mut log = Vec::new();
-            for round in 0..2_000u32 {
-                match next() % 5 {
-                    0..=2 => {
-                        // Dense: sub-wheel-span deltas clustering like the
-                        // VoIP tick burst. Sparse: up to 10 s, mostly
-                        // overflow territory for the calendar.
-                        let delta = if dense {
-                            SimDuration::from_nanos(next() % 30_000_000)
-                        } else {
-                            SimDuration::from_nanos(next() % 10_000_000_000)
-                        };
-                        handles.push(q.schedule(q.now() + delta, Tag(round)));
-                    }
-                    3 => {
-                        if !handles.is_empty() {
-                            let k = (next() as usize) % handles.len();
-                            q.cancel(handles.swap_remove(k));
-                        }
-                    }
-                    _ => {
-                        if let Some((at, tag)) = q.pop() {
-                            log.push((at, tag.0, q.len()));
-                        }
-                    }
-                }
-                if next() % 7 == 0 {
-                    if let Some(t) = q.peek_time() {
-                        log.push((t, u32::MAX, q.len()));
-                    }
-                }
+    fn pop_order_matches_reference_on_dense_schedules() {
+        check_against_reference(&mut EventQueue::new(), 0xDEAD_BEEF, 4_000, |next| {
+            if next() % 7 == 0 {
+                20_000_000
+            } else {
+                40_000 + next() % 900_000
             }
-            while let Some((at, tag)) = q.pop() {
-                log.push((at, tag.0, q.len()));
+        });
+    }
+
+    /// Sparse timers up to 10 s: mostly overflow-heap territory, racing
+    /// the wheel for the head.
+    #[test]
+    fn pop_order_matches_reference_on_sparse_schedules() {
+        check_against_reference(&mut EventQueue::new(), 0xCAFE_F00D, 4_000, |next| {
+            if next() % 2 == 0 {
+                next() % 10_000_000_000
+            } else {
+                next() % 2_000_000
             }
-            log
+        });
+    }
+
+    /// Bursts at one instant (zero delay) and a handful of shared
+    /// timestamps: the FIFO tie-break inside one bucket and in the heap.
+    #[test]
+    fn pop_order_matches_reference_on_same_instant_bursts() {
+        check_against_reference(&mut EventQueue::new(), 0xB0B5, 4_000, |next| match next() % 4 {
+            0 | 1 => 0,
+            2 => DAY_NANOS,
+            _ => SPAN_NANOS * 2,
+        });
+    }
+
+    /// Delays straddling the wheel edge (`SPAN ± one bucket`) over a clock
+    /// that travels more than ten spans, so buckets are reused across laps
+    /// and the wheel/overflow split is tested at its boundary.
+    #[test]
+    fn pop_order_matches_reference_across_wheel_wrap_around() {
+        let mut q = EventQueue::new();
+        check_against_reference(&mut q, 0x5EED, 20_000, |next| {
+            SPAN_NANOS - DAY_NANOS + next() % (2 * DAY_NANOS + 1)
+        });
+        assert!(q.now().as_nanos() > 10 * SPAN_NANOS, "clock must lap the wheel many times");
+    }
+
+    /// A queue reset with events pending, or recycled through a
+    /// [`WorkerArena`], replays exactly like a fresh one.
+    #[test]
+    fn pop_order_matches_reference_after_reset_and_arena_recycle() {
+        let dense = |next: &mut dyn FnMut() -> u64| next() % 30_000_000;
+        let mut q = EventQueue::new();
+        for i in 0..200u32 {
+            q.schedule(SimTime::from_millis(u64::from(i)), i);
         }
-        for dense in [true, false] {
-            let heap = run(QueueBackend::Heap, dense);
-            let calendar = run(QueueBackend::Calendar, dense);
-            assert_eq!(heap, calendar, "dense={dense}");
+        q.schedule(SimTime::from_secs(100), 0);
+        q.pop();
+        q.reset();
+        check_against_reference(&mut q, 1, 3_000, dense);
+
+        let mut arena = WorkerArena::new();
+        for seed in 2..5 {
+            let mut q: EventQueue<u32> = arena.take();
+            check_against_reference(&mut q, seed, 3_000, dense);
+            // Leave near and far work pending for the recycle to clear.
+            q.schedule(q.now() + SimDuration::from_millis(1), 7);
+            q.schedule(SimTime::from_secs(1_000), 9);
+            arena.put(q);
         }
+        assert!(arena.stats().hits > 0, "the arena must hand back a recycled queue");
     }
 
     #[test]
     fn heavy_churn_stays_consistent() {
-        // Schedule/cancel/pop interleaving with slot reuse; len must track
-        // exactly and ordering must hold throughout.
+        // Schedule/pop interleaving; len must track exactly and ordering
+        // must hold throughout.
         let mut q = EventQueue::new();
-        let mut live = std::collections::VecDeque::new();
         let mut expect_len = 0usize;
+        let mut last = SimTime::ZERO;
         for round in 0u64..200 {
-            let id = q.schedule(SimTime::from_millis(round / 2 + 1), Tag(round as u32));
-            live.push_back(id);
+            q.schedule(SimTime::from_millis(round / 2 + 1), Tag(round as u32));
             expect_len += 1;
             if round % 3 == 0 {
-                if let Some(id) = live.pop_front() {
-                    q.cancel(id);
-                    expect_len -= 1;
-                }
-            }
-            if round % 5 == 0 && expect_len > 0 {
-                // The earliest (time, seq) pending event is the oldest live
-                // one: times are non-decreasing in schedule order here.
-                let popped = q.pop();
-                assert!(popped.is_some());
+                let (t, _) = q.pop().expect("pending events");
+                assert!(t >= last, "round {round}");
+                last = t;
                 expect_len -= 1;
-                live.pop_front();
             }
             assert_eq!(q.len(), expect_len, "round {round}");
         }

@@ -234,12 +234,20 @@ pub fn span(phase: Phase) -> Span {
 }
 
 impl Drop for Span {
+    // Inlined so an inert span (always, when telemetry is compiled out)
+    // costs nothing at the event loop's per-event span sites.
+    #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            COLLECTOR.with(|c| c.borrow_mut().profile.add(self.phase, ns));
+            record_span(self.phase, start);
         }
     }
+}
+
+#[cold]
+fn record_span(phase: Phase, start: Instant) {
+    let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    COLLECTOR.with(|c| c.borrow_mut().profile.add(phase, ns));
 }
 
 /// Everything one telemetry session captured: the surviving event suffix,
