@@ -1,8 +1,8 @@
 //! Campaign-engine overhead benchmarks (`BENCH_campaign.json`).
 //!
 //! The contract under test is "the engine is free": running a fleet
-//! campaign through `run_campaign` (shard planning, per-shard digests,
-//! ordered merge, progress callbacks — checkpointing off) must cost
+//! campaign through `run_campaign_observed` (shard planning, per-shard
+//! digests, ordered merge, no-op observers — checkpointing off) must cost
 //! within a few percent of the raw loop a caller would hand-write over
 //! `SweepRunner`. The ISSUE acceptance bound is <5% on the parallel
 //! pair; EXPERIMENTS.md records the measured numbers.
@@ -18,7 +18,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use diversifi::campaign::FleetSchema;
 use diversifi::population::{CallSampler, PopulationModel};
-use diversifi_simcore::{run_campaign, CampaignConfig, ShardDigest, SweepRunner};
+use diversifi_simcore::{run_campaign_observed, CampaignConfig, ShardDigest, SweepRunner};
 
 const CALLS: u64 = 32_768;
 const SHARD: u64 = 4_096;
@@ -40,12 +40,13 @@ fn bench_fold(c: &mut Criterion) {
 
     g.bench_function("engine", |b| {
         b.iter(|| {
-            let out = run_campaign(
+            let out = run_campaign_observed(
                 &cfg(0),
                 &fleet.schema,
-                |i, _scratch, digest| {
+                |i, _scratch, digest, _worst| {
                     fleet.fold(&sampler.call(i), digest);
                 },
+                |_| {},
                 |_| {},
             )
             .expect("in-memory campaign cannot fail");
@@ -75,12 +76,13 @@ fn bench_fold(c: &mut Criterion) {
 
     g.bench_function("engine_1t", |b| {
         b.iter(|| {
-            let out = run_campaign(
+            let out = run_campaign_observed(
                 &cfg(1),
                 &fleet.schema,
-                |i, _scratch, digest| {
+                |i, _scratch, digest, _worst| {
                     fleet.fold(&sampler.call(i), digest);
                 },
+                |_| {},
                 |_| {},
             )
             .expect("in-memory campaign cannot fail");

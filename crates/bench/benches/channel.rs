@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use diversifi::world::{RunMode, World, WorldConfig};
-use diversifi_simcore::{SeedFactory, SimDuration, SimTime};
+use diversifi_simcore::{SeedFactory, SimDuration, SimTime, WorkerArena};
 use diversifi_voip::StreamSpec;
 use diversifi_wifi::{Channel, ChannelRealization, GeParams, LinkConfig, RealizationCache};
 
@@ -71,7 +71,8 @@ fn bench_three_arm(c: &mut Criterion) {
             let cache = RealizationCache::new(4);
             for mode in modes {
                 let cfg = cfg_for(mode);
-                black_box(World::new_cached(&cfg, &seeds, &cache).run());
+                let world = World::new_cached_in(&cfg, &seeds, &cache, &mut WorkerArena::new());
+                black_box(world.run());
             }
         })
     });

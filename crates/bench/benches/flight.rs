@@ -7,8 +7,9 @@
 //! campaign with the recorder off. The ISSUE acceptance bound is <5%;
 //! EXPERIMENTS.md records the measured numbers.
 //!
-//! - `campaign/flight_100k/recorder_off` — `run_campaign` folding the
-//!   fps fleet digest with no selection at all.
+//! - `campaign/flight_100k/recorder_off` — `run_campaign_observed` with
+//!   `flight_k = 0`, folding the fps fleet digest with no selection at
+//!   all.
 //! - `campaign/flight_100k/recorder_on` — `run_campaign_observed` with
 //!   `flight_k = 8`, scoring each call and offering those below
 //!   `FPS_QOE_POOR` into the per-shard selector.
@@ -16,9 +17,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use diversifi::campaign::FleetSchema;
 use diversifi::population::{CallSampler, PopulationModel};
-use diversifi_simcore::{
-    run_campaign, run_campaign_observed, CampaignConfig, FlightKey,
-};
+use diversifi_simcore::{run_campaign_observed, CampaignConfig, FlightKey};
 use diversifi_voip::{FpsConfig, WorkloadKind, FPS_QOE_POOR};
 
 const CALLS: u64 = 100_000;
@@ -43,12 +42,13 @@ fn bench_flight(c: &mut Criterion) {
 
     g.bench_function("recorder_off", |b| {
         b.iter(|| {
-            let out = run_campaign(
+            let out = run_campaign_observed(
                 &cfg(0),
                 &fleet.schema,
-                |i, _scratch, digest| {
+                |i, _scratch, digest, _worst| {
                     fleet.fold(&sampler.call(i), digest);
                 },
+                |_| {},
                 |_| {},
             )
             .expect("in-memory campaign cannot fail");

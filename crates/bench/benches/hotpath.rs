@@ -1,15 +1,18 @@
-//! Hot-path benchmarks (`BENCH_hotpath.json`): the batched-SoA channel
-//! stepping + arena-backed worlds + calendar event queue + k-way trace
-//! merge fast path, measured as one workload.
+//! Hot-path benchmarks (`BENCH_hotpath.json`): hoisted-coefficient channel
+//! materialisation + arena-backed worlds + calendar event queue + k-way
+//! trace merge fast path, measured as one workload.
 //!
 //! - `hotpath/three_arm_10s/*` — the `channel/three_arm_10s` paired
 //!   workload on the sweep steady state: a **persistent** warm
 //!   realization cache and per-worker arena across iterations (the
 //!   per-iteration cold cache of the `channel` bench measures first-call
 //!   cost, not the corpus regime). `warm_arena` is the full fast path;
-//!   `warm_no_arena` isolates what the arena recycling buys.
-//! - `hotpath/materialize_batch_60s` — the SoA batch kernel vs N
-//!   scattered per-link walks for a 4-link world.
+//!   `warm_no_arena` (a fresh arena per world) isolates what the arena
+//!   recycling buys.
+//! - `hotpath/materialize_batch_60s/scattered_x4` — four 60 s links
+//!   materialised one after another through the one `materialize` (OU
+//!   coefficients hoisted out of the tick loop). The group and arm names
+//!   are kept so the committed baseline stays comparable.
 //! - `hotpath/queue_churn/calendar` — the event queue on the dense-timer
 //!   schedule shape (20 ms periodic + jittered sub-ms completions).
 //! - `hotpath/traced_sweep_4x` — `run_indexed_traced` end to end (4
@@ -63,16 +66,17 @@ fn bench_three_arm(c: &mut Criterion) {
         bch.iter(|| {
             for mode in modes {
                 let cfg = three_arm_cfg(&a, &b, mode);
-                black_box(World::new_cached(&cfg, &seeds, &cache).run());
+                let world = World::new_cached_in(&cfg, &seeds, &cache, &mut WorkerArena::new());
+                black_box(world.run());
             }
         })
     });
     g.finish();
 }
 
-/// The SoA batch kernel: all GE chains and OU tracks of a 4-link world
-/// advanced in one loop over the 2 ms grid, vs 4 scattered walks.
-fn bench_materialize_batch(c: &mut Criterion) {
+/// Channel materialisation for a 4-link world: each link's GE chain and
+/// OU track on the 2 ms grid, one link after another.
+fn bench_materialize(c: &mut Criterion) {
     let (a, b) = links();
     let c2 = LinkConfig::office(Channel::CH6, 21.0);
     let mut d = LinkConfig::office(Channel::CH11, 29.0);
@@ -80,16 +84,6 @@ fn bench_materialize_batch(c: &mut Criterion) {
     let all = [a, b, c2, d];
     let horizon = SimTime::ZERO + SimDuration::from_secs(60);
     let mut g = c.benchmark_group("hotpath/materialize_batch_60s");
-    g.bench_function("batched_x4", |bch| {
-        let mut k = 0u64;
-        bch.iter(|| {
-            k += 1;
-            let seeds = SeedFactory::new(k);
-            let batch: Vec<(&LinkConfig, u64)> =
-                all.iter().enumerate().map(|(i, l)| (l, i as u64)).collect();
-            black_box(ChannelRealization::materialize_batch(&batch, &seeds, horizon))
-        })
-    });
     g.bench_function("scattered_x4", |bch| {
         let mut k = 0u64;
         bch.iter(|| {
@@ -172,6 +166,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(3));
-    targets = bench_three_arm, bench_materialize_batch, bench_queue_churn, bench_traced_sweep
+    targets = bench_three_arm, bench_materialize, bench_queue_churn, bench_traced_sweep
 }
 criterion_main!(benches);

@@ -99,7 +99,10 @@ fn main() {
             "--bench-compare" => {
                 let fresh: String = value_or_exit(&mut args, &a, "a fresh BENCH_JSON file");
                 let baselines: Vec<String> = args.collect();
-                std::process::exit(bench_compare(&fresh, &baselines));
+                std::process::exit(bench_compare(&fresh, &baselines).unwrap_or_else(|e| {
+                    eprintln!("error: bench-compare: {e}");
+                    2
+                }));
             }
             "--campaign" => {
                 campaign_path = Some(value_or_exit(&mut args, &a, SCENARIO_FILE));
@@ -130,7 +133,7 @@ fn main() {
                 );
                 println!(
                     "flight recorder: compiled {}",
-                    if diversifi_simcore::FLIGHT_COMPILED { "in" } else { "out" }
+                    if diversifi_simcore::telemetry::TRACE_COMPILED { "in" } else { "out" }
                 );
                 return;
             }
@@ -307,6 +310,67 @@ fn value_or_exit<T: std::str::FromStr>(
 /// comparison (exit code 1).
 const BENCH_REGRESSION_FRAC: f64 = 0.25;
 
+/// One `BENCH_JSON` line as `(build tag, benchmark name, lo_ns)`.
+type BenchLine = (String, String, f64);
+
+/// Parse one non-empty line of the `BENCH_JSON` file at `path`.
+fn parse_bench_line(path: &str, line: &str) -> Result<BenchLine, String> {
+    let v: serde_json::Value =
+        serde_json::from_str(line).map_err(|e| format!("bad JSON line in {path}: {e}"))?;
+    let name = v
+        .get("name")
+        .and_then(|n| n.as_str())
+        .ok_or_else(|| format!("a line in {path} carries no \"name\""))?
+        .to_string();
+    let build = v
+        .get("build")
+        .and_then(|b| b.as_str())
+        .ok_or_else(|| {
+            format!(
+                "line for {name:?} in {path} carries no \"build\" tag; re-run the benches \
+                 with the current harness (or re-record the baseline) — untagged numbers \
+                 cannot be compared safely"
+            )
+        })?
+        .to_string();
+    let lo = v
+        .get("lo_ns")
+        .and_then(|n| n.as_f64())
+        .ok_or_else(|| format!("line for {name:?} in {path} carries no \"lo_ns\""))?;
+    Ok((build, name, lo))
+}
+
+/// Every line of the `BENCH_JSON` file at `path` (blank lines skipped).
+fn load_bench_lines(path: &str) -> Result<Vec<BenchLine>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    text.lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| parse_bench_line(path, l))
+        .collect()
+}
+
+/// The default baselines: every `BENCH_*.json` in `dir`, sorted by name.
+fn default_bench_baselines(dir: &std::path::Path) -> Result<Vec<String>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
+    let mut found: Vec<String> = entries
+        .filter_map(|e| e.ok())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .collect();
+    if found.is_empty() {
+        return Err(format!(
+            "no BENCH_*.json baselines found in {}",
+            dir.display()
+        ));
+    }
+    found.sort();
+    Ok(found
+        .iter()
+        .map(|n| dir.join(n).to_string_lossy().into_owned())
+        .collect())
+}
+
 /// Diff a fresh `BENCH_JSON` run against the committed `BENCH_*.json`
 /// baselines, keyed by **(build tag, benchmark name)**.
 ///
@@ -320,61 +384,25 @@ const BENCH_REGRESSION_FRAC: f64 = 0.25;
 /// but does exist under a different one is a **build-tag mismatch** —
 /// debug-vs-release or trace-vs-plain numbers would silently pass or
 /// fail for the wrong reason — and fails the comparison outright.
-/// Missing tags on either side are a hard error. Genuinely new
-/// benchmark names (no baseline under any tag) are reported but never
-/// fail. Returns the process exit code: 1 on any regression beyond
-/// [`BENCH_REGRESSION_FRAC`] or any tag mismatch, 0 otherwise.
-fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> i32 {
-    fn load(path: &str) -> Vec<(String, String, f64)> {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("bench-compare: cannot read {path}: {e}"));
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| {
-                let v: serde_json::Value = serde_json::from_str(l)
-                    .unwrap_or_else(|e| panic!("bench-compare: bad JSON line in {path}: {e}"));
-                let name = v
-                    .get("name")
-                    .and_then(|n| n.as_str())
-                    .expect("bench line missing name")
-                    .to_string();
-                let build = v
-                    .get("build")
-                    .and_then(|b| b.as_str())
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "bench-compare: line for {name:?} in {path} carries no \"build\" \
-                             tag; re-run the benches with the current harness (or re-record \
-                             the baseline) — untagged numbers cannot be compared safely"
-                        )
-                    })
-                    .to_string();
-                let lo =
-                    v.get("lo_ns").and_then(|n| n.as_f64()).expect("bench line missing lo_ns");
-                (build, name, lo)
-            })
-            .collect()
-    }
-
+/// Genuinely new benchmark names (no baseline under any tag) are
+/// reported but never fail. Returns the process exit code: 1 on any
+/// regression beyond [`BENCH_REGRESSION_FRAC`] or any tag mismatch, 0
+/// otherwise. Unusable input — an unreadable file, a malformed line or
+/// one missing its `name`, `build` or `lo_ns`, no baselines to compare
+/// against — is an error, reported before anything is printed.
+fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> Result<i32, String> {
     // Default baselines: every committed BENCH_*.json in the working dir.
-    let baseline_paths: Vec<String> = if baseline_paths.is_empty() {
-        let mut found: Vec<String> = std::fs::read_dir(".")
-            .expect("bench-compare: cannot list working directory")
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            .collect();
-        found.sort();
-        assert!(!found.is_empty(), "bench-compare: no BENCH_*.json baselines found");
-        found
+    let baseline_paths = if baseline_paths.is_empty() {
+        default_bench_baselines(std::path::Path::new("."))?
     } else {
         baseline_paths.to_vec()
     };
+    let fresh = load_bench_lines(fresh_path)?;
 
     let mut baseline: std::collections::BTreeMap<(String, String), f64> =
         std::collections::BTreeMap::new();
     for path in &baseline_paths {
-        for (build, name, lo) in load(path) {
+        for (build, name, lo) in load_bench_lines(path)? {
             // Duplicate (build, name) across baseline files: slowest wins,
             // so re-recorded baselines stay conservative.
             let slot = baseline.entry((build, name)).or_insert(lo);
@@ -388,7 +416,7 @@ fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> i32 {
         "{:<44} {:<14} {:>12} {:>12} {:>8}  verdict",
         "benchmark", "build", "base lo_ns", "fresh lo_ns", "ratio"
     );
-    for (build, name, fresh_lo) in load(fresh_path) {
+    for (build, name, fresh_lo) in fresh {
         match baseline.get(&(build.clone(), name.clone())) {
             Some(&base_lo) => {
                 let ratio = fresh_lo / base_lo;
@@ -441,11 +469,11 @@ fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> i32 {
             BENCH_REGRESSION_FRAC * 100.0
         );
     }
-    if regressions > 0 || mismatches > 0 {
+    Ok(if regressions > 0 || mismatches > 0 {
         1
     } else {
         0
-    }
+    })
 }
 
 /// Load + parse a scenario file, reporting I/O and field-path parse
@@ -741,7 +769,7 @@ fn campaign_cli(
         if worst.is_empty() {
             println!("[forensics] nothing to capture: no calls fell below the poor trigger");
         } else {
-            if !diversifi_simcore::FLIGHT_COMPILED {
+            if !diversifi_simcore::telemetry::TRACE_COMPILED {
                 eprintln!(
                     "[forensics] warning: release build without the `trace` feature — \
                      captures will carry scores but empty event timelines; \
@@ -1002,6 +1030,7 @@ fn chaos_cli(
 fn phase_profile(seed: u64) {
     use diversifi::world::{RunMode, World, WorldConfig};
     use diversifi_simcore::telemetry::{Phase, PhaseProfile};
+    use diversifi_simcore::WorkerArena;
     use diversifi_wifi::RealizationCache;
 
     if !diversifi_simcore::telemetry::TRACE_COMPILED {
@@ -1029,9 +1058,10 @@ fn phase_profile(seed: u64) {
         cfg.spec.duration = SimDuration::from_secs(10);
         // Warm the cache so the profiled pass measures the event loop, not
         // channel materialisation (the sweep steady state).
-        drop(World::new_cached(&cfg, &seeds, &cache));
+        drop(World::new_cached_in(&cfg, &seeds, &cache, &mut WorkerArena::new()));
         let wall = std::time::Instant::now();
-        let (_, session) = World::new_cached(&cfg, &seeds, &cache).run_traced(1 << 16);
+        let world = World::new_cached_in(&cfg, &seeds, &cache, &mut WorkerArena::new());
+        let (_, session) = world.run_traced(1 << 16);
         let wall = wall.elapsed();
         println!("\n[{label}] wall {:.3} ms", wall.as_secs_f64() * 1e3);
         for phase in Phase::ALL {
@@ -1765,7 +1795,8 @@ fn resilience(ctx: &mut Ctx) -> i32 {
     let tasks: Vec<(usize, u64)> =
         (0..scenarios.len()).flat_map(|si| (0..n).map(move |k| (si, k))).collect();
     let sweep = SweepRunner::new(ctx.threads);
-    let rows = sweep.run_with(&tasks, paired_scratch, |_, &(si, k), (cache, arena)| {
+    let rows = sweep.run_indexed_with(tasks.len(), paired_scratch, |i, (cache, arena)| {
+        let (si, k) = tasks[i];
         let (_, mode, plan) = &scenarios[si];
         let mut a = LinkConfig::office(Channel::CH1, 22.0);
         a.ge = GeParams::weak_link();
@@ -1934,7 +1965,8 @@ fn resilience(ctx: &mut Ctx) -> i32 {
         qoe_d: f64,
     }
 
-    let fps_rows = sweep.run_with(&tasks, paired_scratch, |_, &(si, k), (cache, arena)| {
+    let fps_rows = sweep.run_indexed_with(tasks.len(), paired_scratch, |i, (cache, arena)| {
+        let (si, k) = tasks[i];
         let (_, mode, plan) = &scenarios[si];
         let mut a = LinkConfig::office(Channel::CH1, 22.0);
         a.ge = GeParams::weak_link();
@@ -2076,5 +2108,69 @@ mod tests {
             flag_value::<String>("--chaos", None, SCENARIO_FILE),
             Err("error: --chaos needs a scenario file (.json or .toml)".to_string())
         );
+    }
+
+    /// A fresh scratch directory for one bench-compare test.
+    fn bench_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("repro-bench-compare-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        dir
+    }
+
+    #[test]
+    fn bench_compare_reports_unreadable_file() {
+        let path = bench_dir("unreadable").join("missing.json");
+        let path = path.to_string_lossy().into_owned();
+        let err = bench_compare(&path, std::slice::from_ref(&path)).unwrap_err();
+        assert!(err.starts_with("cannot read "), "{err}");
+    }
+
+    #[test]
+    fn bench_compare_reports_bad_json_line() {
+        let path = bench_dir("bad-json").join("fresh.json");
+        std::fs::write(&path, "{\"build\":\"release\",\n").unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let err = bench_compare(&path, std::slice::from_ref(&path)).unwrap_err();
+        assert!(err.starts_with("bad JSON line in "), "{err}");
+    }
+
+    #[test]
+    fn bench_compare_reports_missing_fields() {
+        let full = r#"{"build":"release","name":"g/a","lo_ns":5.0}"#;
+        assert_eq!(
+            parse_bench_line("f.json", full),
+            Ok(("release".to_string(), "g/a".to_string(), 5.0))
+        );
+        for (line, missing) in [
+            (r#"{"build":"release","lo_ns":5.0}"#, "\"name\""),
+            (r#"{"name":"g/a","lo_ns":5.0}"#, "\"build\" tag"),
+            (r#"{"build":"release","name":"g/a"}"#, "\"lo_ns\""),
+        ] {
+            let err = parse_bench_line("f.json", line).unwrap_err();
+            assert!(err.contains(&format!("carries no {missing}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn bench_compare_reports_no_baselines() {
+        let dir = bench_dir("no-baselines");
+        std::fs::write(dir.join("other.json"), "").unwrap();
+        let err = default_bench_baselines(&dir).unwrap_err();
+        assert!(err.starts_with("no BENCH_*.json baselines found"), "{err}");
+        std::fs::write(dir.join("BENCH_x.json"), "").unwrap();
+        let found = default_bench_baselines(&dir).unwrap();
+        assert_eq!(
+            found,
+            vec![dir.join("BENCH_x.json").to_string_lossy().into_owned()]
+        );
+    }
+
+    #[test]
+    fn bench_compare_reports_unlistable_directory() {
+        let dir = bench_dir("unlistable").join("absent");
+        let err = default_bench_baselines(&dir).unwrap_err();
+        assert!(err.starts_with("cannot list "), "{err}");
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::evaluation::testbed_location;
 use crate::world::{RunMode, World, WorldConfig};
-use diversifi_simcore::{mean, SeedFactory, SimDuration, SweepRunner};
+use diversifi_simcore::{mean, SeedFactory, SimDuration, SweepRunner, WorkerArena};
 use diversifi_voip::DEFAULT_DEADLINE;
 use diversifi_wifi::RealizationCache;
 use serde::Serialize;
@@ -49,24 +49,21 @@ fn run_points(
     x: f64,
 ) -> AblationPoint {
     let seeds = SeedFactory::new(seed);
-    let rows = SweepRunner::available().run_seeded_indexed(
-        &seeds,
-        "ablation",
-        n_locations,
-        |_, call_seeds| {
+    let rows =
+        SweepRunner::available().run_indexed_with(n_locations, WorkerArena::new, |i, arena| {
+            let call_seeds = seeds.subfactory("ablation", i as u64);
             let mut rng = call_seeds.stream("location", 0);
             let (p, s) = testbed_location(&mut rng);
             let mut cfg = WorldConfig::testbed(p, s);
             cfg.spec.duration = SimDuration::from_secs(60);
             configure(&mut cfg);
-            let r = World::new_cached(&cfg, &call_seeds, cache).run();
+            let r = World::new_cached_in(&cfg, &call_seeds, cache, arena).run_in(arena);
             (
                 r.trace.loss_rate(DEFAULT_DEADLINE) * 100.0,
                 100.0 * r.secondary_wasteful_tx as f64 / r.trace.len() as f64,
                 r.alg_stats.recovery_visits as f64,
             )
-        },
-    );
+        });
     let loss: Vec<f64> = rows.iter().map(|r| r.0).collect();
     let waste: Vec<f64> = rows.iter().map(|r| r.1).collect();
     let visits: Vec<f64> = rows.iter().map(|r| r.2).collect();
@@ -142,17 +139,17 @@ pub fn keepalive_ablation(n_locations: usize, seed: u64) -> Vec<AblationPoint> {
         .iter()
         .map(|&s| {
             let seeds = SeedFactory::new(seed);
-            let rows = SweepRunner::available().run_seeded_indexed(
-                &seeds,
-                "ablation-ka",
+            let rows = SweepRunner::available().run_indexed_with(
                 n_locations,
-                |_, call_seeds| {
+                WorkerArena::new,
+                |i, arena| {
+                    let call_seeds = seeds.subfactory("ablation-ka", i as u64);
                     let mut rng = call_seeds.stream("location", 0);
                     let (p, sc) = testbed_location(&mut rng);
                     let mut cfg = WorldConfig::testbed(p, sc);
                     cfg.spec.duration = SimDuration::from_secs(60);
                     cfg.alg.keepalive_timeout = SimDuration::from_secs(s);
-                    let r = World::new_cached(&cfg, &call_seeds, &cache).run();
+                    let r = World::new_cached_in(&cfg, &call_seeds, &cache, arena).run_in(arena);
                     (
                         r.trace.loss_rate(DEFAULT_DEADLINE) * 100.0,
                         100.0 * r.secondary_wasteful_tx as f64 / r.trace.len() as f64,

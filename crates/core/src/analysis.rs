@@ -181,10 +181,11 @@ pub fn run_corpus(opts: &AnalysisOptions, seed: u64) -> Vec<CallRecord> {
     let seeds = SeedFactory::new(seed);
     let envs =
         corpus::generate_tuned(opts.n_calls, &opts.mix, &seeds, opts.diversity, opts.shared_fate);
-    SweepRunner::new(opts.threads).run_with(
-        &envs,
+    SweepRunner::new(opts.threads).run_indexed_with(
+        envs.len(),
         || RealizationCache::new(8),
-        |_, (env, call_seeds), cache| {
+        |i, cache| {
+            let (env, call_seeds) = &envs[i];
             simulate_call(env, call_seeds, opts.spec, opts.temporal, cache)
         },
     )

@@ -6,8 +6,9 @@
 //! Table 1 cell, a Welford summary + quantile sketch of MOS, and a
 //! half-octave histogram of mouth-to-ear delay. Memory is constant in the
 //! call count: nothing per-call is ever materialised, and the digest
-//! counters reproduce [`table1`] **bit-for-bit** because they carry the
-//! same integer counts the exact computation divides.
+//! counters reproduce [`table1`](crate::population::table1)
+//! **bit-for-bit** because they carry the same integer counts the exact
+//! computation divides.
 
 use crate::population::{CallSampler, RatedCall, SampledCall, Table1, Table1Row};
 use crate::population::relative_delta;
@@ -391,35 +392,14 @@ pub struct FleetCampaignRun {
     pub flight: Option<WorstK>,
 }
 
-/// Run the scenario's fleet campaign with the scenario's own execution
-/// knobs (sharding, threads, checkpoint dir).
-pub fn run_fleet_campaign<P>(
-    scn: &Scenario,
-    progress: P,
-) -> std::io::Result<FleetCampaignReport>
-where
-    P: Fn(&CampaignProgress) + Sync,
-{
-    run_fleet_campaign_with(scn, &scn.campaign_config(), progress)
-}
-
-/// Run the fleet campaign with an explicit engine config (tests and the
-/// repro binary override shard caps / thread counts this way). The config
-/// must describe the same scenario (`campaign_config()` plus overrides);
-/// its fingerprint pins the checkpoints.
-pub fn run_fleet_campaign_with<P>(
-    scn: &Scenario,
-    cfg: &CampaignConfig,
-    progress: P,
-) -> std::io::Result<FleetCampaignReport>
-where
-    P: Fn(&CampaignProgress) + Sync,
-{
-    run_fleet_campaign_observed(scn, cfg, progress, |_| {}).map(|run| run.report)
-}
-
-/// [`run_fleet_campaign_with`] with the flight recorder and heartbeat
-/// attached. When `cfg.flight_k > 0` every call whose workload score
+/// Run the scenario's fleet campaign with an explicit engine config:
+/// `scn.campaign_config()` for the scenario's own execution knobs
+/// (sharding, threads, checkpoint dir), or that plus overrides (tests and
+/// the repro binary cap shards or set thread counts this way). The config
+/// must describe the same scenario; its fingerprint pins the checkpoints.
+///
+/// The flight recorder and heartbeat ride along: when `cfg.flight_k > 0`
+/// every call whose workload score
 /// falls below the trigger (`scenario.observe.trigger`, defaulting to the
 /// workload-native poor threshold) offers itself to the worst-K selector;
 /// the merged selection comes back on [`FleetCampaignRun::flight`] for
@@ -578,6 +558,11 @@ mod tests {
     use super::*;
     use crate::population::{pcr_of_calls, simulate_calls, table1};
 
+    /// The fleet campaign with the scenario's own execution knobs.
+    fn run_scenario(scn: &Scenario) -> FleetCampaignReport {
+        run_fleet_campaign_observed(scn, &scn.campaign_config(), |_| {}, |_| {}).unwrap().report
+    }
+
     fn tiny_scenario(calls: u64) -> Scenario {
         let mut s = Scenario::new("tiny", 0x7AB1E1);
         s.fleet.calls = calls;
@@ -589,7 +574,7 @@ mod tests {
     #[test]
     fn digest_table1_matches_exact_computation_bit_for_bit() {
         let scn = tiny_scenario(20_000);
-        let report = run_fleet_campaign(&scn, |_| {}).unwrap();
+        let report = run_scenario(&scn);
         let (model, n) = scn.population();
         let calls = simulate_calls(&model, n as usize, scn.seed);
         let exact = table1(&calls);
@@ -618,7 +603,7 @@ mod tests {
             let mut scn = tiny_scenario(5_000);
             scn.traffic = crate::scenario::Traffic::Fps(FpsConfig::office());
             scn.campaign.threads = threads;
-            let r = run_fleet_campaign(&scn, |_| {}).unwrap();
+            let r = run_scenario(&scn);
             assert_eq!(r.workload, "fps");
             let fps = r.fps.as_ref().expect("fps scenario must report fps stats");
             assert_eq!(fps.sessions, 5_000);
@@ -639,7 +624,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let mut scn = tiny_scenario(5_000);
             scn.campaign.threads = threads;
-            let r = run_fleet_campaign(&scn, |_| {}).unwrap();
+            let r = run_scenario(&scn);
             prints.push(r.fingerprint);
         }
         assert!(prints.windows(2).all(|w| w[0] == w[1]), "{prints:?}");

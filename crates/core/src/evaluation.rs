@@ -98,10 +98,11 @@ pub fn run_eval_corpus(opts: &EvalOptions, seed: u64) -> Vec<EvalRun> {
         })
         .collect();
 
-    SweepRunner::new(opts.threads).run_with(
-        &locations,
+    SweepRunner::new(opts.threads).run_indexed_with(
+        locations.len(),
         || (RealizationCache::new(16), WorkerArena::new()),
-        |_, (p, s, call_seeds), (cache, arena)| {
+        |i, (cache, arena)| {
+            let (p, s, call_seeds) = &locations[i];
             let mut cfg = WorldConfig::testbed(p.clone(), s.clone());
             let mut run_one = |mode: RunMode, arena: &mut WorkerArena| {
                 cfg.mode = mode;

@@ -75,9 +75,8 @@ pub mod world;
 
 pub use analysis::{AnalysisOptions, CallRecord, QualityParams, Strategy};
 pub use campaign::{
-    run_fleet_campaign, run_fleet_campaign_observed, run_fleet_campaign_with,
-    CampaignHealthReport, FleetCampaignReport, FleetCampaignRun, FleetSchema, FlightEntryReport,
-    ShardQuarantineReport,
+    run_fleet_campaign_observed, CampaignHealthReport, FleetCampaignReport, FleetCampaignRun,
+    FleetSchema, FlightEntryReport, ShardQuarantineReport,
 };
 pub use chaos::{
     capture_reproducer, evaluate_plan, replay_reproducer, run_chaos, ChaosConfig, ChaosFinding,

@@ -178,19 +178,11 @@ pub fn run_two_nic_cached(
     cache: &RealizationCache,
 ) -> TwoNicRun {
     let pipeline = PipelineConfig::default();
-    // Both links resolve through one batched lookup: misses materialise
-    // together in the SoA stepper instead of one link at a time.
-    let mut reals = cache
-        .get_or_materialize_batch(
-            &[(&scn.link_a, 0), (&scn.link_b, 1)],
-            seeds,
-            channel_horizon(&scn.spec),
-        )
-        .into_iter();
-    let link_a =
-        LinkModel::from_realization(scn.link_a.clone(), reals.next().expect("batch of 2"), seeds, 0);
-    let link_b =
-        LinkModel::from_realization(scn.link_b.clone(), reals.next().expect("batch of 2"), seeds, 1);
+    let horizon = channel_horizon(&scn.spec);
+    let [link_a, link_b] = [(&scn.link_a, 0), (&scn.link_b, 1)].map(|(cfg, index)| {
+        let real = cache.get_or_materialize(cfg, seeds, index, horizon);
+        LinkModel::from_realization(cfg.clone(), real, seeds, index)
+    });
     let a = run_link_on(&scn.spec, link_a, seeds, 0, scn.lan_delay, &pipeline, &[SimDuration::ZERO]);
     let b = run_link_on(&scn.spec, link_b, seeds, 1, scn.lan_delay, &pipeline, &[SimDuration::ZERO]);
     TwoNicRun { a, b }

@@ -343,86 +343,38 @@ pub struct World<'a> {
 impl<'a> World<'a> {
     /// Build a world for `cfg`, seeding all components from `seeds`.
     ///
-    /// The channel realisations for both links are materialised up-front
-    /// over the run horizon and replayed, so a run is a pure function of
-    /// `(cfg, seed)` and [`World::new_cached`] is bit-identical to this
-    /// by construction.
+    /// Both links' channel realisations are materialised fresh over the run
+    /// horizon and replayed, so a run is a pure function of `(cfg, seed)`
+    /// and [`World::new_cached_in`] is bit-identical to this by
+    /// construction. This is the reference the parity suites pin the
+    /// cached path against.
     pub fn new(cfg: &'a WorldConfig, seeds: &SeedFactory) -> World<'a> {
         let horizon = Self::channel_horizon(cfg);
-        let mut reals = ChannelRealization::materialize_batch(
-            &[(&cfg.primary, 0), (&cfg.secondary, 1)],
-            seeds,
-            horizon,
-        )
-        .into_iter();
-        let links = [
-            LinkModel::from_realization(
-                cfg.primary.clone(),
-                Arc::new(reals.next().expect("batch of 2")),
-                seeds,
-                0,
-            ),
-            LinkModel::from_realization(
-                cfg.secondary.clone(),
-                Arc::new(reals.next().expect("batch of 2")),
-                seeds,
-                1,
-            ),
-        ];
-        Self::with_links(cfg, links, seeds)
+        let reals = [(&cfg.primary, 0), (&cfg.secondary, 1)].map(|(link, index)| {
+            Arc::new(ChannelRealization::materialize(link, seeds, index, horizon))
+        });
+        Self::build(cfg, seeds, reals, &mut WorkerArena::new())
     }
 
     /// Like [`World::new`], but fetches the channel realisations from
-    /// `cache` so paired arms and repeated seeds materialise each
-    /// `(link, seed)` environment exactly once. Both links are looked up
-    /// (and, on miss, materialised) in one batched pass.
-    pub fn new_cached(
-        cfg: &'a WorldConfig,
-        seeds: &SeedFactory,
-        cache: &RealizationCache,
-    ) -> World<'a> {
-        let horizon = Self::channel_horizon(cfg);
-        let mut reals = cache
-            .get_or_materialize_batch(&[(&cfg.primary, 0), (&cfg.secondary, 1)], seeds, horizon)
-            .into_iter();
-        let links = [
-            LinkModel::from_realization(
-                cfg.primary.clone(),
-                reals.next().expect("batch of 2"),
-                seeds,
-                0,
-            ),
-            LinkModel::from_realization(
-                cfg.secondary.clone(),
-                reals.next().expect("batch of 2"),
-                seeds,
-                1,
-            ),
-        ];
-        Self::with_links(cfg, links, seeds)
-    }
-
-    /// [`World::new_cached`] with hot-path containers (the event queue and
-    /// the fault-bookkeeping vectors) recycled from a per-worker `arena`
-    /// instead of freshly allocated. Pair with [`World::run_in`] so the
-    /// containers return to the arena when the run finishes. Results are
-    /// bit-identical to [`World::new_cached`] — the arena only supplies
-    /// capacity (see `diversifi_simcore::arena`).
+    /// `cache`, so paired arms and repeated seeds materialise each
+    /// `(link, seed)` environment exactly once, and takes the hot-path
+    /// containers (the event queue and the fault-bookkeeping vectors) from
+    /// a per-worker `arena` instead of allocating them. Pair with
+    /// [`World::run_in`] so the containers return to the arena when the
+    /// run finishes. Results are bit-identical to [`World::new`]: the cache
+    /// only replays pure functions of `(link, seed)` and the arena only
+    /// supplies capacity (see `diversifi_simcore::arena`).
     pub fn new_cached_in(
         cfg: &'a WorldConfig,
         seeds: &SeedFactory,
         cache: &RealizationCache,
         arena: &mut WorkerArena,
     ) -> World<'a> {
-        let mut world = Self::new_cached(cfg, seeds, cache);
-        world.q = arena.take();
-        world.pending_recovery = arena.take();
-        world.active_brownouts = arena.take();
-        world.active_storms = arena.take();
-        let mut recovered: Vec<Option<SimTime>> = arena.take();
-        recovered.resize(world.fault_windows.len(), None);
-        world.fault_recovered = recovered;
-        world
+        let horizon = Self::channel_horizon(cfg);
+        let reals = [(&cfg.primary, 0), (&cfg.secondary, 1)]
+            .map(|(link, index)| cache.get_or_materialize(link, seeds, index, horizon));
+        Self::build(cfg, seeds, reals, arena)
     }
 
     /// Horizon the realisations must cover: the measurement window plus the
@@ -433,7 +385,20 @@ impl<'a> World<'a> {
         SimTime::ZERO + cfg.spec.duration + SimDuration::from_millis(500) + SimDuration::from_secs(2)
     }
 
-    fn with_links(cfg: &'a WorldConfig, links: [LinkModel; 2], seeds: &SeedFactory) -> World<'a> {
+    /// The one constructor behind [`World::new`] and
+    /// [`World::new_cached_in`]: links replay `reals` (primary, secondary)
+    /// and the recyclable containers come from `arena`.
+    fn build(
+        cfg: &'a WorldConfig,
+        seeds: &SeedFactory,
+        reals: [Arc<ChannelRealization>; 2],
+        arena: &mut WorkerArena,
+    ) -> World<'a> {
+        let [primary, secondary] = reals;
+        let links = [
+            LinkModel::from_realization(cfg.primary.clone(), primary, seeds, 0),
+            LinkModel::from_realization(cfg.secondary.clone(), secondary, seeds, 1),
+        ];
         let fault_windows = cfg.faults.windows();
         let mut ap0_cfg = ApConfig::new(ApId(0), cfg.primary.channel);
         ap0_cfg.wake_batch = cfg.wake_batch;
@@ -467,8 +432,15 @@ impl<'a> World<'a> {
 
         let tcp_tx = TcpSender::new(TcpConfig::default());
 
+        let q = arena.take();
+        let pending_recovery = arena.take();
+        let active_brownouts = arena.take();
+        let active_storms = arena.take();
+        let mut fault_recovered: Vec<Option<SimTime>> = arena.take();
+        fault_recovered.resize(fault_windows.len(), None);
+
         World {
-            q: EventQueue::new(),
+            q,
             aps: [ap0, ap1],
             links,
             in_flight: [None, None],
@@ -489,13 +461,13 @@ impl<'a> World<'a> {
             done: false,
             ledger: diversifi_simcore::check::PacketLedger::new(),
             tick_ledger: diversifi_simcore::check::TickLedger::new(),
-            fault_recovered: vec![None; fault_windows.len()],
+            fault_recovered,
             fault_windows,
-            pending_recovery: Vec::new(),
+            pending_recovery,
             mbox_down: false,
-            active_brownouts: Vec::new(),
+            active_brownouts,
             uplink_down: 0,
-            active_storms: Vec::new(),
+            active_storms,
             cfg,
         }
     }

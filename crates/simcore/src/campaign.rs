@@ -1,13 +1,13 @@
 //! Sharded million-call campaign engine with checkpoint/resume.
 //!
 //! A *campaign* folds `n_calls` independent, seeded calls into one
-//! [`ShardDigest`](crate::digest::ShardDigest). The call range is cut into
-//! contiguous shards; shards run in parallel on a [`SweepRunner`], each one
-//! folded serially in index order into its own digest, and the per-shard
-//! digests merge in shard order — so the campaign digest is a pure
-//! function of `(fold, n_calls, shard_size)` at **any** thread count, and
-//! peak memory is one digest plus one [`MetricsScratch`] per worker,
-//! independent of `n_calls`.
+//! [`ShardDigest`]. The call range is cut into contiguous shards; shards
+//! run in parallel on a [`SweepRunner`], each one folded serially in
+//! index order into its own digest, and the per-shard digests merge in
+//! shard order — so the campaign digest is a pure function of
+//! `(fold, n_calls, shard_size)` at **any** thread count, and peak memory
+//! is one digest plus one [`MetricsScratch`] per worker, independent of
+//! `n_calls`.
 //!
 //! # Checkpoint/resume
 //!
@@ -35,9 +35,9 @@
 //! a different retention can never silently resume into this run.
 //!
 //! The engine itself never prints; callers observe progress through the
-//! [`progress`](CampaignConfig::run) callback (the `repro --campaign`
-//! front-end turns it into a calls/sec ticker) and health through the
-//! heartbeat callback.
+//! `progress` callback of [`run_campaign_observed`] (the `repro
+//! --campaign` front-end turns it into a calls/sec ticker) and health
+//! through the heartbeat callback.
 //!
 //! # Supervision: quarantine, watchdog, IO retry
 //!
@@ -180,24 +180,10 @@ impl CampaignConfig {
         }
         id
     }
-
-    /// Run the campaign. See [`run_campaign`].
-    pub fn run<F, P>(
-        &self,
-        schema: &DigestSchema,
-        per_call: F,
-        progress: P,
-    ) -> std::io::Result<CampaignOutcome>
-    where
-        F: Fn(u64, &mut MetricsScratch, &mut ShardDigest) + Sync,
-        P: Fn(&CampaignProgress) + Sync,
-    {
-        run_campaign(self, schema, per_call, progress)
-    }
 }
 
 /// A progress snapshot, published on shard completion and every
-/// [`PROGRESS_CHUNK`] calls in between.
+/// `PROGRESS_CHUNK` (4096) calls in between.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignProgress {
     /// Calls folded so far (monotone, across all workers).
@@ -420,10 +406,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// already holds, run the remaining shards on a [`SweepRunner`], and merge
 /// everything in shard order.
 ///
-/// `per_call(i, scratch, digest)` must be a pure function of `i` given the
-/// campaign configuration — the same contract as every other sweep, and
-/// what makes resumption bit-exact. The scratch is the usual per-worker
-/// metrics buffer bundle; the digest is the shard's accumulator.
+/// `per_call(i, scratch, digest, worst)` must be a pure function of `i`
+/// given the campaign configuration — the same contract as every other
+/// sweep, and what makes resumption bit-exact. The scratch is the usual
+/// per-worker metrics buffer bundle; the digest is the shard's
+/// accumulator; `worst` is the shard's [`WorstK`] flight selector (inert
+/// when `cfg.flight_k == 0`, so a fold that never offers to it is the
+/// recorder-off campaign). `progress` receives [`CampaignProgress`]
+/// snapshots and `heartbeat` is invoked from worker threads as each
+/// freshly executed shard completes; pass `|_| {}` for either to ignore
+/// it. The merged selector and aggregated [`CampaignHealth`] land on the
+/// outcome.
 ///
 /// Memory is **independent of the campaign size**: shards are produced in
 /// index-ordered batches of a few per worker and merged into a single
@@ -432,35 +425,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// same RSS. The merge consumes shards strictly in index order, which is
 /// what keeps fingerprints bit-identical across thread counts and
 /// resume/uninterrupted runs.
-///
-/// This entry point ignores `flight_k` (the fold never sees a selector);
-/// use [`run_campaign_observed`] for the flight recorder and heartbeat.
-pub fn run_campaign<F, P>(
-    cfg: &CampaignConfig,
-    schema: &DigestSchema,
-    per_call: F,
-    progress: P,
-) -> std::io::Result<CampaignOutcome>
-where
-    F: Fn(u64, &mut MetricsScratch, &mut ShardDigest) + Sync,
-    P: Fn(&CampaignProgress) + Sync,
-{
-    let mut cfg = cfg.clone();
-    cfg.flight_k = 0;
-    run_campaign_observed(
-        &cfg,
-        schema,
-        |i, scratch, digest, _worst| per_call(i, scratch, digest),
-        progress,
-        |_| {},
-    )
-}
-
-/// [`run_campaign`] with the flight recorder and heartbeat attached:
-/// the fold additionally receives the shard's [`WorstK`] selector
-/// (inert when `cfg.flight_k == 0`), and `heartbeat` is invoked from
-/// worker threads as each freshly executed shard completes. The merged
-/// selector and aggregated [`CampaignHealth`] land on the outcome.
 pub fn run_campaign_observed<F, P, H>(
     cfg: &CampaignConfig,
     schema: &DigestSchema,
@@ -777,6 +741,16 @@ mod tests {
         }
     }
 
+    /// The engine with no-op observers: the fold never offers to the
+    /// flight selector, and progress and heartbeats are ignored.
+    fn run(
+        cfg: &CampaignConfig,
+        schema: &DigestSchema,
+        per_call: impl Fn(u64, &mut MetricsScratch, &mut ShardDigest) + Sync,
+    ) -> std::io::Result<CampaignOutcome> {
+        run_campaign_observed(cfg, schema, |i, s, d, _| per_call(i, s, d), |_| {}, |_| {})
+    }
+
     /// The observed fold: same digest work as [`fold`], plus every call
     /// below the trigger offers its score to the flight selector.
     fn observed_fold(
@@ -804,7 +778,7 @@ mod tests {
             let mut cfg = CampaignConfig::new(10_000);
             cfg.shard_size = 768;
             cfg.threads = threads;
-            let out = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+            let out = run(&cfg, &schema, fold(ids)).unwrap();
             assert!(out.complete);
             assert_eq!(out.shards_run, cfg.shards());
             fps.push(out.fingerprint.unwrap());
@@ -819,7 +793,7 @@ mod tests {
         let mut cfg = CampaignConfig::new(n);
         cfg.shard_size = 512;
         cfg.threads = 4;
-        let out = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let out = run(&cfg, &schema, fold(ids)).unwrap();
 
         let f = fold(ids);
         let mut scratch = MetricsScratch::new();
@@ -847,12 +821,18 @@ mod tests {
         cfg.shard_size = 1024;
         cfg.threads = 2;
         let max_seen = AtomicU64::new(0);
-        let out = cfg
-            .run(&schema, fold(ids), |p| {
+        let f = fold(ids);
+        let out = run_campaign_observed(
+            &cfg,
+            &schema,
+            |i, scratch, d, _| f(i, scratch, d),
+            |p| {
                 max_seen.fetch_max(p.calls_done, Ordering::Relaxed);
                 assert!(p.shards_done <= p.shards_total);
-            })
-            .unwrap();
+            },
+            |_| {},
+        )
+        .unwrap();
         assert!(out.complete);
         assert_eq!(max_seen.load(Ordering::Relaxed), 9000);
     }
@@ -872,12 +852,12 @@ mod tests {
         cfg.threads = 4;
 
         // Uninterrupted reference (no checkpointing at all).
-        let reference = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let reference = run(&cfg, &schema, fold(ids)).unwrap();
 
         // Interrupted: run only 5 of the 12 shards, then "kill".
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.max_new_shards = Some(5);
-        let partial = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let partial = run(&cfg, &schema, fold(ids)).unwrap();
         assert!(!partial.complete);
         assert_eq!(partial.shards_run, 5);
         assert!(partial.digest.is_none());
@@ -889,7 +869,7 @@ mod tests {
 
         // Resume to completion.
         cfg.max_new_shards = None;
-        let resumed = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let resumed = run(&cfg, &schema, fold(ids)).unwrap();
         assert!(resumed.complete);
         // 3 valid checkpoints survive (5 written − 2 corrupted).
         assert_eq!(resumed.shards_resumed, 3);
@@ -913,11 +893,11 @@ mod tests {
         cfg.shard_size = 400;
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.config_fingerprint = 1;
-        cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        run(&cfg, &schema, fold(ids)).unwrap();
 
         // Same directory, different config fingerprint: nothing resumes.
         cfg.config_fingerprint = 2;
-        let out = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let out = run(&cfg, &schema, fold(ids)).unwrap();
         assert_eq!(out.shards_resumed, 0);
         assert_eq!(out.shards_run, cfg.shards());
 
@@ -959,7 +939,7 @@ mod tests {
         // Recorder off: identical digest fingerprint.
         let mut cfg = CampaignConfig::new(10_000);
         cfg.shard_size = 768;
-        let off = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let off = run(&cfg, &schema, fold(ids)).unwrap();
         assert!(fps.iter().all(|fp| *fp == off.fingerprint.unwrap()));
     }
 
@@ -1022,7 +1002,7 @@ mod tests {
         // recorder-on checkpoint (different campaign id), not merge them.
         let mut off = cfg.clone();
         off.flight_k = 0;
-        let out = off.run(&schema, fold(ids), |_| {}).unwrap();
+        let out = run(&off, &schema, fold(ids)).unwrap();
         assert_eq!(out.shards_resumed, 0);
         assert_eq!(out.fingerprint, reference.fingerprint);
 
@@ -1053,7 +1033,7 @@ mod tests {
             cfg.shard_size = 500;
             cfg.threads = threads;
             // Call 1700 lives in shard 3.
-            let out = cfg.run(&schema, poisoned_fold(ids, 1700), |_| {}).unwrap();
+            let out = run(&cfg, &schema, poisoned_fold(ids, 1700)).unwrap();
             assert!(!out.complete, "threads={threads}");
             assert!(out.digest.is_none() && out.fingerprint.is_none());
             assert_eq!(out.quarantined.len(), 1);
@@ -1092,14 +1072,14 @@ mod tests {
 
         // Unpoisoned references: one without checkpoints (fingerprint),
         // one with (per-shard checkpoint bytes).
-        let reference = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let reference = run(&cfg, &schema, fold(ids)).unwrap();
         cfg.checkpoint_dir = Some(clean_dir.clone());
-        let clean = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let clean = run(&cfg, &schema, fold(ids)).unwrap();
         assert_eq!(clean.fingerprint, reference.fingerprint);
 
         // Poisoned run: shard 3 dies, everything else checkpoints.
         cfg.checkpoint_dir = Some(poisoned_dir.clone());
-        let poisoned = cfg.run(&schema, poisoned_fold(ids, 1700), |_| {}).unwrap();
+        let poisoned = run(&cfg, &schema, poisoned_fold(ids, 1700)).unwrap();
         assert!(!poisoned.complete);
         assert_eq!(poisoned.quarantined.len(), 1);
         assert_eq!(poisoned.quarantined[0].shard, 3);
@@ -1117,7 +1097,7 @@ mod tests {
         }
 
         // Resume with the fixed fold: only the quarantined shard re-runs.
-        let resumed = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let resumed = run(&cfg, &schema, fold(ids)).unwrap();
         assert!(resumed.complete);
         assert!(resumed.quarantined.is_empty());
         assert_eq!(resumed.shards_resumed, cfg.shards() - 1);
@@ -1135,10 +1115,10 @@ mod tests {
         let (schema, ids) = schema();
         let mut cfg = CampaignConfig::new(4000);
         cfg.shard_size = 500;
-        let off = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let off = run(&cfg, &schema, fold(ids)).unwrap();
         assert!(off.slow_shards.is_empty(), "no watchdog, no flags");
         cfg.watchdog_ns = Some(0); // every fold exceeds 0 ns
-        let on = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let on = run(&cfg, &schema, fold(ids)).unwrap();
         assert!(on.complete);
         assert_eq!(on.fingerprint, off.fingerprint);
         assert_eq!(on.slow_shards, (0..cfg.shards()).collect::<Vec<_>>());
@@ -1164,7 +1144,7 @@ mod tests {
         cfg.shard_size = 500;
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.io_retries = 1;
-        let out = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let out = run(&cfg, &schema, fold(ids)).unwrap();
         assert!(out.complete, "IO failure must not block the fold");
         assert_eq!(out.checkpoint_errors, 1);
         assert!(out.digest.is_some());

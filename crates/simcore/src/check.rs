@@ -59,12 +59,13 @@ pub fn audit_failure(msg: &str, file: &str, line: u32) -> ! {
     panic!("simulation invariant violated [{file}:{line}]: {msg}");
 }
 
-/// Run `f`, converting any panic — a tripped [`sim_assert!`], a
-/// [`PacketLedger`] closure failure, or a plain engine bug — into an
-/// `Err` carrying the panic message. This is the bridge the chaos engine
-/// uses to treat invariant violations as *observations* (an
-/// `"engine-panic"` oracle verdict attributable to one fault plan)
-/// instead of letting them poison a whole campaign shard.
+/// Run `f`, converting any panic — a tripped
+/// [`sim_assert!`](crate::sim_assert), a [`PacketLedger`] closure
+/// failure, or a plain engine bug — into an `Err` carrying the panic
+/// message. This is the bridge the chaos engine uses to treat invariant
+/// violations as *observations* (an `"engine-panic"` oracle verdict
+/// attributable to one fault plan) instead of letting them poison a
+/// whole campaign shard.
 ///
 /// The closure is wrapped in [`AssertUnwindSafe`]: callers must not reuse
 /// state `f` mutated before panicking (the chaos oracle rebuilds its

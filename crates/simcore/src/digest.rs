@@ -484,7 +484,7 @@ impl ChannelState {
 }
 
 /// The streaming accumulator for one shard (or, after merging, a whole
-/// campaign): one [`ChannelState`] per schema channel plus the call range
+/// campaign): one channel state per schema channel plus the call range
 /// covered.
 #[derive(Clone, Debug)]
 pub struct ShardDigest {

@@ -25,22 +25,15 @@
 //! (the common case) and nothing at all when `k == 0`; it never reads
 //! the clock and never touches the digest, so recorder-on campaign
 //! digest fingerprints are bit-identical to recorder-off. Event capture
-//! itself rides the telemetry compile gate: [`FLIGHT_COMPILED`] mirrors
-//! [`TRACE_COMPILED`](crate::telemetry::TRACE_COMPILED), and in a
-//! release build without the `trace` feature captures carry empty
-//! timelines while selection (scores, indices) still works in full.
+//! itself rides the telemetry compile gate
+//! ([`TRACE_COMPILED`](crate::telemetry::TRACE_COMPILED)): in a release
+//! build without the `trace` feature captures carry empty timelines
+//! while selection (scores, indices) still works in full.
 
 use serde::Value;
 
 use crate::telemetry::TelemetrySession;
 use crate::trace::TraceEvent;
-
-/// True when forensic captures carry event timelines: the flight
-/// recorder's capture phase replays calls through the telemetry layer,
-/// so it is compiled in exactly when
-/// [`TRACE_COMPILED`](crate::telemetry::TRACE_COMPILED) is. Selection
-/// is plain arithmetic and works in every build.
-pub const FLIGHT_COMPILED: bool = crate::telemetry::TRACE_COMPILED;
 
 /// Order-preserving bit encoding of a finite `f64`: `a < b` iff
 /// `ord_bits(a) < ord_bits(b)`. Standard sign-flip trick; total over
@@ -236,7 +229,7 @@ pub struct FlightCapture {
     /// Events evicted from the replay ring.
     pub dropped: u64,
     /// The surviving event timeline, in emission order. Empty when
-    /// [`FLIGHT_COMPILED`] is false.
+    /// [`TRACE_COMPILED`](crate::telemetry::TRACE_COMPILED) is false.
     pub events: Vec<TraceEvent>,
 }
 

@@ -67,8 +67,8 @@ mod trace;
 
 pub use arena::WorkerArena;
 pub use campaign::{
-    run_campaign, run_campaign_observed, CampaignConfig, CampaignHealth, CampaignOutcome,
-    CampaignProgress, HeartbeatSample, ShardQuarantine,
+    run_campaign_observed, CampaignConfig, CampaignHealth, CampaignOutcome, CampaignProgress,
+    HeartbeatSample, ShardQuarantine,
 };
 pub use chaos::{
     generate_plan, max_concurrency, outage_fraction, shrink_plan, ChaosBudget, ChaosReproducer,
@@ -76,7 +76,7 @@ pub use chaos::{
 };
 pub use digest::{ChannelId, ChannelKind, DigestSchema, QuantileSketch, ShardDigest, Welford};
 pub use fault::{FaultEffect, FaultKind, FaultOutcome, FaultPlan, FaultSpec, FaultWindow};
-pub use flight::{FlightCapture, FlightKey, WorstK, FLIGHT_COMPILED};
+pub use flight::{FlightCapture, FlightKey, WorstK};
 pub use metrics::{LogHistogram, MetricsRegistry};
 pub use par::SweepRunner;
 pub use queue::{EventQueue, DAY_NANOS, WHEEL_DAYS};

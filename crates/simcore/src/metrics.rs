@@ -287,7 +287,7 @@ pub struct MetricRow {
 /// A flat, deterministic snapshot of component metrics for one run (or,
 /// after merging, one sweep).
 ///
-/// Components push rows in [`export`-time] order; `sort_rows` gives a
+/// Components push rows in export-time order; `sort_rows` gives a
 /// canonical ordering and `merge_from` folds another run's snapshot in
 /// (counters add, gauges average, histograms merge bin-wise).
 #[derive(Clone, Debug, Default)]

@@ -3,16 +3,20 @@
 //! Every batch experiment in the workspace — corpus-scale call rating,
 //! multi-world fleets, ablations, population studies — is a map over
 //! *independent* simulation tasks: task `i` derives its own RNG streams
-//! from a [`SeedFactory`] sub-stream, runs a `World`, and yields a record.
-//! [`SweepRunner`] is the single execution substrate for those maps.
+//! from a [`SeedFactory`](crate::SeedFactory) sub-stream, runs a `World`,
+//! and yields a record. [`SweepRunner`] is the single execution substrate
+//! for those maps.
 //!
 //! # Determinism contract
 //!
-//! `run`/`run_indexed`/`run_seeded` guarantee **bit-identical output
-//! regardless of thread count**, because:
+//! [`SweepRunner::run_indexed_with`] — and its two delegates,
+//! [`run_indexed`](SweepRunner::run_indexed) and
+//! [`run_indexed_traced`](SweepRunner::run_indexed_traced) — guarantee
+//! **bit-identical output regardless of thread count**, because:
 //!
-//! 1. every task is a pure function of its index and input — RNG state is
-//!    never shared across tasks (each derives `seeds.subfactory(label, i)`);
+//! 1. every task is a pure function of its index — RNG state is never
+//!    shared across tasks (task `i` derives `seeds.subfactory(label, i)`
+//!    itself, and indexes its own input slice if it has one);
 //! 2. results are written into a pre-sized slot vector at the task's own
 //!    index, so output order is input order, not completion order;
 //! 3. the scheduler only decides *which thread* runs a task, never what
@@ -20,6 +24,7 @@
 //!
 //! # Execution model
 //!
+//! There is one worker loop, in [`SweepRunner::run_indexed_with`].
 //! Workers claim task indices from a shared atomic counter (work-stealing
 //! by next-index claim, so a slow task never stalls the queue behind it)
 //! and publish results through per-slot [`OnceLock`]s — there is no mutex
@@ -27,7 +32,6 @@
 //! beyond the scope join. With one worker (or one task) the runner
 //! degrades to a plain inline loop with zero thread overhead.
 
-use crate::rng::SeedFactory;
 use crate::telemetry::{self, MergedTelemetry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -91,45 +95,7 @@ impl SweepRunner {
         R: Send + Sync,
         F: Fn(usize) -> R + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-
-        let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // Each index is claimed exactly once, so the slot
-                        // is always empty here.
-                        assert!(slots[i].set(f(i)).is_ok(), "sweep slot {i} written twice");
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // Re-raise a task panic with its original payload instead
-                // of scope's generic "a scoped thread panicked".
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().unwrap_or_else(|| panic!("sweep task {i} did not complete"))
-            })
-            .collect()
+        self.run_indexed_with(n, || (), |i, _: &mut ()| f(i))
     }
 
     /// Like [`run_indexed`](Self::run_indexed), but hands every task a
@@ -169,6 +135,8 @@ impl SweepRunner {
                             if i >= n {
                                 break;
                             }
+                            // Each index is claimed exactly once, so the
+                            // slot is always empty here.
                             assert!(
                                 slots[i].set(f(i, &mut scratch)).is_ok(),
                                 "sweep slot {i} written twice"
@@ -178,6 +146,8 @@ impl SweepRunner {
                 })
                 .collect();
             for handle in handles {
+                // Re-raise a task panic with its original payload instead
+                // of scope's generic "a scoped thread panicked".
                 if let Err(payload) = handle.join() {
                     std::panic::resume_unwind(payload);
                 }
@@ -230,92 +200,12 @@ impl SweepRunner {
         merged.finish();
         (results, merged)
     }
-
-    /// Traced variant of [`run_with`](Self::run_with): per-worker scratch
-    /// *and* a telemetry session per task, merged deterministically. See
-    /// [`run_indexed_traced`](Self::run_indexed_traced) for the contract.
-    pub fn run_with_traced<T, S, R, I, F>(
-        &self,
-        tasks: &[T],
-        capacity: usize,
-        init: I,
-        f: F,
-    ) -> (Vec<R>, MergedTelemetry)
-    where
-        T: Sync,
-        R: Send + Sync,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &T, &mut S) -> R + Sync,
-    {
-        debug_assert!(
-            !telemetry::active(),
-            "run_with_traced would clobber the active telemetry session"
-        );
-        let out = self.run_indexed_with(tasks.len(), init, |i, scratch| {
-            telemetry::begin(capacity);
-            let r = f(i, &tasks[i], scratch);
-            (r, telemetry::end())
-        });
-        let mut merged = MergedTelemetry::default();
-        let mut results = Vec::with_capacity(out.len());
-        for (run, (r, session)) in out.into_iter().enumerate() {
-            results.push(r);
-            merged.absorb(run as u32, session);
-        }
-        merged.finish();
-        (results, merged)
-    }
-
-    /// Map `f` over an indexed task slice with a per-worker scratch value;
-    /// see [`run_indexed_with`](Self::run_indexed_with).
-    pub fn run_with<T, S, R, I, F>(&self, tasks: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send + Sync,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &T, &mut S) -> R + Sync,
-    {
-        self.run_indexed_with(tasks.len(), init, |i, scratch| f(i, &tasks[i], scratch))
-    }
-
-    /// Map `f` over an indexed task slice, returning results in task order.
-    pub fn run<T, R, F>(&self, tasks: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send + Sync,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.run_indexed(tasks.len(), |i| f(i, &tasks[i]))
-    }
-
-    /// Map `f` over an indexed task slice, handing task `i` its own
-    /// deterministic seed sub-stream `seeds.subfactory(label, i)`.
-    ///
-    /// This is the canonical shape for simulation sweeps: the sub-factory
-    /// derivation is what makes results independent of worker count.
-    pub fn run_seeded<T, R, F>(&self, seeds: &SeedFactory, label: &str, tasks: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send + Sync,
-        F: Fn(usize, &T, SeedFactory) -> R + Sync,
-    {
-        self.run(tasks, |i, task| f(i, task, seeds.subfactory(label, i as u64)))
-    }
-
-    /// Like [`run_indexed`](Self::run_indexed) but with a per-index seed
-    /// sub-stream, for sweeps defined by a count rather than a task list.
-    pub fn run_seeded_indexed<R, F>(&self, seeds: &SeedFactory, label: &str, n: usize, f: F) -> Vec<R>
-    where
-        R: Send + Sync,
-        F: Fn(usize, SeedFactory) -> R + Sync,
-    {
-        self.run_indexed(n, |i| f(i, seeds.subfactory(label, i as u64)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SeedFactory;
 
     /// A deterministic, seed-dependent stand-in for a simulation task.
     fn fake_sim(i: usize, seeds: &SeedFactory) -> Vec<u64> {
@@ -332,27 +222,16 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_output() {
         let seeds = SeedFactory::new(0xDEAD);
-        let reference: Vec<Vec<u64>> = (0..33)
-            .map(|i| fake_sim(i, &seeds.subfactory("task", i as u64)))
+        let tasks: Vec<u64> = (0..33).map(|i| i * 7).collect();
+        let reference: Vec<(u64, Vec<u64>)> = (0..33)
+            .map(|i| (tasks[i], fake_sim(i, &seeds.subfactory("task", i as u64))))
             .collect();
         for threads in [1, 2, 3, 8] {
-            let got = SweepRunner::new(threads).run_seeded_indexed(
-                &seeds,
-                "task",
-                33,
-                |i, sub| fake_sim(i, &sub),
-            );
+            // Each task indexes its own input and derives its own seeds.
+            let got = SweepRunner::new(threads).run_indexed_with(tasks.len(), || (), |i, _| {
+                (tasks[i], fake_sim(i, &seeds.subfactory("task", i as u64)))
+            });
             assert_eq!(got, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn run_over_slice_passes_matching_task() {
-        let tasks: Vec<u64> = (0..57).map(|i| i * 7).collect();
-        let out = SweepRunner::new(8).run(&tasks, |i, &t| (i as u64, t));
-        for (i, (idx, t)) in out.iter().enumerate() {
-            assert_eq!(*idx, i as u64);
-            assert_eq!(*t, (i as u64) * 7);
         }
     }
 
@@ -481,27 +360,6 @@ mod tests {
             let run_total = e.run as u64 + 1;
             assert!(e.seq + 2 >= run_total, "run {} kept seq {}", e.run, e.seq);
         }
-    }
-
-    #[test]
-    fn run_with_traced_combines_scratch_and_sessions() {
-        if !crate::telemetry::TRACE_COMPILED {
-            return;
-        }
-        let tasks: Vec<u64> = (0..7).map(|i| i * 3).collect();
-        let (results, merged) = SweepRunner::new(4).run_with_traced(
-            &tasks,
-            16,
-            Vec::<u64>::new,
-            |i, &t, buf| {
-                buf.clear();
-                buf.push(t);
-                traced_task(i);
-                buf[0]
-            },
-        );
-        assert_eq!(results, tasks);
-        assert_eq!(merged.events.len(), (1..=7).sum::<usize>());
     }
 
     #[test]

@@ -91,6 +91,13 @@ impl ChannelRealization {
     /// Materialise the realisation for `(cfg, seeds, index)` over
     /// `[0, horizon]`, consuming the same `"link-ge"` / `"link-shadow"`
     /// streams a live [`crate::link::LinkModel`] would.
+    ///
+    /// The shadowing track advances on the [`SHADOW_TICK`] grid with the
+    /// OU transition coefficients hoisted out of the tick loop, so the
+    /// `exp` and `sqrt` run once per *track* instead of once per *tick*.
+    /// Both evaluate the same expressions, so the track is bit-identical
+    /// to querying the process tick by tick (and to a live
+    /// [`ShadowCursor`]).
     pub fn materialize(
         cfg: &LinkConfig,
         seeds: &SeedFactory,
@@ -105,71 +112,13 @@ impl ChannelRealization {
             seeds.stream("link-shadow", index),
         );
         let ticks = horizon.as_nanos() / SHADOW_TICK.as_nanos();
-        let shadow = (0..=ticks)
-            .map(|k| ou.at(SimTime::from_nanos(k * SHADOW_TICK.as_nanos())))
-            .collect();
-        ChannelRealization { horizon, ge, shadow }
-    }
-
-    /// Materialise realisations for several links of one world in a single
-    /// batched pass — the hot path behind `World` construction.
-    ///
-    /// Structure-of-arrays stepping: all Gilbert–Elliott chains are expanded
-    /// first (their draw sequences are lazy-exact and per-link), then every
-    /// link's shadowing track advances through the same loop over the
-    /// [`SHADOW_TICK`] grid with the per-link OU transition coefficients
-    /// hoisted out of the tick loop (one `exp` + `sqrt` per *track* instead
-    /// of per *tick*). Each link draws from its own independent
-    /// `"link-ge"` / `"link-shadow"` stream, so interleaving links inside
-    /// one tick preserves every per-link draw sequence: the result is
-    /// bit-identical to calling [`ChannelRealization::materialize`] per
-    /// link.
-    pub fn materialize_batch(
-        links: &[(&LinkConfig, u64)],
-        seeds: &SeedFactory,
-        horizon: SimTime,
-    ) -> Vec<ChannelRealization> {
-        let ges: Vec<Vec<GeSegment>> = links
-            .iter()
-            .map(|(cfg, index)| {
-                GilbertElliott::new(cfg.ge, seeds.stream("link-ge", *index))
-                    .materialize_until(horizon)
-            })
-            .collect();
-
-        let ticks = horizon.as_nanos() / SHADOW_TICK.as_nanos();
-        let mut ous: Vec<OrnsteinUhlenbeck> = links
-            .iter()
-            .map(|(cfg, index)| {
-                OrnsteinUhlenbeck::new(
-                    cfg.shadow_sigma_db,
-                    cfg.shadow_tau,
-                    seeds.stream("link-shadow", *index),
-                )
-            })
-            .collect();
-        let coeffs: Vec<(f64, f64)> =
-            ous.iter().map(|ou| ou.transition_coeffs(SHADOW_TICK.as_secs_f64())).collect();
-        let mut tracks: Vec<Vec<f64>> = ous
-            .iter_mut()
-            .map(|ou| {
-                let mut track = Vec::with_capacity(ticks as usize + 1);
-                track.push(ou.at(SimTime::ZERO));
-                track
-            })
-            .collect();
+        let (a, noise_sd) = ou.transition_coeffs(SHADOW_TICK.as_secs_f64());
+        let mut shadow = Vec::with_capacity(ticks as usize + 1);
+        shadow.push(ou.at(SimTime::ZERO));
         for _ in 1..=ticks {
-            for ((ou, &(a, noise_sd)), track) in
-                ous.iter_mut().zip(&coeffs).zip(tracks.iter_mut())
-            {
-                track.push(ou.step_grid(SHADOW_TICK, a, noise_sd));
-            }
+            shadow.push(ou.step_grid(SHADOW_TICK, a, noise_sd));
         }
-
-        ges.into_iter()
-            .zip(tracks)
-            .map(|(ge, shadow)| ChannelRealization { horizon, ge, shadow })
-            .collect()
+        ChannelRealization { horizon, ge, shadow }
     }
 
     /// The materialisation horizon; queries past it freeze at the last value.
@@ -340,77 +289,6 @@ impl RealizationCache {
         Arc::clone(&entry.real)
     }
 
-    /// The realisations for every `(cfg, index)` pair of one world, looked
-    /// up in one pass: hits are served from the cache, and all misses are
-    /// materialised together through the batched SoA stepper
-    /// ([`ChannelRealization::materialize_batch`]) outside the lock.
-    ///
-    /// Hit/miss accounting is per entry, exactly as if
-    /// [`get_or_materialize`](Self::get_or_materialize) had been called
-    /// once per pair, and the returned values are bit-identical to the
-    /// singular path.
-    pub fn get_or_materialize_batch(
-        &self,
-        links: &[(&LinkConfig, u64)],
-        seeds: &SeedFactory,
-        horizon: SimTime,
-    ) -> Vec<Arc<ChannelRealization>> {
-        let keys: Vec<RealizationKey> =
-            links.iter().map(|(cfg, index)| RealizationKey::new(cfg, seeds, *index, horizon)).collect();
-        let mut out: Vec<Option<Arc<ChannelRealization>>> = vec![None; links.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let mut inner = self.inner.lock().expect("realization cache poisoned");
-            for (slot, key) in keys.iter().enumerate() {
-                inner.clock += 1;
-                let clock = inner.clock;
-                let hit = inner.map.get_mut(key).map(|e| {
-                    e.last_used = clock;
-                    Arc::clone(&e.real)
-                });
-                match hit {
-                    Some(real) => {
-                        inner.hits += 1;
-                        out[slot] = Some(real);
-                    }
-                    None => {
-                        inner.misses += 1;
-                        missing.push(slot);
-                    }
-                }
-            }
-        }
-
-        if !missing.is_empty() {
-            let batch: Vec<(&LinkConfig, u64)> = missing.iter().map(|&s| links[s]).collect();
-            let built = ChannelRealization::materialize_batch(&batch, seeds, horizon);
-
-            let mut inner = self.inner.lock().expect("realization cache poisoned");
-            for (&slot, real) in missing.iter().zip(built) {
-                inner.clock += 1;
-                let clock = inner.clock;
-                let key = keys[slot];
-                if inner.map.len() >= inner.capacity && !inner.map.contains_key(&key) {
-                    let evict =
-                        inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
-                    if let Some(k) = evict {
-                        inner.map.remove(&k);
-                    }
-                }
-                let entry = inner
-                    .map
-                    .entry(key)
-                    .or_insert(Entry { last_used: clock, real: Arc::new(real) });
-                entry.last_used = clock;
-                out[slot] = Some(Arc::clone(&entry.real));
-            }
-        }
-
-        out.into_iter()
-            .map(|real| real.expect("every slot is a hit or a materialised miss"))
-            .collect()
-    }
-
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("realization cache poisoned");
@@ -440,22 +318,27 @@ mod tests {
 
     #[test]
     fn shadow_cursor_matches_materialized_track() {
-        let cfg = LinkConfig::office(Channel::CH6, 14.0);
-        let horizon = SimTime::from_secs(10);
-        let real = ChannelRealization::materialize(&cfg, &seeds(), 0, horizon);
-        let ou = OrnsteinUhlenbeck::new(
-            cfg.shadow_sigma_db,
-            cfg.shadow_tau,
-            seeds().stream("link-shadow", 0),
-        );
-        let mut cur = ShadowCursor::new(ou);
-        // Irregular query times: the cursor and track must still agree.
-        let mut t = SimTime::ZERO;
-        let mut step = 313u64;
-        while t <= horizon {
-            assert_eq!(cur.at(t).to_bits(), real.shadow_at(t).to_bits(), "diverged at {t}");
-            step = step * 7 % 9973 + 17;
-            t += SimDuration::from_micros(step);
+        // A zero-sigma link too: the hoisted grid loop must draw nothing
+        // there, exactly like the cursor.
+        let mut flat = LinkConfig::office(Channel::CH11, 14.0);
+        flat.shadow_sigma_db = 0.0;
+        for cfg in [LinkConfig::office(Channel::CH6, 14.0), flat] {
+            let horizon = SimTime::from_secs(10);
+            let real = ChannelRealization::materialize(&cfg, &seeds(), 0, horizon);
+            let ou = OrnsteinUhlenbeck::new(
+                cfg.shadow_sigma_db,
+                cfg.shadow_tau,
+                seeds().stream("link-shadow", 0),
+            );
+            let mut cur = ShadowCursor::new(ou);
+            // Irregular query times: the cursor and track must still agree.
+            let mut t = SimTime::ZERO;
+            let mut step = 313u64;
+            while t <= horizon {
+                assert_eq!(cur.at(t).to_bits(), real.shadow_at(t).to_bits(), "diverged at {t}");
+                step = step * 7 % 9973 + 17;
+                t += SimDuration::from_micros(step);
+            }
         }
     }
 
@@ -526,53 +409,6 @@ mod tests {
         cache.get_or_materialize(&cfg, &SeedFactory::new(1), 0, horizon);
         let (hits_after, _) = cache.stats();
         assert_eq!(hits_after, hits + 1, "seed 1 should have survived eviction");
-    }
-
-    #[test]
-    fn batch_materialization_is_bit_identical_to_per_link() {
-        // Mixed configs, including a zero-sigma link, so the SoA loop is
-        // exercised with heterogeneous coefficients and draw counts.
-        let a = LinkConfig::office(Channel::CH1, 8.0);
-        let b = LinkConfig::office(Channel::CH6, 31.0);
-        let mut c = LinkConfig::office(Channel::CH11, 15.0);
-        c.shadow_sigma_db = 0.0;
-        let horizon = SimTime::from_secs(7);
-        let links = [(&a, 0u64), (&b, 1), (&c, 2), (&a, 5)];
-        let batch = ChannelRealization::materialize_batch(&links, &seeds(), horizon);
-        assert_eq!(batch.len(), links.len());
-        for ((cfg, index), got) in links.iter().zip(&batch) {
-            let want = ChannelRealization::materialize(cfg, &seeds(), *index, horizon);
-            assert_eq!(want.ge_segments(), got.ge_segments(), "GE diverged for index {index}");
-            assert_eq!(
-                want.shadow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                got.shadow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "shadow track diverged for index {index}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_cache_lookup_counts_like_singular_path() {
-        let cfg = LinkConfig::office(Channel::CH1, 10.0);
-        let cache = RealizationCache::new(8);
-        let horizon = SimTime::from_secs(2);
-        let first = cache.get_or_materialize_batch(&[(&cfg, 0), (&cfg, 1)], &seeds(), horizon);
-        assert_eq!(cache.stats(), (0, 2), "cold batch is all misses");
-        let again = cache.get_or_materialize_batch(&[(&cfg, 0), (&cfg, 1)], &seeds(), horizon);
-        assert_eq!(cache.stats(), (2, 2), "warm batch is all hits");
-        for (a, b) in first.iter().zip(&again) {
-            assert!(Arc::ptr_eq(a, b), "warm batch must return the cached Arc");
-        }
-        // Partial warmth: one hit, one miss, and the miss matches the
-        // singular path bit for bit.
-        let mixed = cache.get_or_materialize_batch(&[(&cfg, 1), (&cfg, 7)], &seeds(), horizon);
-        assert_eq!(cache.stats(), (3, 3));
-        let direct = ChannelRealization::materialize(&cfg, &seeds(), 7, horizon);
-        assert_eq!(mixed[1].ge_segments(), direct.ge_segments());
-        assert_eq!(
-            mixed[1].shadow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            direct.shadow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
     }
 
     #[test]

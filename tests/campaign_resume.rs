@@ -3,11 +3,11 @@
 //! produces a report bit-identical to the uninterrupted run.
 //!
 //! The engine-level variant of this lives in `simcore::campaign`'s unit
-//! tests; this one drives the full `run_fleet_campaign_with` stack
+//! tests; this one drives the full `run_fleet_campaign_observed` stack
 //! (scenario → population sampler → fleet digest), the same path as
 //! `repro --campaign`.
 
-use diversifi::campaign::run_fleet_campaign_with;
+use diversifi::campaign::run_fleet_campaign_observed;
 use diversifi::scenario::Scenario;
 use std::path::PathBuf;
 
@@ -34,7 +34,9 @@ fn reference() -> (u64, u64, u64) {
     let scn = tiny_scenario();
     let mut cfg = scn.campaign_config();
     cfg.threads = 1;
-    let rep = run_fleet_campaign_with(&scn, &cfg, |_| {}).expect("reference run");
+    let rep = run_fleet_campaign_observed(&scn, &cfg, |_| {}, |_| {})
+        .expect("reference run")
+        .report;
     (rep.fingerprint, rep.mos_p50.to_bits(), rep.poor_rate.to_bits())
 }
 
@@ -53,7 +55,7 @@ fn kill_resume_is_bit_identical_at_every_thread_count() {
         // incomplete, so no merged digest is offered.
         let mut killed = cfg.clone();
         killed.max_new_shards = Some(5);
-        let err = run_fleet_campaign_with(&scn, &killed, |_| {})
+        let err = run_fleet_campaign_observed(&scn, &killed, |_| {}, |_| {})
             .expect_err("truncated campaign must not produce a report");
         assert!(err.to_string().contains("incomplete"), "unexpected error: {err}");
         let shards_left: Vec<_> = std::fs::read_dir(&dir)
@@ -75,8 +77,9 @@ fn kill_resume_is_bit_identical_at_every_thread_count() {
         std::fs::write(&victim, &body[..body.len() / 2]).unwrap();
 
         // Resume to completion.
-        let rep = run_fleet_campaign_with(&scn, &cfg, |_| {})
-            .expect("resumed campaign completes");
+        let rep = run_fleet_campaign_observed(&scn, &cfg, |_| {}, |_| {})
+            .expect("resumed campaign completes")
+            .report;
 
         assert_eq!(rep.shards_total, 16);
         assert_eq!(
@@ -106,11 +109,13 @@ fn completed_campaign_resumes_from_checkpoints_alone() {
     cfg.threads = 3;
     cfg.checkpoint_dir = Some(dir.clone());
 
-    let first = run_fleet_campaign_with(&scn, &cfg, |_| {}).expect("first run");
+    let first = run_fleet_campaign_observed(&scn, &cfg, |_| {}, |_| {}).expect("first run").report;
     assert_eq!(first.fingerprint, want_fp);
     assert_eq!(first.shards_run, 16);
 
-    let second = run_fleet_campaign_with(&scn, &cfg, |_| {}).expect("pure resume");
+    let second = run_fleet_campaign_observed(&scn, &cfg, |_| {}, |_| {})
+        .expect("pure resume")
+        .report;
     assert_eq!(second.shards_run, 0, "nothing left to execute");
     assert_eq!(second.shards_resumed, 16);
     assert_eq!(second.fingerprint, want_fp, "checkpoint-only run is bit-identical");
@@ -128,14 +133,14 @@ fn edited_scenario_discards_stale_checkpoints() {
     let mut cfg = scn.campaign_config();
     cfg.threads = 2;
     cfg.checkpoint_dir = Some(dir.clone());
-    run_fleet_campaign_with(&scn, &cfg, |_| {}).expect("first run");
+    run_fleet_campaign_observed(&scn, &cfg, |_| {}, |_| {}).expect("first run");
 
     let mut edited = tiny_scenario();
     edited.seed = 0xBEEF; // different fleet → old checkpoints are poison
     let mut cfg2 = edited.campaign_config();
     cfg2.threads = 2;
     cfg2.checkpoint_dir = Some(dir.clone());
-    let rep = run_fleet_campaign_with(&edited, &cfg2, |_| {}).expect("rerun");
+    let rep = run_fleet_campaign_observed(&edited, &cfg2, |_| {}, |_| {}).expect("rerun").report;
     assert_eq!(rep.shards_resumed, 0, "stale checkpoints must not be absorbed");
     assert_eq!(rep.shards_run, 16);
 

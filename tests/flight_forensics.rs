@@ -7,7 +7,7 @@
 //! the recorder must never perturb results, and what it records must be
 //! a pure function of `(scenario, selection)`.
 
-use diversifi::campaign::{run_fleet_campaign_observed, run_fleet_campaign_with};
+use diversifi::campaign::run_fleet_campaign_observed;
 use diversifi::flight::capture_worst_calls;
 use diversifi::scenario::{Scenario, Traffic};
 use diversifi_voip::FpsConfig;
@@ -50,7 +50,9 @@ fn recorder_on_matches_recorder_off_at_every_thread_count() {
     for scn in [voip_scenario(), fps_scenario()] {
         let mut off_cfg = scn.campaign_config();
         off_cfg.threads = 1;
-        let off = run_fleet_campaign_with(&scn, &off_cfg, |_| {}).expect("recorder-off run");
+        let off = run_fleet_campaign_observed(&scn, &off_cfg, |_| {}, |_| {})
+            .expect("recorder-off run")
+            .report;
 
         let mut selections = Vec::new();
         for threads in [1usize, 2, 4, 8] {

@@ -279,7 +279,8 @@ fn fault_plan_runs_bit_identical_across_threads_and_telemetry() {
     };
     let sweep = |threads: usize, traced: bool, audit: bool| -> Vec<String> {
         check::set_enabled(audit);
-        let out = SweepRunner::new(threads).run(&catalogue, |i, (_, plan)| {
+        let out = SweepRunner::new(threads).run_indexed(catalogue.len(), |i| {
+            let (_, plan) = &catalogue[i];
             let (a, b) = weak_pair();
             let mut cfg = WorldConfig::testbed(a, b);
             cfg.mode = if i % 2 == 0 {

@@ -9,10 +9,12 @@
 
 use diversifi::analysis::{self, AnalysisOptions, CallRecord};
 use diversifi::corpus;
-use diversifi::evaluation::{run_eval_corpus, EvalOptions, EvalRun};
+use diversifi::evaluation::{run_eval_corpus, testbed_location, EvalOptions, EvalRun};
 use diversifi::twonic::{run_temporal, run_two_nic, TwoNicScenario};
-use diversifi_simcore::{SeedFactory, SimDuration};
+use diversifi::world::{RunMode, World, WorldConfig};
+use diversifi_simcore::{SeedFactory, SimDuration, WorkerArena};
 use diversifi_voip::StreamTrace;
+use diversifi_wifi::RealizationCache;
 use std::fmt::Write as _;
 
 fn trace_fp(out: &mut String, t: &StreamTrace) {
@@ -57,6 +59,37 @@ fn eval_corpus_cache_on_equals_cache_off_across_thread_counts() {
         reference,
         "cache-off diverged at threads=4"
     );
+}
+
+/// World-level cache accounting: n locations × 3 paired arms through
+/// `World::new_cached_in` on one cache. Each world looks up its two links
+/// once, so a location's first arm misses twice and the other two arms hit
+/// twice each: `(hits, misses) == (4n, 2n)`, the pair the perf ledger
+/// reports as `realization.hits`/`realization.misses`. Every arm also runs
+/// bit-identical to a fresh `World::new`.
+#[test]
+fn world_cache_lookups_count_four_hits_and_two_misses_per_location() {
+    let n = 3u64;
+    let seeds = SeedFactory::new(0x9EA3);
+    let cache = RealizationCache::new(16);
+    let mut arena = WorkerArena::new();
+    for i in 0..n {
+        let call_seeds = seeds.subfactory("eval-run", i);
+        let (p, s) = testbed_location(&mut call_seeds.stream("location", 0));
+        let mut cfg = WorldConfig::testbed(p, s);
+        cfg.spec.duration = SimDuration::from_secs(5);
+        for mode in [RunMode::PrimaryOnly, RunMode::SecondaryOnly, RunMode::DiversifiCustomAp] {
+            cfg.mode = mode;
+            let cached =
+                World::new_cached_in(&cfg, &call_seeds, &cache, &mut arena).run_in(&mut arena);
+            let fresh = World::new(&cfg, &call_seeds).run();
+            let (mut got, mut want) = (String::new(), String::new());
+            trace_fp(&mut got, &cached.trace);
+            trace_fp(&mut want, &fresh.trace);
+            assert_eq!(got, want, "location {i} {mode:?}: cached world diverged");
+        }
+    }
+    assert_eq!(cache.stats(), (4 * n, 2 * n));
 }
 
 fn corpus_fp(records: &[CallRecord]) -> String {

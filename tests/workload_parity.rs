@@ -17,7 +17,7 @@
 //! VoIP outputs; run the ignored `print_fingerprints` test to recapture.
 
 use diversifi::analysis::{self, AnalysisOptions, CallRecord};
-use diversifi::campaign::run_fleet_campaign;
+use diversifi::campaign::run_fleet_campaign_observed;
 use diversifi::scenario::Scenario;
 use diversifi::world::{RunMode, World, WorldConfig};
 use diversifi_simcore::{FaultKind, FaultPlan, SeedFactory, SimDuration, SimTime, SweepRunner};
@@ -152,8 +152,10 @@ fn world_grid() -> Vec<(WorldConfig, u64)> {
 
 fn world_sweep_fp(threads: usize) -> u64 {
     let grid = world_grid();
-    let rows = SweepRunner::new(threads)
-        .run(&grid, |_, (cfg, seed)| run_fp(cfg, &SeedFactory::new(*seed)));
+    let rows = SweepRunner::new(threads).run_indexed(grid.len(), |i| {
+        let (cfg, seed) = &grid[i];
+        run_fp(cfg, &SeedFactory::new(*seed))
+    });
     fnv(&rows.concat())
 }
 
@@ -224,7 +226,9 @@ fn campaign_fp(threads: usize) -> u64 {
     scn.fleet.calls = 5_000;
     scn.campaign.shard_size = 1_000;
     scn.campaign.threads = threads;
-    let r = run_fleet_campaign(&scn, |_| {}).expect("campaign runs");
+    let r = run_fleet_campaign_observed(&scn, &scn.campaign_config(), |_| {}, |_| {})
+        .expect("campaign runs")
+        .report;
     let mut s = format!(
         "fp={:016x} calls={} poor={:016x} mos={:016x}/{:016x}/{:016x}/{:016x}/{:016x} \
          delay={:016x}/{:016x}",
