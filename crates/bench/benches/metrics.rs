@@ -1,11 +1,12 @@
-//! Metrics-pipeline benchmarks: the allocating collect-then-reduce paths
-//! against their zero-alloc scratch counterparts, over realistic traces
-//! from a simulated corpus. `alloc` vs `scratch` pairs are the
-//! before/after for the metrics rewrite (`BENCH_metrics.json`).
+//! Metrics-pipeline benchmarks: the Fig. 4/8 reductions and the
+//! trace-level scans under them, over realistic traces from a simulated
+//! corpus (`BENCH_metrics.json`). Each reduction has one (allocating)
+//! form; the `alloc` names are kept so the committed baselines still
+//! match.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use diversifi::{run_two_nic, TwoNicScenario};
-use diversifi_simcore::{MetricsScratch, SeedFactory, SimDuration};
+use diversifi_simcore::{SeedFactory, SimDuration};
 use diversifi_voip::{metrics, StreamSpec, StreamTrace};
 use diversifi_wifi::{Channel, GeParams, LinkConfig};
 
@@ -32,18 +33,6 @@ fn bench_worst_window(c: &mut Criterion) {
     g.bench_function("alloc_ecdf", |bch| {
         bch.iter(|| black_box(metrics::worst_window_ecdf(&traces, window, DEADLINE).quantile(0.9)))
     });
-    g.bench_function("scratch", |bch| {
-        let mut scratch = MetricsScratch::new();
-        bch.iter(|| {
-            black_box(metrics::worst_window_quantile_with(
-                &traces,
-                window,
-                DEADLINE,
-                0.9,
-                &mut scratch,
-            ))
-        })
-    });
     g.finish();
 }
 
@@ -53,27 +42,9 @@ fn bench_correlation(c: &mut Criterion) {
     g.bench_function("auto/alloc", |bch| {
         bch.iter(|| black_box(metrics::loss_autocorrelation(&traces[0], DEADLINE, 50)))
     });
-    g.bench_function("auto/scratch", |bch| {
-        let mut scratch = MetricsScratch::new();
-        bch.iter(|| {
-            black_box(metrics::loss_autocorrelation_with(&traces[0], DEADLINE, 50, &mut scratch))
-        })
-    });
     g.bench_function("cross/alloc", |bch| {
         bch.iter(|| {
             black_box(metrics::loss_cross_correlation(&traces[0], &traces[1], DEADLINE, 50))
-        })
-    });
-    g.bench_function("cross/scratch", |bch| {
-        let mut scratch = MetricsScratch::new();
-        bch.iter(|| {
-            black_box(metrics::loss_cross_correlation_with(
-                &traces[0],
-                &traces[1],
-                DEADLINE,
-                50,
-                &mut scratch,
-            ))
         })
     });
     g.finish();
@@ -85,13 +56,6 @@ fn bench_trace_reductions(c: &mut Criterion) {
     let mut g = c.benchmark_group("metrics/trace_60s");
     g.bench_function("loss_indicator/alloc", |bch| {
         bch.iter(|| black_box(trace.loss_indicator(DEADLINE)))
-    });
-    g.bench_function("loss_indicator/into", |bch| {
-        let mut out = Vec::new();
-        bch.iter(|| {
-            trace.loss_indicator_into(DEADLINE, &mut out);
-            black_box(out.len())
-        })
     });
     g.bench_function("worst_window_single_pass", |bch| {
         bch.iter(|| black_box(trace.worst_window_loss_pct(SimDuration::from_millis(500), DEADLINE)))

@@ -34,9 +34,11 @@ use diversifi::world::RunMode;
 use diversifi::{nettest, population, survey};
 use diversifi_bench::Scale;
 use diversifi_client::cross_link;
-use diversifi_simcore::{mean, Ecdf, SeedFactory, SimDuration, SweepRunner};
+use diversifi_simcore::export::{self, write_text_atomic};
+use diversifi_simcore::{mean, Ecdf, MergedTelemetry, SeedFactory, SimDuration, SweepRunner};
 use diversifi_voip::{metrics, StreamSpec, DEFAULT_DEADLINE};
 use diversifi_wifi::{Channel, GeParams, LinkConfig};
+use std::path::Path;
 
 struct Ctx {
     scale: Scale,
@@ -92,10 +94,6 @@ fn main() {
             "--trace-out" => trace_out = Some(value_or_exit(&mut args, &a, "a file path")),
             "--metrics-out" => metrics_out = Some(value_or_exit(&mut args, &a, "a file path")),
             "--resilience" => wanted.push("resilience".to_string()),
-            "--phase-profile" => {
-                phase_profile(seed);
-                return;
-            }
             "--bench-compare" => {
                 let fresh: String = value_or_exit(&mut args, &a, "a fresh BENCH_JSON file");
                 let baselines: Vec<String> = args.collect();
@@ -131,16 +129,12 @@ fn main() {
                     "telemetry: compiled {}",
                     if diversifi_simcore::telemetry::TRACE_COMPILED { "in" } else { "out" }
                 );
-                println!(
-                    "flight recorder: compiled {}",
-                    if diversifi_simcore::telemetry::TRACE_COMPILED { "in" } else { "out" }
-                );
                 return;
             }
             "--help" | "-h" => {
                 println!(
                     "repro [--quick] [--seed N] [--out DIR] [--trace-out PATH] \
-                     [--metrics-out PATH] [--telemetry-status] [--phase-profile] \
+                     [--metrics-out PATH] [--telemetry-status] \
                      [--bench-compare FRESH.json [BASELINE.json...]] \
                      [--campaign SCENARIO.{{json,toml}}] \
                      [--forensics-out DIR] [--flight-topk N] \
@@ -236,7 +230,10 @@ fn main() {
     let mut ctx = Ctx { scale, seed, out_dir, threads, main_corpus: None, eval_corpus: None };
 
     if trace_out.is_some() || metrics_out.is_some() {
-        telemetry_capture(&ctx, trace_out.as_deref(), metrics_out.as_deref());
+        if let Err(e) = telemetry_capture(&ctx, trace_out.as_deref(), metrics_out.as_deref()) {
+            eprintln!("error: telemetry: failed to write {e}");
+            std::process::exit(2);
+        }
     }
 
     // Experiments with a pass/fail verdict (resilience's no-amplification
@@ -777,19 +774,15 @@ fn campaign_cli(
                 );
             }
             let captures = diversifi::capture_worst_calls(&scn, worst, scn.observe.ring);
-            let chrome = diversifi_simcore::export::flight_chrome_trace(&captures);
-            let jsonl = diversifi_simcore::export::flight_jsonl(&captures);
             let base = format!("{dir}/flight_{safe_name}");
-            let written = std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(format!("{base}.json"), chrome))
-                .and_then(|()| std::fs::write(format!("{base}.jsonl"), jsonl));
-            if let Err(e) = written {
+            let (chrome, jsonl) = (format!("{base}.json"), format!("{base}.jsonl"));
+            if let Err(e) = write_timeline(&captures, &chrome, &jsonl) {
                 eprintln!("campaign: failed to write forensics: {e}");
                 return 2;
             }
             println!(
-                "[forensics] {} captures ({} calls × {} arms) → {base}.json (Perfetto), {base}.jsonl",
-                captures.len(),
+                "[forensics] {} captures ({} calls × {} arms) → {chrome} (Perfetto), {jsonl}",
+                captures.runs.len(),
                 worst.len(),
                 scn.arms.len().max(1),
             );
@@ -825,7 +818,6 @@ fn chaos_cli(
 ) -> i32 {
     use diversifi::chaos::{capture_reproducer, replay_reproducer, run_chaos, ChaosConfig};
     use diversifi_simcore::chaos::ChaosReproducer;
-    use diversifi_simcore::export::write_text_atomic;
 
     let scn = match load_scenario(path) {
         Ok(s) => s,
@@ -969,17 +961,13 @@ fn chaos_cli(
     if let Some(dir) = forensics_out {
         if let Some(f) = report.findings.first() {
             let captures = capture_reproducer(&cfg, &f.reproducer, scn.observe.ring);
-            let chrome = diversifi_simcore::export::flight_chrome_trace(&captures);
-            let jsonl = diversifi_simcore::export::flight_jsonl(&captures);
             let base = format!("{dir}/chaos_{safe_name}");
-            let written = std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(format!("{base}.json"), chrome))
-                .and_then(|()| std::fs::write(format!("{base}.jsonl"), jsonl));
-            if let Err(e) = written {
+            let (chrome, jsonl) = (format!("{base}.json"), format!("{base}.jsonl"));
+            if let Err(e) = write_timeline(&captures, &chrome, &jsonl) {
                 eprintln!("chaos: failed to write forensics: {e}");
                 return 2;
             }
-            println!("[forensics] worst finding (plan {:06}) → {base}.json, {base}.jsonl", f.index);
+            println!("[forensics] worst finding (plan {:06}) → {chrome}, {jsonl}", f.index);
         } else {
             println!("[forensics] nothing to capture: no findings");
         }
@@ -1021,78 +1009,26 @@ fn chaos_cli(
     }
 }
 
-/// Where does a paired three-arm run's time actually go? Runs the
-/// `channel/three_arm_10s` bench workload (warm realization cache) with a
-/// live telemetry session per arm and prints the Dispatch / ChannelSample
-/// / MetricsReduce span breakdown — the profile behind the hot-path
-/// optimisation notes in EXPERIMENTS.md. Needs `--features trace` in
-/// release builds; without it the spans are compiled out.
-fn phase_profile(seed: u64) {
-    use diversifi::world::{RunMode, World, WorldConfig};
-    use diversifi_simcore::telemetry::{Phase, PhaseProfile};
-    use diversifi_simcore::WorkerArena;
-    use diversifi_wifi::RealizationCache;
-
-    if !diversifi_simcore::telemetry::TRACE_COMPILED {
-        eprintln!(
-            "[phase-profile] warning: release build without the `trace` feature — \
-             span totals will read zero; rebuild with `--features trace`"
-        );
-    }
-    let a = LinkConfig::office(Channel::CH1, 16.0);
-    let mut b = LinkConfig::office(Channel::CH11, 26.0);
-    b.ge = GeParams::weak_link();
-    let modes = [
-        (RunMode::PrimaryOnly, "primary_only"),
-        (RunMode::DiversifiCustomAp, "diversifi_custom_ap"),
-        (RunMode::DiversifiMiddlebox, "diversifi_middlebox"),
-    ];
-    let seeds = SeedFactory::new(seed);
-    let cache = RealizationCache::new(4);
-    let mut total = PhaseProfile::default();
-    println!("three_arm_10s phase profile (warm realization cache, 1 thread):");
-    for (mode, label) in modes {
-        let mut cfg = WorldConfig::testbed(a.clone(), b.clone());
-        cfg.mode = mode;
-        cfg.spec = StreamSpec::voip();
-        cfg.spec.duration = SimDuration::from_secs(10);
-        // Warm the cache so the profiled pass measures the event loop, not
-        // channel materialisation (the sweep steady state).
-        drop(World::new_cached_in(&cfg, &seeds, &cache, &mut WorkerArena::new()));
-        let wall = std::time::Instant::now();
-        let world = World::new_cached_in(&cfg, &seeds, &cache, &mut WorkerArena::new());
-        let (_, session) = world.run_traced(1 << 16);
-        let wall = wall.elapsed();
-        println!("\n[{label}] wall {:.3} ms", wall.as_secs_f64() * 1e3);
-        for phase in Phase::ALL {
-            let s = session.profile.get(phase);
-            println!(
-                "  {:<16} {:>8} spans  {:>10.3} ms",
-                phase.name(),
-                s.calls,
-                s.total_ns as f64 / 1e6
-            );
-        }
-        total.merge(&session.profile);
-    }
-    println!("\n[total across arms]");
-    for phase in Phase::ALL {
-        let s = total.get(phase);
-        println!(
-            "  {:<16} {:>8} spans  {:>10.3} ms",
-            phase.name(),
-            s.calls,
-            s.total_ns as f64 / 1e6
-        );
-    }
+/// Write one event timeline as its two artifacts: the Perfetto / Chrome
+/// trace at `chrome` and the JSONL event stream at `jsonl`. Each lands
+/// atomically, parent directories created; the first IO error is
+/// returned. Every timeline `repro` writes (`--trace-out` and both
+/// `--forensics-out` captures) goes through here.
+fn write_timeline(merged: &MergedTelemetry, chrome: &str, jsonl: &str) -> std::io::Result<()> {
+    write_text_atomic(Path::new(chrome), &export::chrome_trace(merged))?;
+    write_text_atomic(Path::new(jsonl), &export::jsonl(merged))
 }
 
 /// Capture one fully-instrumented paper scenario (§6 testbed weak pair,
 /// customized-AP DiversiFi with a coexisting TCP flow) across a small sweep
-/// and export the merged telemetry.
-fn telemetry_capture(ctx: &Ctx, trace_out: Option<&str>, metrics_out: Option<&str>) {
+/// and export the merged telemetry. An artifact that cannot be written is
+/// an error naming its path.
+fn telemetry_capture(
+    ctx: &Ctx,
+    trace_out: Option<&str>,
+    metrics_out: Option<&str>,
+) -> Result<(), String> {
     use diversifi::world::{RunMode, World, WorldConfig};
-    use diversifi_simcore::export;
 
     if !diversifi_simcore::telemetry::TRACE_COMPILED {
         eprintln!(
@@ -1115,22 +1051,17 @@ fn telemetry_capture(ctx: &Ctx, trace_out: Option<&str>, metrics_out: Option<&st
     });
     println!("{}", export::sweep_report(&merged));
     if let Some(path) = trace_out {
-        match std::fs::write(path, export::chrome_trace(&merged)) {
-            Ok(()) => println!("[artifact] {path} (Chrome trace — open at ui.perfetto.dev)"),
-            Err(e) => eprintln!("[artifact] failed to write {path}: {e}"),
-        }
         let sidecar = format!("{path}.jsonl");
-        match std::fs::write(&sidecar, export::jsonl(&merged)) {
-            Ok(()) => println!("[artifact] {sidecar} (event stream, one JSON object per line)"),
-            Err(e) => eprintln!("[artifact] failed to write {sidecar}: {e}"),
-        }
+        write_timeline(&merged, path, &sidecar).map_err(|e| format!("{path}: {e}"))?;
+        println!("[artifact] {path} (Chrome trace — open at ui.perfetto.dev)");
+        println!("[artifact] {sidecar} (event stream, one JSON object per line)");
     }
     if let Some(path) = metrics_out {
-        match std::fs::write(path, export::metrics_table(&merged.metrics)) {
-            Ok(()) => println!("[artifact] {path} (per-sweep metrics table)"),
-            Err(e) => eprintln!("[artifact] failed to write {path}: {e}"),
-        }
+        write_text_atomic(Path::new(path), &export::metrics_table(&merged.metrics))
+            .map_err(|e| format!("{path}: {e}"))?;
+        println!("[artifact] {path} (per-sweep metrics table)");
     }
+    Ok(())
 }
 
 fn save<T: serde::Serialize>(ctx: &Ctx, name: &str, value: &T) {
@@ -2088,6 +2019,27 @@ fn resilience(ctx: &mut Ctx) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_timeline_writes_both_files_and_returns_err_when_blocked() {
+        let dir =
+            std::env::temp_dir().join(format!("repro-timeline-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let merged = MergedTelemetry::default();
+        // Parent directories are created on the way.
+        let chrome = dir.join("a/b/trace.json");
+        let jsonl = dir.join("a/b/trace.json.jsonl");
+        write_timeline(&merged, chrome.to_str().unwrap(), jsonl.to_str().unwrap()).unwrap();
+        assert!(std::fs::read_to_string(&chrome).unwrap().contains("\"traceEvents\""));
+        assert!(jsonl.exists());
+        // A regular file where a parent directory must go blocks the write.
+        std::fs::write(dir.join("file"), "").unwrap();
+        let blocked = dir.join("file/trace.json");
+        let blocked_jsonl = dir.join("file/trace.json.jsonl");
+        assert!(write_timeline(&merged, blocked.to_str().unwrap(), blocked_jsonl.to_str().unwrap())
+            .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn flag_value_parses_or_names_the_flag() {

@@ -4,7 +4,7 @@
 use crate::corpus::{self, CallEnvironment, CorpusMix};
 use crate::twonic::{run_temporal_cached, run_two_nic_cached, TwoNicScenario};
 use diversifi_client::{self as client, DivertConfig, LinkObservation};
-use diversifi_simcore::{Ecdf, MetricsScratch, SeedFactory, SimDuration, SweepRunner};
+use diversifi_simcore::{Ecdf, SeedFactory, SimDuration, SweepRunner};
 use diversifi_voip::{
     conceal, metrics, CodecModel, PcrModel, PlayoutConfig, StreamSpec, StreamTrace,
     DEFAULT_DEADLINE,
@@ -278,9 +278,6 @@ pub fn correlation_figure(records: &[CallRecord], max_lag: usize) -> Correlation
     let mut auto_acc = vec![0.0; max_lag];
     let mut cross_acc = vec![0.0; max_lag + 1];
     let mut n_auto = 0usize;
-    // One scratch for the whole figure: the loss-indicator buffers grow to
-    // the longest trace once and are reused for every record.
-    let mut scratch = MetricsScratch::new();
     for rec in records {
         // Only calls with some loss contribute a defined correlation.
         let stronger = client::stronger(&rec.a, &rec.b);
@@ -288,18 +285,12 @@ pub fn correlation_figure(records: &[CallRecord], max_lag: usize) -> Correlation
             continue;
         }
         n_auto += 1;
-        for (lag, v) in
-            metrics::loss_autocorrelation_with(&stronger, DEFAULT_DEADLINE, max_lag, &mut scratch)
-        {
+        for (lag, v) in metrics::loss_autocorrelation(&stronger, DEFAULT_DEADLINE, max_lag) {
             auto_acc[lag - 1] += v;
         }
-        for (lag, v) in metrics::loss_cross_correlation_with(
-            &rec.a.trace,
-            &rec.b.trace,
-            DEFAULT_DEADLINE,
-            max_lag,
-            &mut scratch,
-        ) {
+        for (lag, v) in
+            metrics::loss_cross_correlation(&rec.a.trace, &rec.b.trace, DEFAULT_DEADLINE, max_lag)
+        {
             cross_acc[lag] += v;
         }
     }

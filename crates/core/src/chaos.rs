@@ -62,13 +62,14 @@
 //! [`sim_assert!`]: diversifi_simcore::sim_assert
 //! [`PacketLedger`]: diversifi_simcore::check::PacketLedger
 
+use crate::flight::replay_traced;
 use crate::scenario::Scenario;
 use crate::world::{RunMode, World, WorldConfig};
 use diversifi_simcore::chaos::{generate_plan, shrink_plan, ChaosBudget, ChaosReproducer};
 use diversifi_simcore::check;
 use diversifi_simcore::{
-    run_campaign_observed, CampaignConfig, DigestSchema, FaultKind, FaultPlan, FlightCapture,
-    FlightKey, SeedFactory, SimDuration, SimTime, WorkerArena,
+    run_campaign_observed, CampaignConfig, DigestSchema, FaultKind, FaultPlan, FlightKey,
+    MergedTelemetry, SeedFactory, SimDuration, SimTime, WorkerArena,
 };
 use diversifi_voip::DEFAULT_DEADLINE;
 use diversifi_wifi::{Channel, GeParams, LinkConfig, RealizationCache};
@@ -506,35 +507,28 @@ pub fn replay_reproducer(cfg: &ChaosConfig, rep: &ChaosReproducer) -> Option<Vio
     evaluate_plan(&real, rep.seed, rep.index, &rep.plan)
 }
 
-/// Forensic capture of one reproducer: re-run its paired worlds with the
-/// telemetry ring armed and freeze both event timelines (baseline first),
-/// labelled `chaos/plan-{index}/{arm}`. Event streams are empty in builds
-/// where tracing is compiled out; scores carry the replay handles either
-/// way.
+/// Forensic capture of one reproducer: re-run its paired worlds as a
+/// two-run traced sweep (baseline first), labelled
+/// `chaos/plan-{index:06}/{arm} seed={seed:#x}`. Event streams are empty
+/// in builds where tracing is compiled out; the labels carry the replay
+/// handles either way.
 pub fn capture_reproducer(
     cfg: &ChaosConfig,
     rep: &ChaosReproducer,
     ring: usize,
-) -> Vec<FlightCapture> {
+) -> MergedTelemetry {
     let mut base = WorldConfig::testbed(cfg.primary.clone(), cfg.secondary.clone());
     base.mode = RunMode::PrimaryOnly;
     base.spec.duration = cfg.budget.horizon;
     base.faults = rep.plan.clone();
     let mut dvf = base.clone();
     dvf.mode = dvf_mode(&rep.plan);
-    let key = FlightKey { score: 0.0, seed: rep.seed, index: rep.index };
-    [(&base, "primary-only"), (&dvf, "diversifi")]
-        .into_iter()
-        .map(|(world_cfg, arm)| {
-            let seeds = SeedFactory::new(rep.seed).subfactory("chaos.world", rep.index);
-            let (_, session) = World::new(world_cfg, &seeds).run_traced(ring);
-            FlightCapture::from_session(
-                format!("chaos/plan-{:06}/{arm}", rep.index),
-                key,
-                session,
-            )
-        })
-        .collect()
+    let seeds = SeedFactory::new(rep.seed).subfactory("chaos.world", rep.index);
+    let replays = [(base, "primary-only"), (dvf, "diversifi")].map(|(world_cfg, arm)| {
+        let label = format!("chaos/plan-{:06}/{arm} seed={:#x}", rep.index, rep.seed);
+        (label, world_cfg, seeds.clone())
+    });
+    replay_traced(&replays, ring)
 }
 
 #[cfg(test)]
@@ -633,11 +627,13 @@ mod tests {
         };
         let a = capture_reproducer(&cfg, &rep, 512);
         let b = capture_reproducer(&cfg, &rep, 512);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a[0].label, "chaos/plan-000003/primary-only");
-        assert_eq!(a[1].label, "chaos/plan-000003/diversifi");
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.events, y.events, "captures must be bit-identical");
+        assert_eq!(a.runs.len(), 2);
+        assert_eq!(a.runs[0].label, "chaos/plan-000003/primary-only seed=0x7");
+        assert_eq!(a.runs[1].label, "chaos/plan-000003/diversifi seed=0x7");
+        assert_eq!(a.runs, b.runs);
+        assert_eq!(a.events, b.events, "captures must be bit-identical");
+        if diversifi_simcore::telemetry::TRACE_COMPILED {
+            assert!(a.events.iter().any(|e| e.run == 0) && a.events.iter().any(|e| e.run == 1));
         }
     }
 

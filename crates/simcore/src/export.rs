@@ -1,7 +1,8 @@
 //! Telemetry exporters: JSONL, Chrome trace-event JSON, metrics tables.
 //!
-//! All three render a [`MergedTelemetry`] (single runs wrap themselves
-//! via [`MergedTelemetry::from_single`]). JSON is emitted by hand — the
+//! All three render a [`MergedTelemetry`] — a traced sweep, a forensic
+//! capture (a traced sweep of labelled replays) or a single run wrapped
+//! via [`MergedTelemetry::from_single`]. JSON is emitted by hand — the
 //! formats are flat and fixed, and keeping serde out of the export path
 //! means the exporters work identically in every build configuration.
 //!
@@ -9,19 +10,21 @@
 //! format (`{"traceEvents": [...]}`) understood by `chrome://tracing`
 //! and <https://ui.perfetto.dev>:
 //!
-//! - each run becomes a *process* (`pid` = run index),
+//! - each run becomes a *process* (`pid` = run index), named by its
+//!   label when it has one,
 //! - each component becomes a named *thread* within it (`tid` derived
 //!   from the [`ComponentId`], labelled via `thread_name` metadata),
 //! - air exchanges ([`TraceKind::TxStart`]) become duration (`"X"`)
 //!   slices using the recorded exchange time,
 //! - queue admissions emit counter (`"C"`) tracks of queue depth,
-//! - everything else becomes thread-scoped instants (`"i"`).
+//! - everything else becomes thread-scoped instants (`"i"`),
+//! - a run whose ring evicted events gets a warning instant in its own
+//!   process.
 
 use std::fmt::Write as _;
 
-use crate::flight::FlightCapture;
 use crate::metrics::{MetricValue, MetricsRegistry};
-use crate::telemetry::{MergedTelemetry, PhaseProfile, SweepEvent};
+use crate::telemetry::{MergedTelemetry, SweepEvent};
 use crate::trace::{ComponentId, TraceDetail, TraceEvent, TraceKind};
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -77,41 +80,48 @@ fn detail_fields(d: &TraceDetail, out: &mut String) {
     }
 }
 
-/// One JSONL event line (shared by the sweep and flight dumps).
-fn push_jsonl_event(out: &mut String, run: u32, ord: u64, event: &TraceEvent) {
-    let _ = write!(
-        out,
-        "{{\"at_ns\":{},\"run\":{run},\"ord\":{ord},\"kind\":\"{}\",\"who\":\"{}\"",
-        event.at.as_nanos(),
-        event.kind.name(),
-        event.who,
-    );
-    let mut fields = String::new();
-    detail_fields(&event.detail, &mut fields);
-    if !fields.is_empty() {
-        out.push(',');
-        out.push_str(&fields);
-    }
-    out.push_str("}\n");
-}
-
 /// Render the merged trace as JSON Lines: one self-contained object per
 /// event, in merge order — the grep/jq-friendly dump. `ord` is the
 /// within-run emission counter (the merge tiebreaker); `seq`, when
-/// present, is the packet sequence number from the event detail. A ring
-/// overflow (events evicted before export) announces itself in a leading
-/// warning object instead of truncating silently.
+/// present, is the packet sequence number from the event detail.
+///
+/// The events follow a preamble, in run order: a labelled run's header
+/// (`{"run":r,"label":…}`), and for every run whose ring evicted events a
+/// warning naming it (`{"warning":"ring_overflow","run":r,"dropped":n}`)
+/// instead of a silent truncation. An unlabelled sweep that evicted
+/// nothing has no preamble.
 pub fn jsonl(merged: &MergedTelemetry) -> String {
     let mut out = String::with_capacity(merged.events.len() * 96);
-    if merged.dropped > 0 {
-        let _ = writeln!(
-            out,
-            "{{\"warning\":\"ring_overflow\",\"dropped\":{}}}",
-            merged.dropped
-        );
+    for (r, info) in merged.runs.iter().enumerate() {
+        if !info.label.is_empty() {
+            let _ = write!(out, "{{\"run\":{r},\"label\":\"");
+            json_escape(&info.label, &mut out);
+            out.push_str("\"}\n");
+        }
+        if info.dropped > 0 {
+            let _ = writeln!(
+                out,
+                "{{\"warning\":\"ring_overflow\",\"run\":{r},\"dropped\":{}}}",
+                info.dropped
+            );
+        }
     }
+    let mut fields = String::new();
     for SweepEvent { run, seq, event } in &merged.events {
-        push_jsonl_event(&mut out, *run, *seq, event);
+        let _ = write!(
+            out,
+            "{{\"at_ns\":{},\"run\":{run},\"ord\":{seq},\"kind\":\"{}\",\"who\":\"{}\"",
+            event.at.as_nanos(),
+            event.kind.name(),
+            event.who,
+        );
+        fields.clear();
+        detail_fields(&event.detail, &mut fields);
+        if !fields.is_empty() {
+            out.push(',');
+            out.push_str(&fields);
+        }
+        out.push_str("}\n");
     }
     out
 }
@@ -135,9 +145,8 @@ fn chrome_sep(out: &mut String, first: &mut bool) {
     *first = false;
 }
 
-/// Render one trace event in Chrome trace-event form (shared by the
-/// sweep and flight exporters). `run` is the pid, `emit_seq` the
-/// within-run emission counter.
+/// Render one trace event in Chrome trace-event form. `run` is the pid,
+/// `emit_seq` the within-run emission counter.
 fn push_chrome_event(out: &mut String, first: &mut bool, run: u32, emit_seq: u64, event: &TraceEvent) {
     let ts_us = event.at.as_nanos() as f64 / 1e3;
     let t = tid(event.who);
@@ -173,32 +182,32 @@ fn push_chrome_event(out: &mut String, first: &mut bool, run: u32, emit_seq: u64
     }
 }
 
-/// A process-global overflow marker: a warning instant pinned at t=0 in
-/// process `run`, so an evicted-events window is visible in the timeline
-/// rather than silently absent.
-fn push_overflow_warning(out: &mut String, first: &mut bool, run: u32, dropped: u64) {
-    chrome_sep(out, first);
-    push_common(
-        out,
-        &format!("ring overflow: {dropped} events evicted"),
-        'i',
-        0.0,
-        run,
-        0,
-    );
-    let _ = write!(out, ",\"s\":\"p\",\"args\":{{\"dropped\":{dropped}}}}}");
-}
-
 /// Render the merged trace in Chrome trace-event JSON, loadable in
-/// `chrome://tracing` and <https://ui.perfetto.dev>. Ring overflow
-/// surfaces as a process-scoped warning instant at t=0.
+/// `chrome://tracing` and <https://ui.perfetto.dev>. A labelled run's
+/// process carries its label as `process_name`; a run whose ring evicted
+/// events gets a process-scoped warning instant at t=0 in its own pid, so
+/// the missing window is visible rather than silently absent.
 pub fn chrome_trace(merged: &MergedTelemetry) -> String {
     let mut out = String::with_capacity(merged.events.len() * 160 + 256);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
 
-    if merged.dropped > 0 {
-        push_overflow_warning(&mut out, &mut first, 0, merged.dropped);
+    for (r, info) in merged.runs.iter().enumerate() {
+        let pid = r as u32;
+        if !info.label.is_empty() {
+            chrome_sep(&mut out, &mut first);
+            push_common(&mut out, "process_name", 'M', 0.0, pid, 0);
+            out.push_str(",\"args\":{\"name\":\"");
+            json_escape(&info.label, &mut out);
+            out.push_str("\"}}");
+        }
+        if info.dropped > 0 {
+            let dropped = info.dropped;
+            chrome_sep(&mut out, &mut first);
+            let name = format!("ring overflow: {dropped} events evicted");
+            push_common(&mut out, &name, 'i', 0.0, pid, 0);
+            let _ = write!(out, ",\"s\":\"p\",\"args\":{{\"dropped\":{dropped}}}}}");
+        }
     }
 
     // thread_name metadata: one entry per (run, component) pair seen.
@@ -215,76 +224,6 @@ pub fn chrome_trace(merged: &MergedTelemetry) -> String {
 
     for SweepEvent { run, seq, event } in &merged.events {
         push_chrome_event(&mut out, &mut first, *run, *seq, event);
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Render a set of forensic captures as JSON Lines: one header object per
-/// capture (label, score, call identity, event/drop counts), then its
-/// events in emission order, with `run` = capture ordinal — so a single
-/// file holds the full worst-call dossier and is still grep/jq-friendly.
-pub fn flight_jsonl(captures: &[FlightCapture]) -> String {
-    let mut out = String::new();
-    for (ci, cap) in captures.iter().enumerate() {
-        let _ = write!(out, "{{\"capture\":{ci},\"label\":\"");
-        json_escape(&cap.label, &mut out);
-        let _ = writeln!(
-            out,
-            "\",\"score\":{},\"seed\":{},\"index\":{},\"events\":{},\"dropped\":{}}}",
-            cap.score,
-            cap.seed,
-            cap.index,
-            cap.events.len(),
-            cap.dropped
-        );
-        if cap.dropped > 0 {
-            let _ = writeln!(
-                out,
-                "{{\"warning\":\"ring_overflow\",\"capture\":{ci},\"dropped\":{}}}",
-                cap.dropped
-            );
-        }
-        for (i, event) in cap.events.iter().enumerate() {
-            push_jsonl_event(&mut out, ci as u32, cap.first_seq + i as u64, event);
-        }
-    }
-    out
-}
-
-/// Render forensic captures in Chrome trace-event JSON: each capture is a
-/// process (pid = capture ordinal, `process_name` = its label + score),
-/// components are named threads within it, and ring overflow surfaces as
-/// a warning instant — open in <https://ui.perfetto.dev> to walk a worst
-/// call's full timeline.
-pub fn flight_chrome_trace(captures: &[FlightCapture]) -> String {
-    let n: usize = captures.iter().map(|c| c.events.len()).sum();
-    let mut out = String::with_capacity(n * 160 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    for (ci, cap) in captures.iter().enumerate() {
-        let pid = ci as u32;
-        chrome_sep(&mut out, &mut first);
-        push_common(&mut out, "process_name", 'M', 0.0, pid, 0);
-        out.push_str(",\"args\":{\"name\":\"");
-        json_escape(&cap.label, &mut out);
-        let _ = write!(out, " (score {:.2})\"}}}}", cap.score);
-        if cap.dropped > 0 {
-            push_overflow_warning(&mut out, &mut first, pid, cap.dropped);
-        }
-        let mut named: Vec<u32> = Vec::new();
-        for event in &cap.events {
-            let t = tid(event.who);
-            if !named.contains(&t) {
-                named.push(t);
-                chrome_sep(&mut out, &mut first);
-                push_common(&mut out, "thread_name", 'M', 0.0, pid, t);
-                let _ = write!(out, ",\"args\":{{\"name\":\"{}\"}}}}", event.who);
-            }
-        }
-        for (i, event) in cap.events.iter().enumerate() {
-            push_chrome_event(&mut out, &mut first, pid, cap.first_seq + i as u64, event);
-        }
     }
     out.push_str("\n]}\n");
     out
@@ -347,12 +286,8 @@ pub fn sweep_report(merged: &MergedTelemetry) -> String {
             merged.dropped
         );
     }
-    let _ = writeln!(out, "profile: {}", profile_line(&merged.profile));
+    let _ = writeln!(out, "profile: {}", merged.profile.summary());
     out
-}
-
-fn profile_line(p: &PhaseProfile) -> String {
-    p.summary()
 }
 
 /// Write a rendered artifact atomically: the text lands in
@@ -490,15 +425,36 @@ mod tests {
         assert_eq!(s, "a\\\"b\\\\c\\nd");
     }
 
+    /// A capture-shaped merge: two labelled replays of the fixture's
+    /// events, the second of which evicted 9 events from its ring.
+    fn captures_fixture() -> MergedTelemetry {
+        let events: Vec<TraceEvent> =
+            merged_fixture().events.into_iter().map(|e| e.event).collect();
+        let mut m = MergedTelemetry::default();
+        m.absorb(0, TelemetrySession { events: events.clone(), ..TelemetrySession::default() });
+        m.absorb(1, TelemetrySession { events, dropped: 9, ..TelemetrySession::default() });
+        m.finish();
+        m.runs[0].label = "diversifi/call-000042 score=2.25 seed=0x7".into();
+        m.runs[1].label = "primary-only/call-000007 score=2.5 seed=0x7".into();
+        m
+    }
+
     #[test]
     fn ring_overflow_is_surfaced_not_silent() {
-        let mut m = merged_fixture();
-        m.dropped = 17;
+        // An unlabelled sweep whose one run evicted 17 events.
+        let events: Vec<TraceEvent> =
+            merged_fixture().events.into_iter().map(|e| e.event).collect();
+        let m = MergedTelemetry::from_single(TelemetrySession {
+            events: events.clone(),
+            dropped: 17,
+            ..TelemetrySession::default()
+        });
 
         let out = jsonl(&m);
         let first = out.lines().next().unwrap();
-        assert_eq!(first, "{\"warning\":\"ring_overflow\",\"dropped\":17}");
+        assert_eq!(first, "{\"warning\":\"ring_overflow\",\"run\":0,\"dropped\":17}");
         assert_eq!(out.lines().count(), 6, "warning line plus the 5 events");
+        assert!(out.lines().nth(1).unwrap().contains("\"ord\":17"), "ord continues after eviction");
 
         let chrome = chrome_trace(&m);
         assert!(chrome.contains("ring overflow: 17 events evicted"));
@@ -508,6 +464,30 @@ mod tests {
         assert!(report.contains("events: 5 recorded, 17 evicted"));
         assert!(report.contains("warning: ring overflow"));
 
+        // A second evicting run, labelled, beside a labelled clean one and
+        // the unlabelled one above: every eviction names its own run.
+        let mut m = captures_fixture();
+        m.absorb(2, TelemetrySession { events, dropped: 4, ..TelemetrySession::default() });
+        m.finish();
+        let out = jsonl(&m);
+        let warnings: Vec<&str> = out.lines().filter(|l| l.contains("ring_overflow")).collect();
+        assert_eq!(
+            warnings,
+            vec![
+                "{\"warning\":\"ring_overflow\",\"run\":1,\"dropped\":9}",
+                "{\"warning\":\"ring_overflow\",\"run\":2,\"dropped\":4}",
+            ]
+        );
+        let chrome = chrome_trace(&m);
+        assert!(chrome.contains(
+            "{\"name\":\"ring overflow: 9 events evicted\",\"ph\":\"i\",\"ts\":0.000,\"pid\":1,"
+        ));
+        assert!(chrome.contains(
+            "{\"name\":\"ring overflow: 4 events evicted\",\"ph\":\"i\",\"ts\":0.000,\"pid\":2,"
+        ));
+        assert!(!chrome.contains("\"pid\":0,\"tid\":0,\"s\":\"p\""), "run 0 evicted nothing");
+        assert!(sweep_report(&m).contains("events: 15 recorded, 13 evicted"));
+
         // And with nothing dropped, none of the three mention overflow.
         let clean = merged_fixture();
         assert!(!jsonl(&clean).contains("ring_overflow"));
@@ -515,44 +495,22 @@ mod tests {
         assert!(!sweep_report(&clean).contains("warning"));
     }
 
-    fn captures_fixture() -> Vec<FlightCapture> {
-        let events = merged_fixture().events.into_iter().map(|e| e.event).collect::<Vec<_>>();
-        vec![
-            FlightCapture {
-                label: "diversifi/call-000042".into(),
-                score: 2.25,
-                seed: 7,
-                index: 42,
-                first_seq: 0,
-                dropped: 0,
-                events: events.clone(),
-            },
-            FlightCapture {
-                label: "primary-only/call-000007".into(),
-                score: 2.5,
-                seed: 7,
-                index: 7,
-                first_seq: 3,
-                dropped: 9,
-                events,
-            },
-        ]
-    }
-
     #[test]
     fn flight_jsonl_headers_then_events() {
-        let out = flight_jsonl(&captures_fixture());
+        let out = jsonl(&captures_fixture());
         let lines: Vec<&str> = out.lines().collect();
-        // capture 0: header + 5 events; capture 1: header + warning + 5.
-        assert_eq!(lines.len(), 13);
-        assert!(lines[0].contains("\"label\":\"diversifi/call-000042\""));
-        assert!(lines[0].contains("\"score\":2.25"));
-        assert!(lines[0].contains("\"dropped\":0"));
-        assert!(lines[1].contains("\"run\":0"));
-        assert!(lines[6].contains("\"label\":\"primary-only/call-000007\""));
-        assert!(lines[7].contains("\"warning\":\"ring_overflow\""));
-        // Second capture's ord continues from its first_seq.
-        assert!(lines[8].contains("\"run\":1") && lines[8].contains("\"ord\":3"));
+        // Preamble: header 0; header 1 + its warning. Then 2 × 5 events.
+        assert_eq!(lines.len(), 3 + 10);
+        assert_eq!(lines[0], "{\"run\":0,\"label\":\"diversifi/call-000042 score=2.25 seed=0x7\"}");
+        assert_eq!(
+            lines[1],
+            "{\"run\":1,\"label\":\"primary-only/call-000007 score=2.5 seed=0x7\"}"
+        );
+        assert!(lines[2].contains("\"warning\":\"ring_overflow\""));
+        // Events interleave by time; run 1's ord continues from its
+        // evicted prefix.
+        assert!(lines[3].contains("\"run\":0") && lines[3].contains("\"ord\":0"));
+        assert!(lines[4].contains("\"run\":1") && lines[4].contains("\"ord\":9"));
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
@@ -560,16 +518,19 @@ mod tests {
 
     #[test]
     fn flight_chrome_trace_is_one_process_per_capture() {
-        let out = flight_chrome_trace(&captures_fixture());
-        assert!(out.contains("\"process_name\""));
-        assert!(out.contains("diversifi/call-000042 (score 2.25)"));
-        assert!(out.contains("primary-only/call-000007 (score 2.50)"));
+        let out = chrome_trace(&captures_fixture());
+        assert!(out.contains(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0.000,\"pid\":0,\"tid\":0,\
+             \"args\":{\"name\":\"diversifi/call-000042 score=2.25 seed=0x7\"}}"
+        ));
+        assert!(out.contains("\"pid\":1,\"tid\":0,\"args\":{\"name\":\"primary-only/call-000007"));
         assert!(out.contains("ring overflow: 9 events evicted"));
         // Events of capture 1 carry pid 1.
-        assert!(out.contains("\"pid\":1"));
-        assert!(out.contains("\"ph\":\"X\""));
+        assert!(out.contains("\"ph\":\"X\",\"ts\":200.000,\"pid\":1"));
         assert_eq!(out.matches('{').count(), out.matches('}').count());
         assert_eq!(out.matches('[').count(), out.matches(']').count());
+        let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+        assert!(parsed.get("traceEvents").is_some());
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!    [`ShardDigest`](crate::digest::ShardDigest), and serialise exactly
 //!    (score bits, not decimal text) into shard checkpoints.
 //! 2. **Capture** — after the campaign, the selected calls are
-//!    re-simulated as full closed-loop world runs with a live telemetry
-//!    ring; each run's surviving event timeline freezes into a
-//!    [`FlightCapture`] exported via [`crate::export`] (Perfetto +
-//!    JSONL). Because worlds are pure functions of `(config, seed)`,
-//!    a capture is as deterministic as the run it replays.
+//!    re-simulated as full closed-loop world runs: one traced sweep
+//!    ([`SweepRunner::run_indexed_traced`](crate::SweepRunner::run_indexed_traced))
+//!    with one labelled run per (call, arm), merged into a
+//!    [`MergedTelemetry`](crate::MergedTelemetry) and exported via
+//!    [`crate::export`] (Perfetto + JSONL) like any other sweep. Because
+//!    worlds are pure functions of `(config, seed)`, a capture is as
+//!    deterministic as the runs it replays.
 //!
 //! Selection costs one `f64` compare per call when the selector is full
 //! (the common case) and nothing at all when `k == 0`; it never reads
@@ -31,9 +33,6 @@
 //! while selection (scores, indices) still works in full.
 
 use serde::Value;
-
-use crate::telemetry::TelemetrySession;
-use crate::trace::TraceEvent;
 
 /// Order-preserving bit encoding of a finite `f64`: `a < b` iff
 /// `ord_bits(a) < ord_bits(b)`. Standard sign-flip trick; total over
@@ -208,43 +207,6 @@ impl serde::Deserialize for WorstK {
             return Err("WorstK: entries not strictly worst-first".to_string());
         }
         Ok(WorstK { k, entries })
-    }
-}
-
-/// One frozen forensic capture: a selected worst call's identity plus
-/// the full event timeline of its deterministic replay.
-#[derive(Clone, Debug)]
-pub struct FlightCapture {
-    /// Display label (`"<arm>/call-<index>"` for fleet campaigns).
-    pub label: String,
-    /// The campaign score that selected this call.
-    pub score: f64,
-    /// Campaign master seed.
-    pub seed: u64,
-    /// Call index within the campaign.
-    pub index: u64,
-    /// Per-run sequence number of `events[0]` (0 unless the replay ring
-    /// evicted).
-    pub first_seq: u64,
-    /// Events evicted from the replay ring.
-    pub dropped: u64,
-    /// The surviving event timeline, in emission order. Empty when
-    /// [`TRACE_COMPILED`](crate::telemetry::TRACE_COMPILED) is false.
-    pub events: Vec<TraceEvent>,
-}
-
-impl FlightCapture {
-    /// Freeze a replay's telemetry session into a capture for `key`.
-    pub fn from_session(label: String, key: FlightKey, session: TelemetrySession) -> FlightCapture {
-        FlightCapture {
-            label,
-            score: key.score,
-            seed: key.seed,
-            index: key.index,
-            first_seq: session.first_seq,
-            dropped: session.dropped,
-            events: session.events,
-        }
     }
 }
 

@@ -12,18 +12,19 @@
 //!   and A/B comparisons are paired.
 //! - [`stats`] — summaries, ECDFs, burst histograms, auto-/cross-correlation
 //!   (the machinery behind every figure in the paper).
-//! - [`MetricsScratch`] — reusable per-worker buffers so corpus-scale
-//!   metric evaluation runs allocation-free inside sweep workers.
+//! - [`MetricsScratch`] — the per-worker scratch slot the campaign fold
+//!   hands every call.
 //! - [`telemetry`] — zero-alloc structured tracing ([`TraceEvent`] is a
 //!   32-byte `Copy` record), a [`metrics`] registry of counters / gauges /
-//!   log-scale histograms, span-based event-loop self-profiling, and
-//!   [`export`]ers (JSONL, Chrome trace-event / Perfetto, text tables).
+//!   log-scale histograms, span-based event-loop self-profiling, and one
+//!   [`export`] path: every event timeline is a [`MergedTelemetry`]
+//!   rendered by one JSONL and one Chrome trace-event / Perfetto writer.
 //!   Compiled in for debug builds and `--features trace` release builds;
 //!   otherwise the emission sites const-fold to no-ops.
 //! - [`flight`] — the campaign flight recorder: a deterministic,
 //!   thread-count-invariant top-K worst-call selector ([`WorstK`]) that
-//!   rides the campaign fold, plus frozen forensic captures
-//!   ([`FlightCapture`]) of the worst calls' full event timelines.
+//!   rides the campaign fold. The worst calls are later replayed as a
+//!   traced sweep, one labelled run per (call, arm).
 //! - [`check`] — the invariant-audit layer: [`sim_assert!`]/[`sim_assert_eq!`]
 //!   plus the packet-conservation [`check::PacketLedger`], active in debug
 //!   builds and `--features audit` release builds.
@@ -76,7 +77,7 @@ pub use chaos::{
 };
 pub use digest::{ChannelId, ChannelKind, DigestSchema, QuantileSketch, ShardDigest, Welford};
 pub use fault::{FaultEffect, FaultKind, FaultOutcome, FaultPlan, FaultSpec, FaultWindow};
-pub use flight::{FlightCapture, FlightKey, WorstK};
+pub use flight::{FlightKey, WorstK};
 pub use metrics::{LogHistogram, MetricsRegistry};
 pub use par::SweepRunner;
 pub use queue::{EventQueue, DAY_NANOS, WHEEL_DAYS};
@@ -86,11 +87,11 @@ pub use stats::{
     autocorrelation, cross_correlation, mean, pearson, quantile_unsorted, BucketHistogram, Ecdf,
     Summary,
 };
-pub use telemetry::{MergedTelemetry, SweepEvent, TelemetrySession};
+pub use telemetry::{MergedTelemetry, RunInfo, SweepEvent, TelemetrySession};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    ComponentId, ComponentKind, DecisionKind, FaultEdge, NullSink, RecordingSink, RingSink,
-    TraceDetail, TraceEvent, TraceKind, TraceSink,
+    ComponentId, ComponentKind, DecisionKind, FaultEdge, RingSink, TraceDetail, TraceEvent,
+    TraceKind,
 };
 
 #[cfg(test)]

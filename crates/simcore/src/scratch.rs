@@ -1,39 +1,35 @@
-//! Reusable per-worker metric buffers.
+//! The campaign fold's per-worker buffer slot.
 //!
-//! Corpus-scale experiments evaluate thousands of traces, and the naive
-//! metric path allocates fresh vectors for every one of them: a loss
-//! indicator per correlation call, a delay vector per E-model evaluation,
-//! a sorted copy per quantile. [`MetricsScratch`] is the antidote: one
-//! bundle of growable buffers owned by each sweep worker (see
-//! `SweepRunner::run_indexed_with`) and lent to every metric `_with`
-//! variant the worker calls. Buffers grow to the high-water mark of the
-//! tasks a worker claims and are then reused allocation-free.
+//! [`run_campaign_observed`](crate::run_campaign_observed) builds one
+//! [`MetricsScratch`] per sweep worker (see
+//! `SweepRunner::run_indexed_with`) and lends it to the per-call fold
+//! closure, so a fold that needs temporary vectors can grow them to the
+//! high-water mark of the calls it sees and then reuse them
+//! allocation-free. The trace-level metric reductions (`voip::metrics`)
+//! do not take a scratch: each has one form, which allocates its own
+//! buffers.
 //!
 //! # Determinism
 //!
-//! Scratch state is *only* a buffer: every `_with` function clears what it
-//! uses before writing, so results never depend on which tasks a worker
-//! happened to claim earlier. This is exactly the contract
-//! `run_indexed_with` requires.
+//! Scratch state is *only* a buffer: a fold must clear what it uses before
+//! writing, so results never depend on which calls a worker happened to
+//! fold earlier. This is exactly the contract `run_indexed_with` requires,
+//! and the campaign engine replaces the scratch with a fresh one after a
+//! quarantined (panicking) shard.
 
-/// A bundle of reusable buffers for the metrics pipeline.
+/// A bundle of reusable buffers for the campaign fold.
 ///
-/// The fields are public on purpose: metric helpers in other crates borrow
-/// whichever buffers they need (e.g. `values` and `aux` for the two loss
-/// indicators of a cross-correlation). Callers must treat the contents as
-/// undefined between calls.
+/// The fields are public on purpose: a fold closure borrows whichever
+/// buffers it needs. Callers must treat the contents as undefined between
+/// calls.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsScratch {
-    /// Primary `f64` buffer (loss indicators, delays, quantile samples).
+    /// Primary `f64` buffer.
     pub values: Vec<f64>,
-    /// Secondary `f64` buffer (the second series of a cross-correlation).
+    /// Secondary `f64` buffer (a second series beside `values`).
     pub aux: Vec<f64>,
-    /// Integer run-length buffer (loss-burst lengths).
+    /// Integer run-length buffer.
     pub runs: Vec<usize>,
-    /// Reusable metrics-snapshot buffer for telemetry reductions (e.g.
-    /// folding per-run registries into a sweep table without reallocating
-    /// rows per task).
-    pub registry: crate::metrics::MetricsRegistry,
 }
 
 impl MetricsScratch {
@@ -47,13 +43,6 @@ impl MetricsScratch {
         self.values.clear();
         self.aux.clear();
         self.runs.clear();
-        self.registry.clear();
-    }
-
-    /// Total capacity currently held across all buffers, in elements —
-    /// a cheap gauge for high-water-mark diagnostics.
-    pub fn capacity(&self) -> usize {
-        self.values.capacity() + self.aux.capacity() + self.runs.capacity()
     }
 }
 
@@ -66,9 +55,9 @@ mod tests {
         let mut s = MetricsScratch::new();
         s.values.extend([1.0; 100]);
         s.runs.extend([1usize; 50]);
-        let cap = s.capacity();
+        let cap = (s.values.capacity(), s.runs.capacity());
         s.clear();
         assert!(s.values.is_empty() && s.runs.is_empty());
-        assert_eq!(s.capacity(), cap);
+        assert_eq!((s.values.capacity(), s.runs.capacity()), cap);
     }
 }

@@ -28,16 +28,12 @@ use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
 use crate::metrics::MetricsRegistry;
-use crate::time::SimTime;
 use crate::trace::{RingSink, TraceEvent};
 
 /// True when telemetry emission is compiled in: every debug build, and
 /// release builds with `--features trace`. When false, all emission sites
 /// const-fold to nothing.
 pub const TRACE_COMPILED: bool = cfg!(any(debug_assertions, feature = "trace"));
-
-/// Default per-run ring capacity used by the convenience entry points.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 struct Collector {
     ring: RingSink,
@@ -92,11 +88,10 @@ pub fn end() -> TelemetrySession {
     ACTIVE.with(|a| a.set(false));
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        let (first_seq, events) = c.ring.drain();
+        let (dropped, events) = c.ring.drain();
         TelemetrySession {
             events,
-            first_seq,
-            dropped: first_seq,
+            dropped,
             profile: std::mem::take(&mut c.profile),
             metrics: std::mem::take(&mut c.metrics),
         }
@@ -256,23 +251,15 @@ fn record_span(phase: Phase, start: Instant) {
 #[derive(Debug, Default)]
 pub struct TelemetrySession {
     /// Surviving events in emission order; event `i` has per-run sequence
-    /// number `first_seq + i`.
+    /// number `dropped + i`.
     pub events: Vec<TraceEvent>,
-    /// Per-run sequence number of `events[0]` (0 unless the ring evicted).
-    pub first_seq: u64,
-    /// Events evicted from the ring (== `first_seq`).
+    /// Events evicted from the ring: the oldest ones, so this is also the
+    /// per-run sequence number of `events[0]`.
     pub dropped: u64,
     /// Wall-clock self-profile.
     pub profile: PhaseProfile,
     /// Metrics exported at end of run.
     pub metrics: MetricsRegistry,
-}
-
-impl TelemetrySession {
-    /// True when nothing was captured (e.g. telemetry compiled out).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.dropped == 0 && self.metrics.is_empty()
-    }
 }
 
 /// One event of a merged sweep trace, tagged with its run index and
@@ -287,9 +274,23 @@ pub struct SweepEvent {
     pub event: TraceEvent,
 }
 
+/// One absorbed run of a [`MergedTelemetry`]: what names it, and how many
+/// of its events the ring evicted.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RunInfo {
+    /// Display label; empty for the runs of a plain sweep. A forensic
+    /// capture's label carries its arm, call and seed, e.g.
+    /// `diversifi/call-000042 score=2.25 seed=0x7`.
+    pub label: String,
+    /// Events evicted from this run's ring.
+    pub dropped: u64,
+}
+
 /// The deterministic merge of every per-run [`TelemetrySession`] in a
 /// sweep: events ordered by `(sim-time, run-index, seq)`, metrics folded
-/// into one table, profiles summed.
+/// into one table, profiles summed. This is the one event-timeline type:
+/// a plain traced sweep and a forensic capture (a traced sweep of labelled
+/// replays) are both rendered from it by [`crate::export`].
 #[derive(Debug, Default)]
 pub struct MergedTelemetry {
     /// All surviving events across the sweep, `(at, run, seq)`-ordered
@@ -297,6 +298,9 @@ pub struct MergedTelemetry {
     /// (the field is public for exporter tests and ad-hoc assembly) are
     /// folded into the merge by the next `finish`.
     pub events: Vec<SweepEvent>,
+    /// One entry per run index absorbed (gaps filled with unlabelled,
+    /// empty runs).
+    pub runs: Vec<RunInfo>,
     /// Total events evicted across all runs.
     pub dropped: u64,
     /// Aggregated metrics (counters summed, gauges averaged, histograms
@@ -317,7 +321,7 @@ impl MergedTelemetry {
     /// Fold one run's session in. Call [`finish`](Self::finish) after the
     /// last run to establish the merge order.
     pub fn absorb(&mut self, run: u32, session: TelemetrySession) {
-        let TelemetrySession { events, first_seq, dropped, profile, metrics } = session;
+        let TelemetrySession { events, dropped, profile, metrics } = session;
         // Per-run seq is increasing by construction, so the stream is
         // `(at, seq)`-sorted iff `at` never decreases. World runs emit at
         // the event loop's monotone `now`, so this is the common case;
@@ -330,12 +334,17 @@ impl MergedTelemetry {
                 let prev: &SweepEvent = prev;
                 sorted &= prev.event.at <= event.at;
             }
-            stream.push(SweepEvent { run, seq: first_seq + i as u64, event });
+            stream.push(SweepEvent { run, seq: dropped + i as u64, event });
         }
         self.pending_unsorted |= !sorted;
         if !stream.is_empty() {
             self.pending.push(stream);
         }
+        let slot = run as usize;
+        if self.runs.len() <= slot {
+            self.runs.resize_with(slot + 1, RunInfo::default);
+        }
+        self.runs[slot].dropped += dropped;
         self.dropped += dropped;
         self.profile.merge(&profile);
         self.metrics.merge_from(&metrics);
@@ -381,17 +390,6 @@ impl MergedTelemetry {
         merged.finish();
         merged
     }
-
-    /// Earliest event time, if any events survived. Exact after
-    /// [`finish`](Self::finish); before it, the minimum over the merged
-    /// prefix and every pending stream.
-    pub fn first_time(&self) -> Option<SimTime> {
-        self.events
-            .iter()
-            .map(|e| e.event.at)
-            .chain(self.pending.iter().flatten().map(|e| e.event.at))
-            .min()
-    }
 }
 
 /// Emit one structured trace event into the active telemetry session.
@@ -423,6 +421,7 @@ macro_rules! trace_event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimTime;
     use crate::trace::{ComponentId, TraceDetail, TraceKind};
 
     fn ev(ms: u64, seq: u64) -> TraceEvent {
@@ -444,7 +443,6 @@ mod tests {
         with_metrics(|m| m.counter(ComponentId::ap(0), "drops", 5));
         let session = end();
         assert!(!active());
-        assert_eq!(session.first_seq, 0);
         assert_eq!(session.dropped, 0);
         if TRACE_COMPILED {
             assert_eq!(session.events.len(), 2);
@@ -481,13 +479,12 @@ mod tests {
         let s = end();
         if TRACE_COMPILED {
             assert_eq!(s.events.len(), 4);
-            assert_eq!(s.first_seq, 6);
             assert_eq!(s.dropped, 6);
             assert_eq!(s.events[0].detail, TraceDetail::Seq(6));
         } else {
             // Compiled out: nothing is recorded, so nothing is evicted.
             assert!(s.events.is_empty());
-            assert_eq!((s.first_seq, s.dropped), (0, 0));
+            assert_eq!(s.dropped, 0);
         }
     }
 
@@ -526,7 +523,6 @@ mod tests {
         // Run 1: events at t=5 and t=1.
         let s1 = TelemetrySession {
             events: vec![ev(5, 50), ev(5, 51)],
-            first_seq: 3,
             dropped: 3,
             ..TelemetrySession::default()
         };
@@ -538,7 +534,8 @@ mod tests {
         let order: Vec<(u32, u64)> = merged.events.iter().map(|e| (e.run, e.seq)).collect();
         assert_eq!(order, vec![(0, 0), (1, 3), (1, 4)]);
         assert_eq!(merged.dropped, 3);
-        assert_eq!(merged.first_time(), Some(SimTime::from_millis(5)));
+        let runs: Vec<u64> = merged.runs.iter().map(|r| r.dropped).collect();
+        assert_eq!(runs, vec![0, 3], "one table entry per run, in run order");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Components emit fixed-size, `Copy` [`TraceEvent`]s: the emitter is an
 //! interned [`ComponentId`] (formatted lazily on export, never on the hot
 //! path) and the payload is a fixed-layout [`TraceDetail`] enum — no
-//! `String`s, no heap traffic per record. Sinks receive events either
-//! directly through the [`TraceSink`] trait (tests, ad-hoc tooling) or via
-//! the thread-local collector in [`crate::telemetry`], which is what the
-//! sweep engine and `World::run` use. This mirrors smoltcp's approach of
+//! `String`s, no heap traffic per record. Events land in the thread-local
+//! collector of [`crate::telemetry`], whose per-run [`RingSink`] keeps the
+//! newest events and counts the evicted ones; the sweep engine and
+//! `World::run` both record through it. This mirrors smoltcp's approach of
 //! making observability a pluggable, zero-overhead-by-default concern
 //! rather than wiring a logging framework through the data path.
 
@@ -364,109 +364,6 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Receiver of trace events.
-pub trait TraceSink {
-    /// Record one event. Implementations must be cheap when disabled.
-    fn record(&mut self, event: TraceEvent);
-
-    /// Fast-path check so emitters can skip building details entirely.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything; `enabled()` is false so callers skip formatting.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Records events in memory, optionally filtered by kind and optionally
-/// bounded.
-///
-/// At capacity the sink stops admitting (tail-drop) but counts every
-/// rejected event in [`dropped`](Self::dropped), so a truncated trace is
-/// always detectable — never silent.
-#[derive(Default, Debug)]
-pub struct RecordingSink {
-    events: Vec<TraceEvent>,
-    filter: Option<Vec<TraceKind>>,
-    capacity: Option<usize>,
-    dropped: u64,
-}
-
-impl RecordingSink {
-    /// Record all kinds, unbounded.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record only the listed kinds.
-    pub fn filtered(kinds: Vec<TraceKind>) -> Self {
-        RecordingSink { filter: Some(kinds), ..Self::default() }
-    }
-
-    /// Record at most `capacity` events; further events are counted in
-    /// [`dropped`](Self::dropped) instead of silently vanishing.
-    pub fn bounded(capacity: usize) -> Self {
-        RecordingSink { capacity: Some(capacity), ..Self::default() }
-    }
-
-    /// Restrict an existing sink to the listed kinds (builder style).
-    pub fn with_filter(mut self, kinds: Vec<TraceKind>) -> Self {
-        self.filter = Some(kinds);
-        self
-    }
-
-    /// All recorded events, in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Recorded events of one kind.
-    pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Count of recorded events of one kind.
-    pub fn count(&self, kind: TraceKind) -> usize {
-        self.of_kind(kind).count()
-    }
-
-    /// Events rejected because the sink was at capacity. Filtered-out
-    /// kinds are *not* counted — they were never wanted.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drain all events out of the sink (the drop counter is kept).
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl TraceSink for RecordingSink {
-    fn record(&mut self, event: TraceEvent) {
-        if let Some(filter) = &self.filter {
-            if !filter.contains(&event.kind) {
-                return;
-            }
-        }
-        if let Some(cap) = self.capacity {
-            if self.events.len() >= cap {
-                self.dropped += 1;
-                return;
-            }
-        }
-        self.events.push(event);
-    }
-}
-
 /// A bounded ring of `(seq, event)` pairs: the per-worker telemetry sink.
 ///
 /// Every admitted event gets a monotonically increasing sequence number;
@@ -540,12 +437,6 @@ impl RingSink {
     }
 }
 
-impl TraceSink for RingSink {
-    fn record(&mut self, event: TraceEvent) {
-        RingSink::record(self, event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,58 +448,6 @@ mod tests {
             who: ComponentId::client(),
             detail: TraceDetail::Seq(seq),
         }
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let s = NullSink;
-        assert!(!s.enabled());
-    }
-
-    #[test]
-    fn recording_sink_records_in_order() {
-        let mut s = RecordingSink::new();
-        for i in 0..5u64 {
-            s.record(ev(i, TraceKind::Delivery, i));
-        }
-        assert_eq!(s.events().len(), 5);
-        assert_eq!(s.events()[3].detail, TraceDetail::Seq(3));
-        assert_eq!(s.count(TraceKind::Delivery), 5);
-        assert_eq!(s.count(TraceKind::AirLoss), 0);
-        assert_eq!(s.dropped(), 0);
-    }
-
-    #[test]
-    fn filtered_sink_drops_other_kinds() {
-        let mut s = RecordingSink::filtered(vec![TraceKind::QueueDrop]);
-        s.record(ev(0, TraceKind::Delivery, 1));
-        s.record(ev(0, TraceKind::QueueDrop, 2));
-        assert_eq!(s.events().len(), 1);
-        assert_eq!(s.events()[0].kind, TraceKind::QueueDrop);
-        // Filtered-out events are not "dropped": they were never wanted.
-        assert_eq!(s.dropped(), 0);
-    }
-
-    /// Regression for the silent-at-capacity behaviour: a bounded sink must
-    /// count exactly the rejected events and keep the earliest ones.
-    #[test]
-    fn bounded_sink_counts_overflow() {
-        let mut s = RecordingSink::bounded(3);
-        for i in 0..10u64 {
-            s.record(ev(i, TraceKind::Enqueue, i));
-        }
-        assert_eq!(s.events().len(), 3);
-        assert_eq!(s.dropped(), 7);
-        // Tail-drop: the first three survive.
-        assert_eq!(s.events()[0].detail, TraceDetail::Seq(0));
-        assert_eq!(s.events()[2].detail, TraceDetail::Seq(2));
-        // Filter composes with the bound: only counted kinds use capacity.
-        let mut f = RecordingSink::bounded(2).with_filter(vec![TraceKind::Delivery]);
-        for i in 0..6u64 {
-            f.record(ev(i, if i % 2 == 0 { TraceKind::Delivery } else { TraceKind::Enqueue }, i));
-        }
-        assert_eq!(f.events().len(), 2);
-        assert_eq!(f.dropped(), 1); // seq=4 delivery rejected; enqueues not counted
     }
 
     #[test]
@@ -703,14 +542,5 @@ mod tests {
         assert_copy::<TraceEvent>();
         // The whole point of the rework: fixed-size records, no Strings.
         assert!(std::mem::size_of::<TraceEvent>() <= 40, "{}", std::mem::size_of::<TraceEvent>());
-    }
-
-    #[test]
-    fn take_drains() {
-        let mut s = RecordingSink::new();
-        s.record(ev(0, TraceKind::Decision, 0));
-        let taken = s.take();
-        assert_eq!(taken.len(), 1);
-        assert!(s.events().is_empty());
     }
 }

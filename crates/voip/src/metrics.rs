@@ -2,9 +2,7 @@
 
 use crate::trace::StreamTrace;
 use diversifi_simcore::stats::BucketHistogram;
-use diversifi_simcore::{
-    autocorrelation, cross_correlation, telemetry, Ecdf, MetricsScratch, SimDuration,
-};
+use diversifi_simcore::{autocorrelation, cross_correlation, telemetry, Ecdf, SimDuration};
 
 /// Autocorrelation of a trace's loss process at lags `1..=max_lag` packets
 /// (paper Fig. 4, "Auto Correlation" series).
@@ -13,20 +11,9 @@ pub fn loss_autocorrelation(
     deadline: SimDuration,
     max_lag: usize,
 ) -> Vec<(usize, f64)> {
-    loss_autocorrelation_with(trace, deadline, max_lag, &mut MetricsScratch::new())
-}
-
-/// [`loss_autocorrelation`] with a reused scratch buffer for the loss
-/// indicator — the per-worker zero-alloc path.
-pub fn loss_autocorrelation_with(
-    trace: &StreamTrace,
-    deadline: SimDuration,
-    max_lag: usize,
-    scratch: &mut MetricsScratch,
-) -> Vec<(usize, f64)> {
     let _span = telemetry::span(telemetry::Phase::MetricsReduce);
-    trace.loss_indicator_into(deadline, &mut scratch.values);
-    (1..=max_lag).map(|lag| (lag, autocorrelation(&scratch.values, lag))).collect()
+    let loss = trace.loss_indicator(deadline);
+    (1..=max_lag).map(|lag| (lag, autocorrelation(&loss, lag))).collect()
 }
 
 /// Cross-correlation of two links' loss processes at lags `0..=max_lag`
@@ -37,22 +24,9 @@ pub fn loss_cross_correlation(
     deadline: SimDuration,
     max_lag: usize,
 ) -> Vec<(usize, f64)> {
-    loss_cross_correlation_with(a, b, deadline, max_lag, &mut MetricsScratch::new())
-}
-
-/// [`loss_cross_correlation`] with reused scratch buffers for the two loss
-/// indicators.
-pub fn loss_cross_correlation_with(
-    a: &StreamTrace,
-    b: &StreamTrace,
-    deadline: SimDuration,
-    max_lag: usize,
-    scratch: &mut MetricsScratch,
-) -> Vec<(usize, f64)> {
     let _span = telemetry::span(telemetry::Phase::MetricsReduce);
-    a.loss_indicator_into(deadline, &mut scratch.values);
-    b.loss_indicator_into(deadline, &mut scratch.aux);
-    (0..=max_lag).map(|lag| (lag, cross_correlation(&scratch.values, &scratch.aux, lag))).collect()
+    let (la, lb) = (a.loss_indicator(deadline), b.loss_indicator(deadline));
+    (0..=max_lag).map(|lag| (lag, cross_correlation(&la, &lb, lag))).collect()
 }
 
 /// Aggregate burst-length histogram over a corpus of calls, bucketed
@@ -77,23 +51,6 @@ pub fn worst_window_ecdf(
     deadline: SimDuration,
 ) -> Ecdf {
     Ecdf::new(traces.iter().map(|t| t.worst_window_loss_pct(window, deadline)).collect())
-}
-
-/// The `q`-quantile of per-call worst-window loss over a corpus, without
-/// building a sorted [`Ecdf`]: per-call values land in the scratch buffer
-/// and the nearest-rank value is selected in place. Bit-identical to
-/// `worst_window_ecdf(traces, window, deadline).quantile(q)`.
-pub fn worst_window_quantile_with(
-    traces: &[StreamTrace],
-    window: SimDuration,
-    deadline: SimDuration,
-    q: f64,
-    scratch: &mut MetricsScratch,
-) -> f64 {
-    let _span = telemetry::span(telemetry::Phase::MetricsReduce);
-    scratch.values.clear();
-    scratch.values.extend(traces.iter().map(|t| t.worst_window_loss_pct(window, deadline)));
-    diversifi_simcore::quantile_unsorted(&mut scratch.values, q)
 }
 
 /// Mean per-call (total losses, losses in bursts ≥ 2) over a corpus — the
@@ -170,37 +127,6 @@ mod tests {
             (0..7).map(|k| trace_where(500, move |i| i % (20 + k) == 0)).collect();
         let e = worst_window_ecdf(&traces, SimDuration::from_secs(5), DEFAULT_DEADLINE);
         assert_eq!(e.len(), 7);
-    }
-
-    #[test]
-    fn scratch_variants_match_allocating_paths() {
-        let a = trace_where(3000, |i| i % 83 < 4);
-        let b = trace_where(3000, |i| (i + 17) % 71 < 3);
-        let mut scratch = MetricsScratch::new();
-        // Pre-dirty the scratch: results must not depend on its history.
-        scratch.values.extend([5.0; 64]);
-        scratch.aux.extend([-1.0; 16]);
-        assert_eq!(
-            loss_autocorrelation_with(&a, DEFAULT_DEADLINE, 12, &mut scratch),
-            loss_autocorrelation(&a, DEFAULT_DEADLINE, 12),
-        );
-        assert_eq!(
-            loss_cross_correlation_with(&a, &b, DEFAULT_DEADLINE, 12, &mut scratch),
-            loss_cross_correlation(&a, &b, DEFAULT_DEADLINE, 12),
-        );
-    }
-
-    #[test]
-    fn worst_window_quantile_matches_ecdf() {
-        let traces: Vec<StreamTrace> =
-            (0..17).map(|k| trace_where(700, move |i| i % (13 + k) < 2)).collect();
-        let win = SimDuration::from_secs(5);
-        let e = worst_window_ecdf(&traces, win, DEFAULT_DEADLINE);
-        let mut scratch = MetricsScratch::new();
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            let got = worst_window_quantile_with(&traces, win, DEFAULT_DEADLINE, q, &mut scratch);
-            assert_eq!(got.to_bits(), e.quantile(q).to_bits(), "q={q}");
-        }
     }
 
     #[test]

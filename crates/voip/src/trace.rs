@@ -91,18 +91,7 @@ impl StreamTrace {
     /// Binary loss indicator per packet (1.0 = lost) — the series behind
     /// the paper's correlation analysis (Fig. 4).
     pub fn loss_indicator(&self, deadline: SimDuration) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.loss_indicator_into(deadline, &mut out);
-        out
-    }
-
-    /// [`loss_indicator`](Self::loss_indicator) into a reused buffer
-    /// (cleared first) — the zero-alloc path for sweep workers.
-    pub fn loss_indicator_into(&self, deadline: SimDuration, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.fates.iter().map(|f| if f.effectively_lost(deadline) { 1.0 } else { 0.0 }),
-        );
+        self.fates.iter().map(|f| if f.effectively_lost(deadline) { 1.0 } else { 0.0 }).collect()
     }
 
     /// Loss rate (percent) in the worst `window` of the call, sliding by
@@ -136,15 +125,7 @@ impl StreamTrace {
 
     /// Lengths of maximal runs of consecutive lost packets.
     pub fn burst_lengths(&self, deadline: SimDuration) -> Vec<usize> {
-        let mut bursts = Vec::new();
-        self.burst_lengths_into(deadline, &mut bursts);
-        bursts
-    }
-
-    /// [`burst_lengths`](Self::burst_lengths) into a reused buffer
-    /// (cleared first).
-    pub fn burst_lengths_into(&self, deadline: SimDuration, out: &mut Vec<usize>) {
-        out.clear();
+        let mut out = Vec::new();
         let mut run = 0usize;
         for f in &self.fates {
             if f.effectively_lost(deadline) {
@@ -157,6 +138,7 @@ impl StreamTrace {
         if run > 0 {
             out.push(run);
         }
+        out
     }
 
     /// Total lost packets and the subset lost in bursts of ≥ 2 — the two
@@ -170,15 +152,7 @@ impl StreamTrace {
 
     /// One-way delays of delivered packets, in milliseconds.
     pub fn delays_ms(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.delays_ms_into(&mut out);
-        out
-    }
-
-    /// [`delays_ms`](Self::delays_ms) into a reused buffer (cleared first).
-    pub fn delays_ms_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.fates.iter().filter_map(|f| f.delay()).map(|d| d.as_millis_f64()));
+        self.fates.iter().filter_map(|f| f.delay()).map(|d| d.as_millis_f64()).collect()
     }
 
     /// RFC 3550 interarrival jitter estimate (ms): smoothed absolute
@@ -356,20 +330,6 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "trace {i}, window {win_ms} ms");
             }
         }
-    }
-
-    #[test]
-    fn into_variants_match_allocating_paths_and_clear_stale_state() {
-        let tr = mk_trace(&[Some(5), None, None, Some(500), Some(5), None]);
-        let mut vals = vec![99.0; 32];
-        tr.loss_indicator_into(DEFAULT_DEADLINE, &mut vals);
-        assert_eq!(vals, tr.loss_indicator(DEFAULT_DEADLINE));
-        let mut delays = vec![7.0; 8];
-        tr.delays_ms_into(&mut delays);
-        assert_eq!(delays, tr.delays_ms());
-        let mut runs = vec![42usize; 5];
-        tr.burst_lengths_into(DEFAULT_DEADLINE, &mut runs);
-        assert_eq!(runs, tr.burst_lengths(DEFAULT_DEADLINE));
     }
 
     #[test]
