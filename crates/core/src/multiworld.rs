@@ -14,6 +14,7 @@
 //! positions → independent fading), which is exactly the situation in a
 //! real office.
 
+use crate::world::ClientTimer;
 use diversifi_client::{
     Algorithm1, Algorithm1Config, Command, DeploymentMode, LinkSide, Residency,
 };
@@ -70,6 +71,8 @@ pub struct MultiWorldReport {
     pub clients: Vec<ClientOutcome>,
     /// Total frames transmitted on the secondary AP's air.
     pub secondary_air_tx: u64,
+    /// Events popped from the queue over the run.
+    pub events: u64,
 }
 
 impl MultiWorldReport {
@@ -110,7 +113,7 @@ struct ClientState {
     alg: Option<Algorithm1>, // None for non-DiversiFi clients
     side: Option<LinkSide>,  // None mid-retune
     trace: StreamTrace,
-    timer_armed: Option<SimTime>,
+    timer: ClientTimer,
     /// Independent link realisations to each AP.
     links: [LinkModel; 2],
 }
@@ -156,7 +159,7 @@ impl MultiWorld {
                     alg,
                     side: Some(LinkSide::Primary),
                     trace: StreamTrace::new(cfg.spec, SimTime::ZERO),
-                    timer_armed: None,
+                    timer: ClientTimer::default(),
                     links: [
                         LinkModel::new(spec.primary.clone(), &call_seeds, 0),
                         LinkModel::new(spec.secondary.clone(), &call_seeds, 1),
@@ -187,10 +190,12 @@ impl MultiWorld {
         }
         let end = SimTime::ZERO + self.cfg.spec.duration + SimDuration::from_millis(500);
         self.q.schedule(end, Ev::Done);
+        let mut events = 0;
         while let Some((now, ev)) = self.q.pop() {
             if self.done {
                 break;
             }
+            events += 1;
             self.handle(now, ev);
         }
         MultiWorldReport {
@@ -208,6 +213,7 @@ impl MultiWorld {
                 })
                 .collect(),
             secondary_air_tx: self.secondary_air_tx,
+            events,
         }
     }
 
@@ -255,8 +261,7 @@ impl MultiWorld {
             Ev::ApKick(ap) => self.kick(now, ap),
             Ev::ApTxDone { ap, frame, outcome } => self.tx_done(now, ap, frame, outcome),
             Ev::ClientTimer(i) => {
-                self.clients[i].timer_armed = None;
-                if self.clients[i].alg.is_some() {
+                if self.clients[i].timer.fire(now) && self.clients[i].alg.is_some() {
                     let cmds = {
                         let alg = self.clients[i].alg.as_mut().unwrap();
                         alg.on_timer(now)
@@ -378,18 +383,10 @@ impl MultiWorld {
     }
 
     fn arm_timer(&mut self, now: SimTime, client: usize) {
-        let Some(alg) = self.clients[client].alg.as_ref() else { return };
-        if let Some(wake) = alg.next_wakeup() {
-            // Progress guarantee — see `world::arm_client_timer`.
-            let wake = wake.max(now + SimDuration::from_micros(100));
-            let need = match self.clients[client].timer_armed {
-                Some(armed) => wake < armed,
-                None => true,
-            };
-            if need {
-                self.clients[client].timer_armed = Some(wake);
-                self.q.schedule(wake, Ev::ClientTimer(client));
-            }
+        let c = &mut self.clients[client];
+        let Some(alg) = c.alg.as_ref() else { return };
+        if let Some(wake) = alg.next_wakeup().and_then(|w| c.timer.arm(now, w)) {
+            self.q.schedule(wake, Ev::ClientTimer(client));
         }
     }
 }
@@ -535,6 +532,22 @@ mod tests {
             assert_eq!(x.trace.fates, y.trace.fates);
         }
         assert_eq!(a.secondary_air_tx, b.secondary_air_tx);
+    }
+
+    /// Superseded client timers are no-ops here too (see
+    /// `world::ClientTimer`). If stale wakeups re-armed duplicates, these
+    /// three DiversiFi clients would pop 32,142 events over a 20 s stream;
+    /// with one live timer per client they pop 24,020.
+    #[test]
+    fn superseded_client_timers_do_not_cascade() {
+        let spec = StreamSpec { duration: SimDuration::from_secs(20), ..spec() };
+        let seeds = SeedFactory::new(0x3176);
+        let report = MultiWorld::new(office_fleet(3, true, spec, &seeds), &seeds).run();
+        assert!(
+            report.events < 28_000,
+            "{} events popped: client timers cascade again",
+            report.events
+        );
     }
 
     #[test]

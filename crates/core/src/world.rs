@@ -280,6 +280,42 @@ enum Ev {
 
 const _: () = assert!(std::mem::size_of::<Ev>() <= 48, "world::Ev must stay at most 48 bytes");
 
+/// A client's Algorithm 1 wakeup. Queued events cannot be cancelled, so
+/// arming an earlier wakeup leaves the later one queued; only the wakeup
+/// armed last is live and a superseded one fires as a no-op. If a stale
+/// fire cleared the record instead, it would re-arm a duplicate of the
+/// next wakeup, and every duplicate would do the same on every fire.
+#[derive(Debug, Default)]
+pub(crate) struct ClientTimer {
+    armed: Option<SimTime>,
+}
+
+impl ClientTimer {
+    /// Arm a wakeup for Algorithm 1's `wake`; returns the instant to
+    /// schedule a timer event at, or `None` if an earlier one is armed.
+    /// Never arms at the current instant: `on_timer` already did all the
+    /// work possible at `now`, so an equal-time wake could only spin. The
+    /// 100 µs floor guarantees forward progress.
+    pub(crate) fn arm(&mut self, now: SimTime, wake: SimTime) -> Option<SimTime> {
+        let wake = wake.max(now + SimDuration::from_micros(100));
+        if self.armed.is_some_and(|armed| armed <= wake) {
+            return None;
+        }
+        self.armed = Some(wake);
+        Some(wake)
+    }
+
+    /// Whether a timer event firing at `now` is the live wakeup. If it is,
+    /// the wakeup is consumed and the caller runs Algorithm 1's timer.
+    pub(crate) fn fire(&mut self, now: SimTime) -> bool {
+        if self.armed != Some(now) {
+            return false;
+        }
+        self.armed = None;
+        true
+    }
+}
+
 /// The world simulator. Borrows its configuration so paired arms (N modes ×
 /// one seed) share a single `WorldConfig` instead of cloning it per run.
 pub struct World<'a> {
@@ -309,7 +345,7 @@ pub struct World<'a> {
     mac_metrics: [MacMetrics; 2],
     /// Time the most recent switch-to-secondary started.
     pending_switch_started: Option<SimTime>,
-    client_timer_armed: Option<SimTime>,
+    client_timer: ClientTimer,
     done: bool,
     /// Packet-conservation audit over every stream copy that enters the
     /// network (TCP is excluded: retransmission breaks one-copy-one-fate).
@@ -457,7 +493,7 @@ impl<'a> World<'a> {
             switch_delays: Vec::new(),
             mac_metrics: [MacMetrics::default(), MacMetrics::default()],
             pending_switch_started: None,
-            client_timer_armed: None,
+            client_timer: ClientTimer::default(),
             done: false,
             ledger: diversifi_simcore::check::PacketLedger::new(),
             tick_ledger: diversifi_simcore::check::TickLedger::new(),
@@ -1198,8 +1234,7 @@ impl<'a> World<'a> {
     }
 
     fn on_client_timer(&mut self, now: SimTime) {
-        self.client_timer_armed = None;
-        if !self.uses_alg() {
+        if !self.client_timer.fire(now) || !self.uses_alg() {
             return;
         }
         let cmds = self.alg.on_timer(now);
@@ -1208,19 +1243,8 @@ impl<'a> World<'a> {
     }
 
     fn arm_client_timer(&mut self, now: SimTime) {
-        if let Some(wake) = self.alg.next_wakeup() {
-            // Never re-arm at the current instant: on_timer already did all
-            // the work possible at `now`, so an equal-time wake could only
-            // spin. The 100 µs floor guarantees forward progress.
-            let wake = wake.max(now + SimDuration::from_micros(100));
-            let need = match self.client_timer_armed {
-                Some(armed) => wake < armed,
-                None => true,
-            };
-            if need {
-                self.client_timer_armed = Some(wake);
-                self.q.schedule(wake, Ev::ClientTimer);
-            }
+        if let Some(wake) = self.alg.next_wakeup().and_then(|w| self.client_timer.arm(now, w)) {
+            self.q.schedule(wake, Ev::ClientTimer);
         }
     }
 
@@ -1533,6 +1557,25 @@ mod tests {
             dvf_loss < base_loss * 0.35,
             "diversifi {dvf_loss} vs baseline {base_loss}"
         );
+    }
+
+    /// Superseded client timers are no-ops, not re-armers. If a stale
+    /// wakeup cleared the armed record, it would schedule a duplicate of
+    /// the next wakeup, and the duplicates would never drain: this 120 s
+    /// testbed call then pops 60,499 events. With one live timer it pops
+    /// 44,692. `Phase::Dispatch` closes one span per popped event, so it
+    /// counts them exactly.
+    #[test]
+    fn superseded_client_timers_do_not_cascade() {
+        if !telemetry::TRACE_COMPILED {
+            return;
+        }
+        let (a, b) = testbed_pair();
+        let cfg = WorldConfig::testbed(a, b);
+        assert_eq!(cfg.mode, RunMode::DiversifiCustomAp);
+        let (_, session) = World::new(&cfg, &seeds(2)).run_traced(1 << 10);
+        let popped = session.profile.get(Phase::Dispatch).calls;
+        assert!(popped < 50_000, "{popped} events popped: client timers cascade again");
     }
 
     #[test]

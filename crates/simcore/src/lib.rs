@@ -212,7 +212,10 @@ mod proptests {
         /// interleavings of schedule / pop / reset must agree on every
         /// popped timestamp and payload, on `len()`, on `peek_time()` and
         /// on the clock. Delays are mostly sub-millisecond (wheel buckets)
-        /// with an occasional far one (the overflow heap).
+        /// with an occasional far one (the overflow heap); some snap to a
+        /// shared 1 ms or 1 s grid so same-instant events wait in a bucket
+        /// or in the heap, and handler-style steps pop one event and then
+        /// schedule at the new clock, behind any events still due at `now`.
         #[test]
         fn event_queue_matches_reference_model(
             ops in proptest::collection::vec(0u32..1_000_000, 1..300),
@@ -229,7 +232,11 @@ mod proptests {
                         } else {
                             SimDuration::from_nanos(base)
                         };
-                        let at = q.now() + delta;
+                        let mut at = q.now() + delta;
+                        if op % 5 == 0 {
+                            let grid = if op % 3 == 0 { 1_000_000_000 } else { 1_000_000 };
+                            at = SimTime::from_nanos(at.as_nanos().div_ceil(grid) * grid);
+                        }
                         q.schedule(at, tag);
                         model.schedule(at, tag);
                     }
@@ -240,7 +247,16 @@ mod proptests {
                         q.reset();
                         model = queue::ReferenceQueue::new();
                     }
-                    _ => {}
+                    // Handler step: pop, then kick at the new clock.
+                    _ => {
+                        prop_assert_eq!(q.pop(), model.pop());
+                        for _ in 0..(op / 8) % 4 {
+                            prop_assert_eq!(q.len(), model.len());
+                            prop_assert_eq!(q.peek_time(), model.peek_time());
+                            q.schedule(q.now(), tag);
+                            model.schedule(model.now(), tag);
+                        }
+                    }
                 }
                 prop_assert_eq!(q.len(), model.len());
                 prop_assert_eq!(q.peek_time(), model.peek_time());

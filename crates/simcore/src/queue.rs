@@ -25,10 +25,12 @@
 //!   head at pop. They never migrate into the wheel.
 //!
 //! Scheduled events cannot be cancelled: a superseded timer still fires,
-//! and its handler checks whether anything is due (as the TCP sender's RTO
-//! check does). The pop order is pinned against a list sorted by
-//! `(at, seq)` (the test-only `ReferenceQueue`) by the differential tests
-//! below and the model-based proptest in `lib.rs`.
+//! and its handler checks whether anything is due. The TCP sender's RTO
+//! check does, and so do the worlds' client timers: only the wakeup armed
+//! last runs Algorithm 1, a superseded one returns at once. The pop order
+//! is pinned against a list sorted by `(at, seq)` (the test-only
+//! `ReferenceQueue`) by the differential tests below and the model-based
+//! proptest in `lib.rs`.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -493,15 +495,25 @@ mod tests {
 
     /// Drive `q` and a fresh [`ReferenceQueue`] through `rounds` random
     /// schedule/pop steps whose delays come from `delay`, comparing every
-    /// pop, `len`, `peek_time` and clock, then drain both.
+    /// pop, `len`, `peek_time` and clock, then drain both. With `kicks > 0`
+    /// one pop in four is followed, the way a handler kicks an AP, by up
+    /// to `kicks` schedules at the new clock, each checked the same way.
+    /// (Kicking after every pop would pin the clock: at-now work would
+    /// arrive faster than pops drain it.)
     fn check_against_reference(
         q: &mut EventQueue<u32>,
         seed: u64,
         rounds: u32,
+        kicks: u64,
         mut delay: impl FnMut(&mut dyn FnMut() -> u64) -> u64,
     ) {
         let mut next = xorshift(seed);
         let mut model = ReferenceQueue::new();
+        let check = |q: &EventQueue<u32>, model: &ReferenceQueue<u32>, round: u32| {
+            assert_eq!(q.len(), model.len(), "round {round}");
+            assert_eq!(q.peek_time(), model.peek_time(), "round {round}");
+            assert_eq!(q.now(), model.now(), "round {round}");
+        };
         for round in 0..rounds {
             if next() % 5 < 3 {
                 let at = q.now() + SimDuration::from_nanos(delay(&mut next));
@@ -509,10 +521,18 @@ mod tests {
                 model.schedule(at, round);
             } else {
                 assert_eq!(q.pop(), model.pop(), "round {round}");
+                let n = if kicks > 0 && next().is_multiple_of(4) {
+                    next() % (kicks + 1)
+                } else {
+                    0
+                };
+                for _ in 0..n {
+                    check(q, &model, round);
+                    q.schedule(q.now(), round);
+                    model.schedule(model.now(), round);
+                }
             }
-            assert_eq!(q.len(), model.len(), "round {round}");
-            assert_eq!(q.peek_time(), model.peek_time(), "round {round}");
-            assert_eq!(q.now(), model.now(), "round {round}");
+            check(q, &model, round);
         }
         while let Some(want) = model.pop() {
             assert_eq!(q.pop(), Some(want));
@@ -523,10 +543,10 @@ mod tests {
     const SPAN_NANOS: u64 = DAY_NANOS * WHEEL_DAYS;
 
     /// The VoIP regime: 20 ms ticks fanning out sub-millisecond MAC
-    /// completions, everything inside the wheel span.
+    /// completions, everything inside the wheel span, with handler kicks.
     #[test]
     fn pop_order_matches_reference_on_dense_schedules() {
-        check_against_reference(&mut EventQueue::new(), 0xDEAD_BEEF, 4_000, |next| {
+        check_against_reference(&mut EventQueue::new(), 0xDEAD_BEEF, 4_000, 2, |next| {
             if next() % 7 == 0 {
                 20_000_000
             } else {
@@ -539,7 +559,7 @@ mod tests {
     /// the wheel for the head.
     #[test]
     fn pop_order_matches_reference_on_sparse_schedules() {
-        check_against_reference(&mut EventQueue::new(), 0xCAFE_F00D, 4_000, |next| {
+        check_against_reference(&mut EventQueue::new(), 0xCAFE_F00D, 4_000, 0, |next| {
             if next() % 2 == 0 {
                 next() % 10_000_000_000
             } else {
@@ -552,20 +572,37 @@ mod tests {
     /// timestamps: the FIFO tie-break inside one bucket and in the heap.
     #[test]
     fn pop_order_matches_reference_on_same_instant_bursts() {
-        check_against_reference(&mut EventQueue::new(), 0xB0B5, 4_000, |next| match next() % 4 {
+        check_against_reference(&mut EventQueue::new(), 0xB0B5, 4_000, 0, |next| match next() % 4 {
             0 | 1 => 0,
             2 => DAY_NANOS,
             _ => SPAN_NANOS * 2,
         });
     }
 
+    /// Handler-style schedules at `now` issued between pops, mixed with
+    /// same-instant events already pending in a bucket and in the overflow
+    /// heap (one-bucket and twice-the-span delays pile up on shared
+    /// instants; the kicks must queue behind them) and with an empty
+    /// instant.
+    #[test]
+    fn pop_order_matches_reference_with_handler_kicks_at_now() {
+        check_against_reference(&mut EventQueue::new(), 0x4B1C, 6_000, 3, |next| {
+            match next() % 4 {
+                0 => 0,
+                1 | 2 => DAY_NANOS,
+                _ => SPAN_NANOS * 2,
+            }
+        });
+    }
+
     /// Delays straddling the wheel edge (`SPAN ± one bucket`) over a clock
     /// that travels more than ten spans, so buckets are reused across laps
-    /// and the wheel/overflow split is tested at its boundary.
+    /// and the wheel/overflow split is tested at its boundary, with
+    /// handler kicks.
     #[test]
     fn pop_order_matches_reference_across_wheel_wrap_around() {
         let mut q = EventQueue::new();
-        check_against_reference(&mut q, 0x5EED, 20_000, |next| {
+        check_against_reference(&mut q, 0x5EED, 20_000, 2, |next| {
             SPAN_NANOS - DAY_NANOS + next() % (2 * DAY_NANOS + 1)
         });
         assert!(q.now().as_nanos() > 10 * SPAN_NANOS, "clock must lap the wheel many times");
@@ -583,12 +620,12 @@ mod tests {
         q.schedule(SimTime::from_secs(100), 0);
         q.pop();
         q.reset();
-        check_against_reference(&mut q, 1, 3_000, dense);
+        check_against_reference(&mut q, 1, 3_000, 2, dense);
 
         let mut arena = WorkerArena::new();
         for seed in 2..5 {
             let mut q: EventQueue<u32> = arena.take();
-            check_against_reference(&mut q, seed, 3_000, dense);
+            check_against_reference(&mut q, seed, 3_000, 2, dense);
             // Leave near and far work pending for the recycle to clear.
             q.schedule(q.now() + SimDuration::from_millis(1), 7);
             q.schedule(SimTime::from_secs(1_000), 9);
