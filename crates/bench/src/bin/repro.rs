@@ -20,6 +20,8 @@
 //! repro --telemetry-status              # is the telemetry layer compiled in?
 //! ```
 //! With only telemetry flags given, the standard experiments are skipped.
+//! An unknown flag or experiment name is an error (exit code 2), reported
+//! before anything runs.
 
 use diversifi::analysis::{
     self, burst_summary, correlation_figure, pcr_by_impairment, strategy_cdf, AnalysisOptions,
@@ -94,14 +96,6 @@ fn main() {
             "--trace-out" => trace_out = Some(value_or_exit(&mut args, &a, "a file path")),
             "--metrics-out" => metrics_out = Some(value_or_exit(&mut args, &a, "a file path")),
             "--resilience" => wanted.push("resilience".to_string()),
-            "--bench-compare" => {
-                let fresh: String = value_or_exit(&mut args, &a, "a fresh BENCH_JSON file");
-                let baselines: Vec<String> = args.collect();
-                std::process::exit(bench_compare(&fresh, &baselines).unwrap_or_else(|e| {
-                    eprintln!("error: bench-compare: {e}");
-                    2
-                }));
-            }
             "--campaign" => {
                 campaign_path = Some(value_or_exit(&mut args, &a, SCENARIO_FILE));
             }
@@ -135,7 +129,6 @@ fn main() {
                 println!(
                     "repro [--quick] [--seed N] [--out DIR] [--trace-out PATH] \
                      [--metrics-out PATH] [--telemetry-status] \
-                     [--bench-compare FRESH.json [BASELINE.json...]] \
                      [--campaign SCENARIO.{{json,toml}}] \
                      [--forensics-out DIR] [--flight-topk N] \
                      [--validate-scenario SCENARIO.{{json,toml}}] \
@@ -168,7 +161,7 @@ fn main() {
                 );
                 return;
             }
-            other => wanted.push(other.to_string()),
+            other => wanted.push(or_exit(experiment_arg(other))),
         }
     }
     // Scenario-file modes run on their own and exit: validation first
@@ -201,12 +194,6 @@ fn main() {
     // With only telemetry flags given, run just the capture scenario.
     let telemetry_only =
         wanted.is_empty() && (trace_out.is_some() || metrics_out.is_some());
-    const STANDARD: [&str; 18] = [
-        "fig1", "table1", "table2", "fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig3",
-        "fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "overhead", "table3", "mbox-scale",
-    ];
-    const EXTENSIONS: [&str; 6] =
-        ["ablations", "fec", "crosstech", "uplink", "multiclient", "resilience"];
     if wanted.is_empty() {
         if !telemetry_only {
             wanted = STANDARD.iter().map(|s| s.to_string()).collect();
@@ -266,11 +253,37 @@ fn main() {
             "uplink" => uplink(&mut ctx),
             "multiclient" => multiclient(&mut ctx),
             "resilience" => exit_code = exit_code.max(resilience(&mut ctx)),
-            other => eprintln!("unknown experiment: {other}"),
+            other => unreachable!("experiment_arg admitted {other}"),
         }
     }
     if exit_code != 0 {
         std::process::exit(exit_code);
+    }
+}
+
+/// The paper's tables and figures, in run order (`all`).
+const STANDARD: [&str; 18] = [
+    "fig1", "table1", "table2", "fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig3",
+    "fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "overhead", "table3", "mbox-scale",
+];
+
+/// The beyond-the-paper experiments (`extensions`).
+const EXTENSIONS: [&str; 6] =
+    ["ablations", "fec", "crosstech", "uplink", "multiclient", "resilience"];
+
+/// Accept a positional argument as an experiment name, `all` or
+/// `extensions`. Anything else is an error naming it: an unknown flag if
+/// it starts with `-`, an unknown experiment otherwise.
+fn experiment_arg(arg: &str) -> Result<String, String> {
+    if arg.starts_with('-') {
+        Err(format!("error: unknown flag {arg}"))
+    } else if ["all", "extensions"].contains(&arg)
+        || STANDARD.contains(&arg)
+        || EXTENSIONS.contains(&arg)
+    {
+        Ok(arg.to_string())
+    } else {
+        Err(format!("error: unknown experiment {arg}"))
     }
 }
 
@@ -296,180 +309,14 @@ fn value_or_exit<T: std::str::FromStr>(
     flag: &str,
     what: &str,
 ) -> T {
-    flag_value(flag, args.next(), what).unwrap_or_else(|e| {
+    or_exit(flag_value(flag, args.next(), what))
+}
+
+/// Unwrap `r`, or print its error and exit with code 2.
+fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
-    })
-}
-
-/// Regression threshold for `--bench-compare`: a fresh benchmark slower
-/// than its committed baseline by more than this fraction fails the
-/// comparison (exit code 1).
-const BENCH_REGRESSION_FRAC: f64 = 0.25;
-
-/// One `BENCH_JSON` line as `(build tag, benchmark name, lo_ns)`.
-type BenchLine = (String, String, f64);
-
-/// Parse one non-empty line of the `BENCH_JSON` file at `path`.
-fn parse_bench_line(path: &str, line: &str) -> Result<BenchLine, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| format!("bad JSON line in {path}: {e}"))?;
-    let name = v
-        .get("name")
-        .and_then(|n| n.as_str())
-        .ok_or_else(|| format!("a line in {path} carries no \"name\""))?
-        .to_string();
-    let build = v
-        .get("build")
-        .and_then(|b| b.as_str())
-        .ok_or_else(|| {
-            format!(
-                "line for {name:?} in {path} carries no \"build\" tag; re-run the benches \
-                 with the current harness (or re-record the baseline) — untagged numbers \
-                 cannot be compared safely"
-            )
-        })?
-        .to_string();
-    let lo = v
-        .get("lo_ns")
-        .and_then(|n| n.as_f64())
-        .ok_or_else(|| format!("line for {name:?} in {path} carries no \"lo_ns\""))?;
-    Ok((build, name, lo))
-}
-
-/// Every line of the `BENCH_JSON` file at `path` (blank lines skipped).
-fn load_bench_lines(path: &str) -> Result<Vec<BenchLine>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| parse_bench_line(path, l))
-        .collect()
-}
-
-/// The default baselines: every `BENCH_*.json` in `dir`, sorted by name.
-fn default_bench_baselines(dir: &std::path::Path) -> Result<Vec<String>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
-    let mut found: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        .collect();
-    if found.is_empty() {
-        return Err(format!(
-            "no BENCH_*.json baselines found in {}",
-            dir.display()
-        ));
-    }
-    found.sort();
-    Ok(found
-        .iter()
-        .map(|n| dir.join(n).to_string_lossy().into_owned())
-        .collect())
-}
-
-/// Diff a fresh `BENCH_JSON` run against the committed `BENCH_*.json`
-/// baselines, keyed by **(build tag, benchmark name)**.
-///
-/// Comparisons use `lo_ns` (the fastest observed sample): on shared,
-/// noisy hosts the minimum is the stable signal — medians swing ±30%
-/// with background load, minima only move when the code does.
-///
-/// Every line — fresh and baseline — must carry a `build` tag
-/// (`"release"`, `"release+trace"`, ...) as emitted by the bench
-/// harness. A fresh line whose tag has no baseline under the *same* tag
-/// but does exist under a different one is a **build-tag mismatch** —
-/// debug-vs-release or trace-vs-plain numbers would silently pass or
-/// fail for the wrong reason — and fails the comparison outright.
-/// Genuinely new benchmark names (no baseline under any tag) are
-/// reported but never fail. Returns the process exit code: 1 on any
-/// regression beyond [`BENCH_REGRESSION_FRAC`] or any tag mismatch, 0
-/// otherwise. Unusable input — an unreadable file, a malformed line or
-/// one missing its `name`, `build` or `lo_ns`, no baselines to compare
-/// against — is an error, reported before anything is printed.
-fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> Result<i32, String> {
-    // Default baselines: every committed BENCH_*.json in the working dir.
-    let baseline_paths = if baseline_paths.is_empty() {
-        default_bench_baselines(std::path::Path::new("."))?
-    } else {
-        baseline_paths.to_vec()
-    };
-    let fresh = load_bench_lines(fresh_path)?;
-
-    let mut baseline: std::collections::BTreeMap<(String, String), f64> =
-        std::collections::BTreeMap::new();
-    for path in &baseline_paths {
-        for (build, name, lo) in load_bench_lines(path)? {
-            // Duplicate (build, name) across baseline files: slowest wins,
-            // so re-recorded baselines stay conservative.
-            let slot = baseline.entry((build, name)).or_insert(lo);
-            *slot = slot.max(lo);
-        }
-    }
-
-    let mut regressions = 0usize;
-    let mut mismatches = 0usize;
-    println!(
-        "{:<44} {:<14} {:>12} {:>12} {:>8}  verdict",
-        "benchmark", "build", "base lo_ns", "fresh lo_ns", "ratio"
-    );
-    for (build, name, fresh_lo) in fresh {
-        match baseline.get(&(build.clone(), name.clone())) {
-            Some(&base_lo) => {
-                let ratio = fresh_lo / base_lo;
-                let verdict = if ratio > 1.0 + BENCH_REGRESSION_FRAC {
-                    regressions += 1;
-                    "REGRESSED"
-                } else if ratio < 1.0 - BENCH_REGRESSION_FRAC {
-                    "improved"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{name:<44} {build:<14} {base_lo:>12.1} {fresh_lo:>12.1} {ratio:>8.2}  {verdict}"
-                );
-            }
-            None => {
-                let other_builds: Vec<&str> = baseline
-                    .keys()
-                    .filter(|(_, n)| *n == name)
-                    .map(|(b, _)| b.as_str())
-                    .collect();
-                if other_builds.is_empty() {
-                    println!(
-                        "{name:<44} {build:<14} {:>12} {fresh_lo:>12.1} {:>8}  new (no baseline)",
-                        "-", "-"
-                    );
-                } else {
-                    mismatches += 1;
-                    println!(
-                        "{name:<44} {build:<14} {:>12} {fresh_lo:>12.1} {:>8}  BUILD MISMATCH \
-                         (baseline has: {})",
-                        "-",
-                        "-",
-                        other_builds.join(", ")
-                    );
-                }
-            }
-        }
-    }
-    if mismatches > 0 {
-        eprintln!(
-            "bench-compare: {mismatches} benchmark(s) built as a different build than every \
-             baseline entry of the same name — refusing to compare across builds. Re-run the \
-             benches with the matching feature set/profile, or re-record the baseline."
-        );
-    }
-    if regressions > 0 {
-        eprintln!(
-            "bench-compare: {regressions} benchmark(s) regressed more than {:.0}% vs baseline",
-            BENCH_REGRESSION_FRAC * 100.0
-        );
-    }
-    Ok(if regressions > 0 || mismatches > 0 {
-        1
-    } else {
-        0
     })
 }
 
@@ -2062,67 +1909,17 @@ mod tests {
         );
     }
 
-    /// A fresh scratch directory for one bench-compare test.
-    fn bench_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("repro-bench-compare-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        dir
-    }
-
     #[test]
-    fn bench_compare_reports_unreadable_file() {
-        let path = bench_dir("unreadable").join("missing.json");
-        let path = path.to_string_lossy().into_owned();
-        let err = bench_compare(&path, std::slice::from_ref(&path)).unwrap_err();
-        assert!(err.starts_with("cannot read "), "{err}");
-    }
-
-    #[test]
-    fn bench_compare_reports_bad_json_line() {
-        let path = bench_dir("bad-json").join("fresh.json");
-        std::fs::write(&path, "{\"build\":\"release\",\n").unwrap();
-        let path = path.to_string_lossy().into_owned();
-        let err = bench_compare(&path, std::slice::from_ref(&path)).unwrap_err();
-        assert!(err.starts_with("bad JSON line in "), "{err}");
-    }
-
-    #[test]
-    fn bench_compare_reports_missing_fields() {
-        let full = r#"{"build":"release","name":"g/a","lo_ns":5.0}"#;
-        assert_eq!(
-            parse_bench_line("f.json", full),
-            Ok(("release".to_string(), "g/a".to_string(), 5.0))
-        );
-        for (line, missing) in [
-            (r#"{"build":"release","lo_ns":5.0}"#, "\"name\""),
-            (r#"{"name":"g/a","lo_ns":5.0}"#, "\"build\" tag"),
-            (r#"{"build":"release","name":"g/a"}"#, "\"lo_ns\""),
+    fn experiment_arg_rejects_unknown_flags_and_names() {
+        for (arg, err) in [
+            ("--bench-compare", "error: unknown flag --bench-compare"),
+            ("--quik", "error: unknown flag --quik"),
+            ("fig7", "error: unknown experiment fig7"),
         ] {
-            let err = parse_bench_line("f.json", line).unwrap_err();
-            assert!(err.contains(&format!("carries no {missing}")), "{err}");
+            assert_eq!(experiment_arg(arg), Err(err.to_string()));
         }
-    }
-
-    #[test]
-    fn bench_compare_reports_no_baselines() {
-        let dir = bench_dir("no-baselines");
-        std::fs::write(dir.join("other.json"), "").unwrap();
-        let err = default_bench_baselines(&dir).unwrap_err();
-        assert!(err.starts_with("no BENCH_*.json baselines found"), "{err}");
-        std::fs::write(dir.join("BENCH_x.json"), "").unwrap();
-        let found = default_bench_baselines(&dir).unwrap();
-        assert_eq!(
-            found,
-            vec![dir.join("BENCH_x.json").to_string_lossy().into_owned()]
-        );
-    }
-
-    #[test]
-    fn bench_compare_reports_unlistable_directory() {
-        let dir = bench_dir("unlistable").join("absent");
-        let err = default_bench_baselines(&dir).unwrap_err();
-        assert!(err.starts_with("cannot list "), "{err}");
+        for arg in ["all", "extensions", "resilience", "fig10", "mbox-scale"] {
+            assert_eq!(experiment_arg(arg), Ok(arg.to_string()));
+        }
     }
 }

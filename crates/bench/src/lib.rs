@@ -1,7 +1,7 @@
 //! # diversifi-bench
 //!
 //! The reproduction harness for every table and figure in the DiversiFi
-//! paper, plus Criterion micro-benchmarks of the hot paths.
+//! paper, plus the `perf` benchmark of the simulator's layers.
 //!
 //! The `repro` binary regenerates the paper's results:
 //!

@@ -5,8 +5,8 @@
 //! O(N log N) comparisons over N total events even though each per-run
 //! stream is already sorted. A [loser tree] exploits that: one comparison
 //! path of length ⌈log₂ k⌉ per emitted element, where k is the number of
-//! streams, for O(N log k) total. For the 4-run telemetry bench that is
-//! log₂ 4 = 2 comparisons per event instead of log₂ 120 000 ≈ 17.
+//! streams, for O(N log k) total. For a 4-run traced sweep of ~120k events
+//! that is log₂ 4 = 2 comparisons per event instead of log₂ 120 000 ≈ 17.
 //!
 //! The tree stores *losers* at internal nodes and the current overall
 //! winner at the root, so replacing the winner's head only replays the
