@@ -46,12 +46,16 @@
 //! [`World::new_cached_in`] / [`World::run_in`] on it, so the DiversiFi
 //! arm reuses the two realisations the baseline arm just built, and so do
 //! the shrinker's candidates, which keep their plan's `(seed, index)`.
+//! A realisation draws its shadowing track on demand, so the baseline arm
+//! draws the primary track only as far as it reads and never draws the
+//! secondary; later arms read what earlier ones drew and extend it.
 //! Fault windows act at run time and never enter a realisation. Event-queue
 //! and fault-bookkeeping capacity carries over from plan to plan.
 //!
 //! None of this can change a verdict. A realisation is a pure function of
 //! its [`RealizationKey`](diversifi_wifi::RealizationKey) (link shadowing
-//! and Gilbert–Elliott parameters, horizon, master seed, link index), so a
+//! and Gilbert–Elliott parameters, horizon, master seed, link index), and
+//! its track's tick `k` is the same value whichever arm drew it, so a
 //! hit returns exactly the value a miss would build, whichever plans ran
 //! on the thread before. The arena lends only capacity. Verdicts therefore
 //! cannot depend on scan order, shard assignment or thread count. A plan

@@ -247,7 +247,7 @@ impl OrnsteinUhlenbeck {
     /// The exact-transition coefficients `(decay, noise_sd)` for a step of
     /// `dt` seconds. On a fixed grid these are constants, so grid
     /// stepping ([`step_grid`](Self::step_grid)) computes them once per
-    /// track instead of one `exp` and `sqrt` per tick; because both paths
+    /// process instead of one `exp` and `sqrt` per tick; because both paths
     /// evaluate the *same expressions*, hoisting is bit-identical.
     pub fn transition_coeffs(&self, dt: f64) -> (f64, f64) {
         let a = (-dt / self.tau.as_secs_f64()).exp();

@@ -14,8 +14,9 @@
 //!   correlated across links* (the two facts DiversiFi exploits).
 //! - [`impairment`] — microwave ovens, congestion, mobility (the paper's
 //!   Fig. 6 categories).
-//! - [`realization`] — pre-materialised channel timelines and the LRU cache
-//!   that lets paired experiment arms replay one realisation N times.
+//! - [`realization`] — shared channel timelines (shadowing drawn on demand)
+//!   and the LRU cache that lets paired experiment arms replay one
+//!   realisation N times.
 //! - [`link`] — the composite per-(AP, adapter, channel) loss model.
 //! - [`mac`] — DCF timing, retries, backoff and rate fallback for a single
 //!   frame exchange.
@@ -54,7 +55,8 @@ pub use link::{LinkConfig, LinkModel};
 pub use mac::{frame_airtime, transmit, MacConfig, MacMetrics, TxOutcome};
 pub use radio::{PhyRate, NOISE_FLOOR_DBM, RATE_LADDER};
 pub use realization::{
-    ChannelRealization, RealizationCache, RealizationKey, ShadowCursor, SHADOW_TICK,
+    ChannelRealization, RealizationCache, RealizationKey, ShadowCursor, SHADOW_BLOCK,
+    SHADOW_TICK,
 };
 pub use scan::{DeployedAp, Deployment, ScanEntry, ScanTiming, TimedScan, CONNECTABLE_RSSI_DBM};
 pub use wire::{QueueMgmtIe, WireError, WireFrame, WireFrameType};

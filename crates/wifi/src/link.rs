@@ -87,9 +87,10 @@ impl LinkConfig {
 }
 
 /// Where a link's channel state comes from: processes advanced live, or a
-/// pre-materialised realisation replayed read-only. Both consume identical
-/// `"link-ge"` / `"link-shadow"` randomness, so the two modes are
-/// bit-identical within the realisation horizon.
+/// realisation shared with other arms and replayed (its shadowing track is
+/// drawn as the arms read it). Both consume identical `"link-ge"` /
+/// `"link-shadow"` randomness, so the two modes are bit-identical within
+/// the realisation horizon.
 #[derive(Clone, Debug)]
 enum ChannelSource {
     Live {
@@ -135,8 +136,8 @@ impl LinkModel {
         Self::with_source(cfg, ChannelSource::Live { ge, shadow }, seeds, index)
     }
 
-    /// Instantiate a link that replays a pre-materialised realisation
-    /// instead of advancing its own channel processes.
+    /// Instantiate a link that replays a shared realisation instead of
+    /// advancing its own channel processes.
     ///
     /// `seeds`/`index` still seed the per-attempt erasure/backoff stream —
     /// that randomness is per-arm and is never part of the shared

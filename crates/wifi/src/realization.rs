@@ -1,15 +1,14 @@
-//! Pre-materialised channel realisations for paired replay.
+//! Shared channel realisations for paired replay.
 //!
 //! Every experiment in the paper is a *paired* comparison — DiversiFi on vs
 //! off, custom-AP vs middlebox, with-TCP vs without — over the **same**
 //! channel realisation. Lazily advancing the stochastic processes inside each
 //! arm re-samples the whole Gilbert–Elliott / shadowing timeline N times per
-//! seed. This module materialises the realisation **once** per
-//! `(link parameters, seed)` as a compact piecewise timeline
-//! ([`ChannelRealization`]) that [`crate::link::LinkModel`] replays read-only,
-//! and provides a small LRU cache ([`RealizationCache`]) so sweep drivers
-//! whose arms share channel parameters stop recomputing the radio
-//! environment entirely.
+//! seed. This module builds the realisation **once** per
+//! `(link parameters, seed)` ([`ChannelRealization`]) for every
+//! [`crate::link::LinkModel`] holding it to replay, and provides a small LRU
+//! cache ([`RealizationCache`]) so sweep drivers whose arms share channel
+//! parameters stop recomputing the radio environment entirely.
 //!
 //! # Replay ≡ lazy sampling
 //!
@@ -18,10 +17,15 @@
 //!   sequence lazy `state_at` queries would — segment replay is bit-identical.
 //! - Shadowing is sampled on a fixed tick grid ([`SHADOW_TICK`]). The
 //!   Ornstein–Uhlenbeck transition draws one normal per grid step regardless
-//!   of who asks, so a live [`ShadowCursor`] and a pre-computed track read
+//!   of who asks, so a live [`ShadowCursor`] and a realisation's track read
 //!   the same values. (Exact-transition OU sampled at *event* times would
 //!   make the draw sequence depend on each arm's query pattern — the grid is
 //!   what makes the track shareable across arms.)
+//! - The track is drawn on demand, in tick order, by whichever holder first
+//!   reads past its drawn prefix, so ticks no arm reads are never drawn
+//!   (a primary-only arm never draws the secondary link's track). Draw
+//!   order is fixed by the grid, not by the readers, so tick `k` is the
+//!   same value whichever arm, thread or query pattern drew it.
 //! - Interference (microwave ovens, mobility) is a pure deterministic
 //!   function of time and config — there is nothing to materialise, so it
 //!   stays in [`crate::link::LinkConfig`] and is *not* part of the cache key.
@@ -33,22 +37,37 @@ use crate::fading::{GeSegment, GilbertElliott, OrnsteinUhlenbeck};
 use crate::link::LinkConfig;
 use diversifi_simcore::{SeedFactory, SimDuration, SimTime};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Grid spacing of the pre-sampled shadowing track. 2 ms is far below the
+/// Grid spacing of the shadowing track. 2 ms is far below the
 /// office shadowing decorrelation time (seconds), so the staircase
 /// approximation is indistinguishable from exact-transition sampling at the
 /// packet clock while keeping a 120 s track under half a megabyte.
 pub const SHADOW_TICK: SimDuration = SimDuration::from_millis(2);
 
+/// Ticks a [`ChannelRealization`] draws beyond the tick a read asked for
+/// when that read lands past the drawn prefix. Forward replay moves a few
+/// ticks per packet, so the block turns one generator lock per tick into
+/// one per 512 ms of simulated time, and bounds what is drawn but never
+/// read.
+pub const SHADOW_BLOCK: usize = 256;
+
 /// A live Ornstein–Uhlenbeck process advanced on the [`SHADOW_TICK`] grid.
 ///
 /// Draws exactly one normal per grid step, independent of the caller's query
 /// times — the property that makes a live link and a replayed
-/// [`ChannelRealization`] consume identical randomness.
+/// [`ChannelRealization`] consume identical randomness. It is also the
+/// generator behind a realisation's track: the OU transition coefficients
+/// for one tick are computed once here, so a step is one multiply-add and
+/// one normal draw. `dt` is always exactly [`SHADOW_TICK`], so the hoisted
+/// coefficients are bit-identical to the per-query ones.
 #[derive(Clone, Debug)]
 pub struct ShadowCursor {
     ou: OrnsteinUhlenbeck,
+    /// Decay and noise s.d. of one [`SHADOW_TICK`] transition.
+    a: f64,
+    noise_sd: f64,
     tick: u64,
     value: f64,
 }
@@ -58,46 +77,67 @@ impl ShadowCursor {
     /// until the first grid step.
     pub fn new(mut ou: OrnsteinUhlenbeck) -> ShadowCursor {
         let value = ou.at(SimTime::ZERO);
-        ShadowCursor { ou, tick: 0, value }
+        let (a, noise_sd) = ou.transition_coeffs(SHADOW_TICK.as_secs_f64());
+        ShadowCursor { ou, a, noise_sd, tick: 0, value }
     }
 
     /// Shadowing value (dB) at `t`, snapped down to the grid. Queries must
     /// be non-decreasing in `t`.
     pub fn at(&mut self, t: SimTime) -> f64 {
-        let k = t.as_nanos() / SHADOW_TICK.as_nanos();
+        self.at_tick(t.as_nanos() / SHADOW_TICK.as_nanos())
+    }
+
+    /// Shadowing value (dB) at grid tick `k`, stepping the process forward
+    /// one tick at a time. `k` must be non-decreasing.
+    fn at_tick(&mut self, k: u64) -> f64 {
         while self.tick < k {
             self.tick += 1;
-            self.value = self.ou.at(SimTime::from_nanos(self.tick * SHADOW_TICK.as_nanos()));
+            self.value = self.ou.step_grid(SHADOW_TICK, self.a, self.noise_sd);
         }
         self.value
     }
 }
 
-/// One link's channel environment over `[0, horizon]`, materialised up-front:
-/// the Gilbert–Elliott dwell timeline plus the shadowing track on the
-/// [`SHADOW_TICK`] grid.
+/// One link's channel environment over `[0, horizon]`: the Gilbert–Elliott
+/// dwell timeline, built up-front, plus the shadowing track on the
+/// [`SHADOW_TICK`] grid, drawn on demand.
 ///
-/// Read-only after construction, so N paired arms can share one realisation
-/// behind an [`Arc`]. Queries past the horizon clamp to the final segment /
-/// tick, deterministically.
-#[derive(Clone, Debug)]
+/// N paired arms share one realisation behind an [`Arc`]. The track's
+/// storage is allocated whole at construction, but a tick is drawn only
+/// when some holder first reads it (or a tick up to [`SHADOW_BLOCK`]
+/// before it): a read inside the drawn prefix is lock-free, a read past it
+/// takes the generator's lock and draws ticks in order. Whichever arm
+/// extends first, tick `k` is the `k`-th grid step of the same
+/// `"link-shadow"` stream, so every value is the same pure function of
+/// `(RealizationKey, k)` an eager track would hold. Queries past the
+/// horizon clamp to the final segment / tick, deterministically.
+#[derive(Debug)]
 pub struct ChannelRealization {
     horizon: SimTime,
     ge: Vec<GeSegment>,
-    shadow: Vec<f64>,
+    /// Shadowing (dB) as `f64` bits, one slot per grid tick in
+    /// `[0, horizon]`; slots below `drawn` hold their final value.
+    shadow: Box<[AtomicU64]>,
+    /// Length of the drawn prefix of `shadow`. Published with `Release`
+    /// after the slots it covers are written, so an `Acquire` load that
+    /// sees it also sees them.
+    drawn: AtomicUsize,
+    /// The generator that extends the track, positioned at tick
+    /// `drawn - 1` (or at tick 0 before the first draw).
+    cursor: Mutex<ShadowCursor>,
 }
 
 impl ChannelRealization {
-    /// Materialise the realisation for `(cfg, seeds, index)` over
-    /// `[0, horizon]`, consuming the same `"link-ge"` / `"link-shadow"`
-    /// streams a live [`crate::link::LinkModel`] would.
+    /// Build the realisation for `(cfg, seeds, index)` over `[0, horizon]`
+    /// from the same `"link-ge"` / `"link-shadow"` streams a live
+    /// [`crate::link::LinkModel`] consumes.
     ///
-    /// The shadowing track advances on the [`SHADOW_TICK`] grid with the
-    /// OU transition coefficients hoisted out of the tick loop, so the
-    /// `exp` and `sqrt` run once per *track* instead of once per *tick*.
-    /// Both evaluate the same expressions, so the track is bit-identical
-    /// to querying the process tick by tick (and to a live
-    /// [`ShadowCursor`]).
+    /// The Gilbert–Elliott timeline (tens of segments) is materialised
+    /// here; the shadowing track is allocated here and drawn by
+    /// [`shadow_at`](Self::shadow_at) as reads reach it, with the
+    /// [`ShadowCursor`] a live link steps. Both draw the grid tick by tick
+    /// from the same stream, so the track is bit-identical to a live
+    /// cursor.
     pub fn materialize(
         cfg: &LinkConfig,
         seeds: &SeedFactory,
@@ -106,19 +146,20 @@ impl ChannelRealization {
     ) -> ChannelRealization {
         let ge = GilbertElliott::new(cfg.ge, seeds.stream("link-ge", index))
             .materialize_until(horizon);
-        let mut ou = OrnsteinUhlenbeck::new(
+        let cursor = ShadowCursor::new(OrnsteinUhlenbeck::new(
             cfg.shadow_sigma_db,
             cfg.shadow_tau,
             seeds.stream("link-shadow", index),
-        );
+        ));
         let ticks = horizon.as_nanos() / SHADOW_TICK.as_nanos();
-        let (a, noise_sd) = ou.transition_coeffs(SHADOW_TICK.as_secs_f64());
-        let mut shadow = Vec::with_capacity(ticks as usize + 1);
-        shadow.push(ou.at(SimTime::ZERO));
-        for _ in 1..=ticks {
-            shadow.push(ou.step_grid(SHADOW_TICK, a, noise_sd));
+        let shadow = (0..=ticks).map(|_| AtomicU64::new(0)).collect();
+        ChannelRealization {
+            horizon,
+            ge,
+            shadow,
+            drawn: AtomicUsize::new(0),
+            cursor: Mutex::new(cursor),
         }
-        ChannelRealization { horizon, ge, shadow }
     }
 
     /// The materialisation horizon; queries past it freeze at the last value.
@@ -131,10 +172,39 @@ impl ChannelRealization {
         &self.ge
     }
 
-    /// Shadowing value (dB) at `t` (frozen past the horizon).
+    /// Shadowing value (dB) at `t` (frozen past the horizon). Reads may come
+    /// in any order and from any thread holding the realisation.
+    #[inline]
     pub fn shadow_at(&self, t: SimTime) -> f64 {
-        let k = (t.as_nanos() / SHADOW_TICK.as_nanos()) as usize;
-        self.shadow[k.min(self.shadow.len() - 1)]
+        let k = ((t.as_nanos() / SHADOW_TICK.as_nanos()) as usize).min(self.shadow.len() - 1);
+        if k < self.drawn.load(Ordering::Acquire) {
+            return f64::from_bits(self.shadow[k].load(Ordering::Relaxed));
+        }
+        self.draw_through(k)
+    }
+
+    /// Extend the drawn prefix past tick `k` (by up to [`SHADOW_BLOCK`]
+    /// more ticks, clamped to the horizon) and return tick `k`.
+    #[cold]
+    fn draw_through(&self, k: usize) -> f64 {
+        let mut cursor = self.cursor.lock().expect("shadow track poisoned");
+        // Only the lock holder stores `drawn`, so the lock orders this load.
+        let drawn = self.drawn.load(Ordering::Relaxed);
+        if k >= drawn {
+            let end = (k + SHADOW_BLOCK).min(self.shadow.len() - 1);
+            for (tick, slot) in (drawn..=end).zip(&self.shadow[drawn..=end]) {
+                slot.store(cursor.at_tick(tick as u64).to_bits(), Ordering::Relaxed);
+            }
+            self.drawn.store(end + 1, Ordering::Release);
+        }
+        f64::from_bits(self.shadow[k].load(Ordering::Relaxed))
+    }
+
+    /// Grid ticks of the shadowing track drawn so far, out of
+    /// `horizon / SHADOW_TICK + 1`. A diagnostic: reads draw at most
+    /// [`SHADOW_BLOCK`] ticks past the furthest tick any holder has read.
+    pub fn drawn_ticks(&self) -> usize {
+        self.drawn.load(Ordering::Acquire)
     }
 
     /// Index of the GE segment covering `t`, resuming the scan from a
@@ -148,10 +218,11 @@ impl ChannelRealization {
         i
     }
 
-    /// Approximate heap footprint, for cache sizing diagnostics.
+    /// Approximate heap footprint (the whole track, drawn or not), for
+    /// cache sizing diagnostics.
     pub fn approx_bytes(&self) -> usize {
         self.ge.len() * std::mem::size_of::<GeSegment>()
-            + self.shadow.len() * std::mem::size_of::<f64>()
+            + self.shadow.len() * std::mem::size_of::<AtomicU64>()
     }
 }
 
@@ -311,9 +382,28 @@ mod tests {
     use super::*;
     use crate::channel::Channel;
     use crate::fading::GeState;
+    use crate::link::LinkModel;
 
     fn seeds() -> SeedFactory {
         SeedFactory::new(0x5EA1)
+    }
+
+    /// The eager reference: the OU process queried tick by tick through its
+    /// general transition over `[0, horizon]`, as bits.
+    fn eager_track(cfg: &LinkConfig, index: u64, horizon: SimTime) -> Vec<u64> {
+        let mut ou = OrnsteinUhlenbeck::new(
+            cfg.shadow_sigma_db,
+            cfg.shadow_tau,
+            seeds().stream("link-shadow", index),
+        );
+        let ticks = horizon.as_nanos() / SHADOW_TICK.as_nanos();
+        (0..=ticks)
+            .map(|k| ou.at(SimTime::from_nanos(k * SHADOW_TICK.as_nanos())).to_bits())
+            .collect()
+    }
+
+    fn tick_of(t: SimTime) -> usize {
+        (t.as_nanos() / SHADOW_TICK.as_nanos()) as usize
     }
 
     #[test]
@@ -366,12 +456,26 @@ mod tests {
     fn queries_past_horizon_freeze() {
         let cfg = LinkConfig::office(Channel::CH11, 12.0);
         let horizon = SimTime::from_secs(1);
+        let want = eager_track(&cfg, 0, horizon);
+        let last = *want.last().unwrap();
+        // A first read far past the horizon draws the whole track, clamps
+        // to its last tick and leaves every tick as the eager one.
         let real = ChannelRealization::materialize(&cfg, &seeds(), 0, horizon);
         let far = SimTime::from_secs(1000);
-        let frozen = real.shadow_at(far);
-        assert_eq!(frozen.to_bits(), real.shadow_at(far + SimDuration::from_secs(5)).to_bits());
+        assert_eq!(real.shadow_at(far).to_bits(), last);
+        assert_eq!(real.drawn_ticks(), want.len());
+        assert_eq!(real.shadow_at(far + SimDuration::from_secs(5)).to_bits(), last);
+        for (k, w) in want.iter().enumerate() {
+            let t = SimTime::from_nanos(k as u64 * SHADOW_TICK.as_nanos());
+            assert_eq!(real.shadow_at(t).to_bits(), *w, "tick {k}");
+        }
         let i = real.ge_index_at(0, far);
         assert_eq!(i, real.ge_segments().len() - 1);
+        // Past the horizon after a partial draw clamps the same way.
+        let real = ChannelRealization::materialize(&cfg, &seeds(), 0, horizon);
+        assert_eq!(real.shadow_at(SimTime::from_millis(10)).to_bits(), want[5]);
+        assert_eq!(real.shadow_at(horizon + SHADOW_TICK).to_bits(), last);
+        assert_eq!(real.shadow_at(horizon).to_bits(), last);
     }
 
     #[test]
@@ -419,9 +523,91 @@ mod tests {
         let cached = cache.get_or_materialize(&cfg, &seeds(), 1, horizon);
         let direct = ChannelRealization::materialize(&cfg, &seeds(), 1, horizon);
         assert_eq!(cached.ge_segments(), direct.ge_segments());
-        assert_eq!(
-            cached.shadow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            direct.shadow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
+        let ticks = horizon.as_nanos() / SHADOW_TICK.as_nanos();
+        for k in 0..=ticks {
+            let t = SimTime::from_nanos(k * SHADOW_TICK.as_nanos());
+            assert_eq!(cached.shadow_at(t).to_bits(), direct.shadow_at(t).to_bits(), "tick {k}");
+        }
+    }
+
+    #[test]
+    fn interleaved_arms_sharing_one_track_match_eager_reference() {
+        let cfg = LinkConfig::office(Channel::CH6, 18.0);
+        let horizon = SimTime::from_secs(6);
+        let want = eager_track(&cfg, 3, horizon);
+        let real = Arc::new(ChannelRealization::materialize(&cfg, &seeds(), 3, horizon));
+        // The paired-arm pattern: two links over one `Arc`, each reading
+        // forward at its own pace in alternating bursts of 50 reads. Each
+        // burst carries its arm past the other, so the lead (and with it
+        // which arm extends the track) changes hands every burst.
+        let mut arms = [
+            LinkModel::from_realization(cfg.clone(), Arc::clone(&real), &seeds(), 0),
+            LinkModel::from_realization(cfg.clone(), Arc::clone(&real), &seeds(), 0),
+        ];
+        let mean = cfg.mean_rssi_dbm();
+        let mut t = [SimTime::ZERO; 2];
+        let strides = [SimDuration::from_micros(3_917), SimDuration::from_micros(4_111)];
+        let mut round = 0u64;
+        while t[0] <= horizon || t[1] <= horizon {
+            let arm = usize::from(round / 50 % 2 == 1);
+            let got = arms[arm].rssi_at(t[arm]);
+            let k = tick_of(t[arm]).min(want.len() - 1);
+            let expect = mean + f64::from_bits(want[k]);
+            assert_eq!(got.to_bits(), expect.to_bits(), "arm {arm} tick {k}");
+            t[arm] += strides[arm];
+            round += 1;
+        }
+        assert_eq!(real.drawn_ticks(), want.len());
+    }
+
+    #[test]
+    fn racing_readers_match_eager_reference() {
+        let cfg = LinkConfig::office(Channel::CH1, 25.0);
+        let horizon = SimTime::from_secs(4);
+        let want = eager_track(&cfg, 5, horizon);
+        for round in 0..16u64 {
+            let real = ChannelRealization::materialize(&cfg, &seeds(), 5, horizon);
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for reader in 0..2u64 {
+                    let (real, want, barrier) = (&real, &want, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        // Different strides and phases per reader and round,
+                        // so extensions interleave differently each time.
+                        let stride = 1 + reader * 2 + round % 3;
+                        let mut k = (reader * round) % 7;
+                        while (k as usize) < want.len() + 8 {
+                            let t = SimTime::from_nanos(k * SHADOW_TICK.as_nanos());
+                            let w = want[(k as usize).min(want.len() - 1)];
+                            assert_eq!(real.shadow_at(t).to_bits(), w, "tick {k}");
+                            k += stride;
+                        }
+                    });
+                }
+            });
+            assert_eq!(real.drawn_ticks(), want.len());
+        }
+    }
+
+    #[test]
+    fn reads_draw_at_most_one_block_past_the_furthest_read() {
+        let cfg = LinkConfig::office(Channel::CH11, 14.0);
+        let horizon = SimTime::from_secs(3);
+        let len = tick_of(horizon) + 1;
+        let real = ChannelRealization::materialize(&cfg, &seeds(), 0, horizon);
+        assert_eq!(real.drawn_ticks(), 0, "building a realisation draws no shadowing");
+        real.shadow_at(SimTime::from_millis(100));
+        assert_eq!(real.drawn_ticks(), 50 + SHADOW_BLOCK + 1);
+        // Reads inside the drawn prefix draw nothing.
+        real.shadow_at(SimTime::ZERO);
+        real.shadow_at(SimTime::from_nanos((50 + SHADOW_BLOCK as u64) * SHADOW_TICK.as_nanos()));
+        assert_eq!(real.drawn_ticks(), 50 + SHADOW_BLOCK + 1);
+        // The first read past it extends from the read, not the old mark.
+        real.shadow_at(SimTime::from_secs(2));
+        assert_eq!(real.drawn_ticks(), 1_000 + SHADOW_BLOCK + 1);
+        // Near the horizon the block clamps to the track.
+        real.shadow_at(horizon);
+        assert_eq!(real.drawn_ticks(), len);
     }
 }

@@ -12,9 +12,9 @@ use diversifi::corpus;
 use diversifi::evaluation::{run_eval_corpus, testbed_location, EvalOptions, EvalRun};
 use diversifi::twonic::{run_temporal, run_two_nic, TwoNicScenario};
 use diversifi::world::{RunMode, World, WorldConfig};
-use diversifi_simcore::{SeedFactory, SimDuration, WorkerArena};
+use diversifi_simcore::{SeedFactory, SimDuration, SimTime, WorkerArena};
 use diversifi_voip::StreamTrace;
-use diversifi_wifi::RealizationCache;
+use diversifi_wifi::{GeParams, RealizationCache, SHADOW_BLOCK, SHADOW_TICK};
 use std::fmt::Write as _;
 
 fn trace_fp(out: &mut String, t: &StreamTrace) {
@@ -154,4 +154,50 @@ fn two_nic_corpus_matches_uncached_reference() {
         reference.push('\n');
     }
     assert_eq!(cached, reference, "cached corpus diverged from lazy single-run reference");
+}
+
+/// Shadowing tracks are drawn only as far as some arm reads them. Run each
+/// arm on a fresh cache, then look its two realisations up again (both
+/// lookups must hit) and read how far their tracks were drawn. A world
+/// reads nothing after its `Done` event at `duration + 500 ms`, so no track
+/// may be drawn more than one block past that tick; the realisation
+/// horizon reaches 2 s further, so an eager prefetch of the whole track
+/// fails this.
+#[test]
+fn worlds_draw_only_the_shadowing_their_arms_read() {
+    let seeds = SeedFactory::new(0x9EA4);
+    let (p, s) = testbed_location(&mut seeds.stream("location", 0));
+    let mut cfg = WorldConfig::testbed(p, s);
+    cfg.spec.duration = SimDuration::from_secs(5);
+    // A lossy primary, so the DiversiFi arm recovers over the secondary.
+    cfg.primary.ge = GeParams::weak_link();
+    // The horizon `World` materialises over: duration + drain + RSSI tail.
+    let horizon = SimTime::ZERO + cfg.spec.duration + SimDuration::from_millis(2_500);
+    let track_len = (horizon.as_nanos() / SHADOW_TICK.as_nanos()) as usize + 1;
+    let last_read = ((cfg.spec.duration + SimDuration::from_millis(500)).as_nanos()
+        / SHADOW_TICK.as_nanos()) as usize;
+    let bound = last_read + SHADOW_BLOCK + 1;
+    assert!(bound < track_len, "the test needs a horizon longer than one block past the run");
+
+    let mut drawn = |mode: RunMode| {
+        cfg.mode = mode;
+        let cache = RealizationCache::new(2);
+        let mut arena = WorkerArena::new();
+        World::new_cached_in(&cfg, &seeds, &cache, &mut arena).run_in(&mut arena);
+        let primary = cache.get_or_materialize(&cfg.primary, &seeds, 0, horizon);
+        let secondary = cache.get_or_materialize(&cfg.secondary, &seeds, 1, horizon);
+        assert_eq!(cache.stats(), (2, 2), "{mode:?}: the lookups must find the world's tracks");
+        (primary.drawn_ticks(), secondary.drawn_ticks())
+    };
+
+    let (primary, secondary) = drawn(RunMode::PrimaryOnly);
+    assert_eq!(secondary, 0, "a primary-only world must not draw the secondary track");
+    assert!(primary > 0 && primary <= bound, "primary-only drew {primary} of {track_len}");
+
+    let (primary, secondary) = drawn(RunMode::DiversifiCustomAp);
+    assert!(primary > 0 && primary <= bound, "DiversiFi primary drew {primary} of {track_len}");
+    assert!(
+        secondary > 0 && secondary <= bound,
+        "DiversiFi secondary drew {secondary} of {track_len}"
+    );
 }
