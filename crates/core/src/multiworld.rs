@@ -96,18 +96,25 @@ fn secondary_adapter(i: usize) -> AdapterId {
     AdapterId(i as u16 * PER_CLIENT_ADAPTERS + 1)
 }
 
+/// A multi-client world event. As in `world::Ev`, the exchange an AP's
+/// radio is running lives in `MultiWorld::in_flight`, not in the event.
 #[derive(Debug)]
 enum Ev {
     SourceEmit { client: usize, seq: u64 },
     ApArrival { ap: usize, frame: Frame },
+    /// Queued only by `MultiWorld::request_kick`.
     ApKick(usize),
-    ApTxDone { ap: usize, frame: Frame, outcome: TxOutcome },
+    /// The AP's radio finished the exchange held in `in_flight[ap]`.
+    ApTxDone(usize),
     ClientTimer(usize),
     BeginRetune { client: usize, side: LinkSide },
     RetuneDone { client: usize, side: LinkSide },
     PsDelivered { ap: usize, adapter: AdapterId, sleeping: bool },
     Done,
 }
+
+const _: () =
+    assert!(std::mem::size_of::<Ev>() <= 48, "multiworld::Ev must stay at most 48 bytes");
 
 struct ClientState {
     alg: Option<Algorithm1>, // None for non-DiversiFi clients
@@ -123,7 +130,9 @@ pub struct MultiWorld {
     cfg: MultiWorldConfig,
     q: EventQueue<Ev>,
     aps: [AccessPoint; 2],
-    busy: [bool; 2],
+    /// The frame exchange each AP's radio is running, as `(frame,
+    /// outcome)`; `Some` means the radio is busy (see `World::in_flight`).
+    in_flight: [Option<(Frame, TxOutcome)>; 2],
     clients: Vec<ClientState>,
     rng: RngStream,
     secondary_air_tx: u64,
@@ -171,7 +180,7 @@ impl MultiWorld {
         MultiWorld {
             q: EventQueue::new(),
             aps: [ap0, ap1],
-            busy: [false, false],
+            in_flight: [None, None],
             clients,
             rng: seeds.stream("mw-world", 0),
             secondary_air_tx: 0,
@@ -256,10 +265,10 @@ impl MultiWorld {
             Ev::ApArrival { ap, frame } => {
                 let adapter = frame.dst_adapter;
                 let _ = self.aps[ap].enqueue(adapter, frame);
-                self.q.schedule(now, Ev::ApKick(ap));
+                self.request_kick(now, ap);
             }
             Ev::ApKick(ap) => self.kick(now, ap),
-            Ev::ApTxDone { ap, frame, outcome } => self.tx_done(now, ap, frame, outcome),
+            Ev::ApTxDone(ap) => self.tx_done(now, ap),
             Ev::ClientTimer(i) => {
                 if self.clients[i].timer.fire(now) && self.clients[i].alg.is_some() {
                     let cmds = {
@@ -301,29 +310,38 @@ impl MultiWorld {
             }
             Ev::PsDelivered { ap, adapter, sleeping } => {
                 self.aps[ap].set_power_save(adapter, sleeping);
-                self.q.schedule(now, Ev::ApKick(ap));
+                self.request_kick(now, ap);
             }
         }
     }
 
+    /// Queue a kick of `ap` unless it would pop as a no-op (see
+    /// `World::request_kick`).
+    fn request_kick(&mut self, now: SimTime, ap: usize) {
+        if self.in_flight[ap].is_some() || self.aps[ap].has_eligible_traffic() {
+            self.q.schedule(now, Ev::ApKick(ap));
+        }
+    }
+
     fn kick(&mut self, now: SimTime, ap: usize) {
-        if self.busy[ap] {
+        if self.in_flight[ap].is_some() {
             return;
         }
         let Some((adapter, frame)) = self.aps[ap].next_tx() else { return };
-        self.busy[ap] = true;
         let client = (adapter.0 / PER_CLIENT_ADAPTERS) as usize;
         let mac_cfg = self.aps[ap].config().mac;
         let outcome = {
             let link = &mut self.clients[client].links[ap];
             mac::transmit(link, &mac_cfg, &frame, now)
         };
-        self.q.schedule(outcome.completed_at, Ev::ApTxDone { ap, frame, outcome });
+        self.in_flight[ap] = Some((frame, outcome));
+        self.q.schedule(outcome.completed_at, Ev::ApTxDone(ap));
     }
 
-    fn tx_done(&mut self, now: SimTime, ap: usize, frame: Frame, outcome: TxOutcome) {
-        self.busy[ap] = false;
-        self.q.schedule(now, Ev::ApKick(ap));
+    fn tx_done(&mut self, now: SimTime, ap: usize) {
+        let (frame, outcome) =
+            self.in_flight[ap].take().expect("ApTxDone fires only for the exchange in flight");
+        self.request_kick(now, ap);
         if ap == 1 {
             self.secondary_air_tx += 1;
         }
@@ -546,6 +564,21 @@ mod tests {
         assert!(
             report.events < 28_000,
             "{} events popped: client timers cascade again",
+            report.events
+        );
+    }
+
+    /// No-op AP kicks are not queued here either (see
+    /// `World::request_kick`). Kicking after every enqueue, PS change and
+    /// completed exchange made this run pop 24,020 events; it pops 20,047.
+    #[test]
+    fn no_op_kicks_are_not_queued() {
+        let spec = StreamSpec { duration: SimDuration::from_secs(20), ..spec() };
+        let seeds = SeedFactory::new(0x3176);
+        let report = MultiWorld::new(office_fleet(3, true, spec, &seeds), &seeds).run();
+        assert!(
+            report.events < 22_000,
+            "{} events popped: no-op AP kicks are queued again",
             report.events
         );
     }

@@ -26,7 +26,7 @@ use crate::mac::MacConfig;
 use diversifi_simcore::metrics::{LogHistogram, MetricsRegistry};
 use diversifi_simcore::{telemetry, ComponentId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How a station's power-save buffer sheds load when full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,8 +128,10 @@ pub struct ApMetrics {
 #[derive(Clone, Debug)]
 pub struct AccessPoint {
     cfg: ApConfig,
-    stations: BTreeMap<AdapterId, Station>,
-    /// Round-robin pointer over stations for radio service.
+    /// Associations, sorted by adapter id: a flat table the radio service
+    /// walks by index, with binary-search lookups.
+    stations: Vec<(AdapterId, Station)>,
+    /// Round-robin pointer (an index into `stations`) for radio service.
     rr_next: usize,
     /// Frames dropped from queues since creation (for overhead accounting).
     pub drops: u64,
@@ -142,7 +144,7 @@ impl AccessPoint {
     pub fn new(cfg: ApConfig) -> AccessPoint {
         AccessPoint {
             cfg,
-            stations: BTreeMap::new(),
+            stations: Vec::new(),
             rr_next: 0,
             drops: 0,
             metrics: ApMetrics::default(),
@@ -159,50 +161,67 @@ impl AccessPoint {
         self.cfg.channel
     }
 
+    /// Where `adapter` sits in the station table: `Ok(index)` if it is
+    /// associated, else `Err(index)` at which inserting it keeps the order.
+    fn slot(&self, adapter: AdapterId) -> Result<usize, usize> {
+        self.stations.binary_search_by_key(&adapter, |&(a, _)| a)
+    }
+
+    fn station(&self, adapter: AdapterId) -> Option<&Station> {
+        self.slot(adapter).ok().map(|i| &self.stations[i].1)
+    }
+
     /// Register an association. `discipline` reflects the queue-management
     /// IE from the association request ([`QueueDiscipline::stock`] when the
-    /// client asks for nothing special).
+    /// client asks for nothing special). Re-associating an adapter resets
+    /// its station in place.
     pub fn associate(&mut self, adapter: AdapterId, discipline: QueueDiscipline) {
-        self.stations.insert(adapter, Station::new(discipline));
+        match self.slot(adapter) {
+            Ok(i) => self.stations[i].1 = Station::new(discipline),
+            Err(i) => self.stations.insert(i, (adapter, Station::new(discipline))),
+        }
     }
 
     /// Remove an association.
     pub fn disassociate(&mut self, adapter: AdapterId) {
-        self.stations.remove(&adapter);
+        if let Ok(i) = self.slot(adapter) {
+            self.stations.remove(i);
+        }
     }
 
     /// Is this adapter associated here?
     pub fn is_associated(&self, adapter: AdapterId) -> bool {
-        self.stations.contains_key(&adapter)
+        self.slot(adapter).is_ok()
     }
 
     /// Is the station awake (from the AP's point of view)?
     pub fn is_awake(&self, adapter: AdapterId) -> bool {
-        self.stations.get(&adapter).map(|s| s.awake).unwrap_or(false)
+        self.station(adapter).map(|s| s.awake).unwrap_or(false)
     }
 
     /// Current driver-queue length for a station.
     pub fn queue_len(&self, adapter: AdapterId) -> usize {
-        self.stations.get(&adapter).map(|s| s.queue.len()).unwrap_or(0)
+        self.station(adapter).map(|s| s.queue.len()).unwrap_or(0)
     }
 
     /// Current hardware-queue length for a station.
     pub fn hw_len(&self, adapter: AdapterId) -> usize {
-        self.stations.get(&adapter).map(|s| s.hw.len()).unwrap_or(0)
+        self.station(adapter).map(|s| s.hw.len()).unwrap_or(0)
     }
 
     /// Negotiated driver-queue capacity for a station (0 if not associated).
     pub fn queue_cap(&self, adapter: AdapterId) -> usize {
-        self.stations.get(&adapter).map(|s| s.discipline.cap()).unwrap_or(0)
+        self.station(adapter).map(|s| s.discipline.cap()).unwrap_or(0)
     }
 
     /// Offer a downlink frame for `adapter`.
     pub fn enqueue(&mut self, adapter: AdapterId, frame: Frame) -> Enqueued {
-        let Some(st) = self.stations.get_mut(&adapter) else {
+        let Ok(i) = self.slot(adapter) else {
             // Not associated: the frame has nowhere to go.
             self.drops += 1;
             return Enqueued::Dropped { dropped: frame };
         };
+        let st = &mut self.stations[i].1;
         let cap = st.discipline.cap();
         let result = if st.queue.len() < cap {
             st.queue.push_back(frame);
@@ -232,8 +251,7 @@ impl AccessPoint {
         );
         if telemetry::active() {
             self.metrics.enqueued += 1;
-            let depth = self.stations.get(&adapter).map(|s| s.queue.len()).unwrap_or(0);
-            self.metrics.queue_depth.record(depth as u64);
+            self.metrics.queue_depth.record(st.queue.len() as u64);
         }
         result
     }
@@ -246,7 +264,8 @@ impl AccessPoint {
     /// station goes right back to sleep.
     pub fn set_power_save(&mut self, adapter: AdapterId, sleeping: bool) {
         let batch = self.cfg.wake_batch;
-        if let Some(st) = self.stations.get_mut(&adapter) {
+        if let Ok(i) = self.slot(adapter) {
+            let st = &mut self.stations[i].1;
             let was_awake = st.awake;
             st.awake = !sleeping;
             if was_awake == sleeping && telemetry::active() {
@@ -270,24 +289,18 @@ impl AccessPoint {
     /// Returns `None` when nothing is eligible. The returned frame is
     /// removed from its queue — the world owns it until `tx` completes.
     pub fn next_tx(&mut self) -> Option<(AdapterId, Frame)> {
-        if self.stations.is_empty() {
-            return None;
-        }
-        let keys: Vec<AdapterId> = self.stations.keys().copied().collect();
-        let n = keys.len();
+        let n = self.stations.len();
         for i in 0..n {
             let idx = (self.rr_next + i) % n;
-            let adapter = keys[idx];
-            let st = self.stations.get_mut(&adapter).expect("key just listed");
-            if let Some(f) = st.hw.pop_front() {
+            let (adapter, st) = &mut self.stations[idx];
+            let frame = match st.hw.pop_front() {
+                Some(f) => Some(f),
+                None if st.awake => st.queue.pop_front(),
+                None => None,
+            };
+            if let Some(f) = frame {
                 self.rr_next = (idx + 1) % n;
-                return Some((adapter, f));
-            }
-            if st.awake {
-                if let Some(f) = st.queue.pop_front() {
-                    self.rr_next = (idx + 1) % n;
-                    return Some((adapter, f));
-                }
+                return Some((*adapter, f));
             }
         }
         None
@@ -295,16 +308,16 @@ impl AccessPoint {
 
     /// Does any station have an eligible frame?
     pub fn has_eligible_traffic(&self) -> bool {
-        self.stations.values().any(|s| !s.hw.is_empty() || (s.awake && !s.queue.is_empty()))
+        self.stations.iter().any(|(_, s)| !s.hw.is_empty() || (s.awake && !s.queue.is_empty()))
     }
 
     /// Drain and return every frame currently buffered for `adapter`
     /// (driver queue only; hardware-committed frames are past recall).
     pub fn flush(&mut self, adapter: AdapterId) -> Vec<Frame> {
-        self.stations
-            .get_mut(&adapter)
-            .map(|s| s.queue.drain(..).collect())
-            .unwrap_or_default()
+        match self.slot(adapter) {
+            Ok(i) => self.stations[i].1.queue.drain(..).collect(),
+            Err(_) => Vec::new(),
+        }
     }
 
     /// Power-cycle the AP: every association is torn down and every buffered
@@ -314,7 +327,7 @@ impl AccessPoint {
     /// forgotten all power-save state.
     pub fn power_cycle(&mut self) -> Vec<Frame> {
         let mut lost = Vec::new();
-        for st in self.stations.values_mut() {
+        for (_, st) in &mut self.stations {
             lost.extend(st.queue.drain(..));
             lost.extend(st.hw.drain(..));
         }
@@ -501,7 +514,7 @@ mod proptests {
     use crate::ids::{ClientId, FlowId};
     use diversifi_simcore::SimTime;
     use proptest::prelude::*;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
 
     const A: AdapterId = AdapterId(1);
 
@@ -629,7 +642,139 @@ mod proptests {
         }
     }
 
+    /// The AP's station table as it was before it went flat: a `BTreeMap`
+    /// of [`RefStation`]s whose radio service lists the keys in order and
+    /// walks them round-robin from `rr_next`.
+    #[derive(Default)]
+    struct RefAp {
+        stations: BTreeMap<AdapterId, RefStation>,
+        rr_next: usize,
+        drops: u64,
+    }
+
+    impl RefAp {
+        fn next_tx(&mut self) -> Option<(AdapterId, u64)> {
+            let keys: Vec<AdapterId> = self.stations.keys().copied().collect();
+            let n = keys.len();
+            for i in 0..n {
+                let idx = (self.rr_next + i) % n;
+                if let Some(seq) = self.stations.get_mut(&keys[idx]).unwrap().next_tx() {
+                    self.rr_next = (idx + 1) % n;
+                    return Some((keys[idx], seq));
+                }
+            }
+            None
+        }
+
+        fn drops(&self) -> u64 {
+            self.drops + self.stations.values().map(|s| s.drops).sum::<u64>()
+        }
+    }
+
+    /// Drive the AP and [`RefAp`] through the same operations over
+    /// `adapters` adapters; every observable must agree after every step.
+    fn run_table_ops(ops: &[u32], adapters: u16) {
+        let mut ap = AccessPoint::new(ApConfig::new(ApId(0), Channel::CH1));
+        let wake_batch = ap.config().wake_batch;
+        let mut model = RefAp::default();
+        let mut next_seq = 0u64;
+        for &op in ops {
+            let adapter = AdapterId((op >> 4) as u16 % adapters);
+            let cap = 1 + (op >> 8) as usize % 6;
+            match op % 16 {
+                0 | 1 => {
+                    let head_drop = (op >> 12) % 2 == 0;
+                    let discipline = if head_drop {
+                        QueueDiscipline::HeadDrop { cap }
+                    } else {
+                        QueueDiscipline::TailDrop { cap }
+                    };
+                    ap.associate(adapter, discipline);
+                    // A re-association resets the station; its drops stay
+                    // counted at the AP.
+                    if let Some(old) = model
+                        .stations
+                        .insert(adapter, RefStation::new(head_drop, cap, wake_batch))
+                    {
+                        model.drops += old.drops;
+                    }
+                }
+                2 => {
+                    ap.disassociate(adapter);
+                    if let Some(old) = model.stations.remove(&adapter) {
+                        model.drops += old.drops;
+                    }
+                }
+                3..=7 => {
+                    let seq = next_seq;
+                    next_seq += 1;
+                    let mut f = frame(seq);
+                    f.dst_adapter = adapter;
+                    let got = match ap.enqueue(adapter, f) {
+                        Enqueued::Ok => None,
+                        Enqueued::Dropped { dropped } => Some(dropped.seq),
+                    };
+                    let want = match model.stations.get_mut(&adapter) {
+                        Some(st) => st.enqueue(seq),
+                        None => {
+                            model.drops += 1;
+                            Some(seq)
+                        }
+                    };
+                    assert_eq!(got, want, "enqueue diverged");
+                }
+                8 | 9 => {
+                    let sleeping = op % 2 == 0;
+                    ap.set_power_save(adapter, sleeping);
+                    if let Some(st) = model.stations.get_mut(&adapter) {
+                        st.set_sleeping(sleeping);
+                    }
+                }
+                10..=13 => {
+                    let got = ap.next_tx().map(|(a, f)| (a, f.seq));
+                    assert_eq!(got, model.next_tx(), "next_tx diverged");
+                }
+                14 => {
+                    let got: Vec<u64> = ap.flush(adapter).iter().map(|f| f.seq).collect();
+                    let want =
+                        model.stations.get_mut(&adapter).map(|s| s.flush()).unwrap_or_default();
+                    assert_eq!(got, want, "flush diverged");
+                }
+                _ => {
+                    let got: Vec<u64> = ap.power_cycle().iter().map(|f| f.seq).collect();
+                    let mut want = Vec::new();
+                    for st in std::mem::take(&mut model.stations).into_values() {
+                        model.drops += st.drops + (st.ring.len() + st.hw.len()) as u64;
+                        want.extend(st.ring.iter().chain(&st.hw));
+                    }
+                    model.rr_next = 0;
+                    assert_eq!(got, want, "power_cycle diverged");
+                }
+            }
+            assert_eq!(ap.drops, model.drops(), "drop accounting diverged");
+            for a in 0..adapters {
+                let a = AdapterId(a);
+                let st = model.stations.get(&a);
+                assert_eq!(ap.is_associated(a), st.is_some());
+                assert_eq!(ap.queue_len(a), st.map_or(0, |s| s.ring.len()), "queue_len diverged");
+                assert_eq!(ap.hw_len(a), st.map_or(0, |s| s.hw.len()), "hw_len diverged");
+                assert_eq!(ap.is_awake(a), st.is_some_and(|s| s.awake), "is_awake diverged");
+            }
+        }
+    }
+
     proptest! {
+        /// The flat, sorted station table serves, drops and reports exactly
+        /// as the `BTreeMap` it replaced, under arbitrary association churn
+        /// and queue traffic over 1–6 adapters.
+        #[test]
+        fn station_table_matches_btreemap_reference(
+            ops in proptest::collection::vec(0u32..1_000_000, 1..300),
+            adapters in 1u16..=6,
+        ) {
+            run_table_ops(&ops, adapters);
+        }
+
         /// Head-drop AP queue is observationally equal to a reference
         /// bounded ring under arbitrary enqueue/PS/tx/flush interleavings.
         #[test]
