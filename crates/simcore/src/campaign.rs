@@ -17,10 +17,14 @@
 //! run with the same configuration loads the completed shards, re-runs
 //! only the missing ones, and — because digest serialisation round-trips
 //! floats exactly and the merge order is fixed — produces a campaign
-//! digest **bit-identical** to an uninterrupted run. A checkpoint whose
-//! campaign id, schema layout or call range disagrees, or that fails to
-//! parse (e.g. a file truncated by a kill), is discarded and its shard
-//! re-run; resume never degrades to a silently different result.
+//! digest **bit-identical** to an uninterrupted run. The checkpoints of
+//! the valid prefix (shards `0..p`, every one resuming) are read once:
+//! the validity scan merges them as it goes. A shard after the first gap
+//! is validated, dropped, and read again when the merge reaches it. A
+//! checkpoint whose campaign id, schema layout or call range disagrees,
+//! or that fails to parse (e.g. a file truncated by a kill), is
+//! discarded and its shard re-run; resume never degrades to a silently
+//! different result.
 //!
 //! # Flight recorder and heartbeat
 //!
@@ -459,16 +463,31 @@ where
     }
 
     // Phase 1: validity scan. Decide per shard whether its checkpoint
-    // resumes (parse + campaign-id + range check), dropping each parsed
-    // digest immediately — only a bit per shard is retained. Shards are
-    // re-read during the merge pass; checkpoint files are small and this
-    // keeps resident memory flat no matter how many shards resumed.
+    // resumes (parse + campaign-id + range check). While every shard so far
+    // has resumed, the scan merges each one into the running digest and
+    // flight selector as it validates it: the merges phase 2 would make,
+    // in the same order, so each checkpoint of that valid prefix is read
+    // once. Past the first gap only a bit per shard is retained and the
+    // parsed digest dropped; those shards are re-read during the merge
+    // pass. Either way resident memory stays one running digest no matter
+    // how many shards resumed.
     let mut valid = vec![false; shards_total];
+    let mut merged: Option<ShardDigest> = None;
+    let mut merged_flight = WorstK::new(cfg.flight_k);
+    let mut health = CampaignHealth::default();
+    let mut prefix = 0usize;
     if let Some(dir) = &cfg.checkpoint_dir {
         std::fs::create_dir_all(dir)?;
         for (s, v) in valid.iter_mut().enumerate() {
-            *v = load_shard(dir, s, id, schema, cfg.shard_range(s), cfg.flight_k, cfg.io_retries)
-                .is_some();
+            let loaded =
+                load_shard(dir, s, id, schema, cfg.shard_range(s), cfg.flight_k, cfg.io_retries);
+            *v = loaded.is_some();
+            if let Some((d, w)) = loaded.filter(|_| prefix == s) {
+                let merge_start = Instant::now();
+                merge_shard(&mut merged, &mut merged_flight, d, &w);
+                health.merge_ns += elapsed_ns(merge_start);
+                prefix += 1;
+            }
         }
     }
     let shards_resumed = valid.iter().filter(|v| **v).count();
@@ -525,20 +544,18 @@ where
 
     let checkpoint_errors = AtomicUsize::new(0);
 
-    // Phase 2: produce + merge, one index-ordered batch at a time. A
-    // `Missing` or `Quarantined` shard stops the *merge* (a gapped merge
-    // would silently drop shards) but never the *production*: every
-    // runnable shard after a bad one still executes and checkpoints, so a
-    // degraded campaign leaves the maximum salvageable state behind.
-    let mut merged: Option<ShardDigest> = None;
-    let mut merged_flight = WorstK::new(cfg.flight_k);
-    let mut health = CampaignHealth::default();
+    // Phase 2: produce + merge, one index-ordered batch at a time, from
+    // the first shard after the prefix phase 1 merged. A `Missing` or
+    // `Quarantined` shard stops the *merge* (a gapped merge would silently
+    // drop shards) but never the *production*: every runnable shard after
+    // a bad one still executes and checkpoints, so a degraded campaign
+    // leaves the maximum salvageable state behind.
     let mut shards_run = 0usize;
     let mut complete = true;
     let mut merge_ok = true;
     let mut quarantined: Vec<ShardQuarantine> = Vec::new();
     let mut slow_shards: Vec<usize> = Vec::new();
-    let mut next = 0usize;
+    let mut next = prefix;
     while next < shards_total {
         let n = batch.min(shards_total - next);
         let first_shard = next;
@@ -651,11 +668,7 @@ where
                         }
                     }
                     if merge_ok {
-                        merged_flight.merge_from(&w);
-                        match &mut merged {
-                            None => merged = Some(d),
-                            Some(acc) => acc.merge_from(&d),
-                        }
+                        merge_shard(&mut merged, &mut merged_flight, d, &w);
                     }
                 }
                 ShardResult::Quarantined(reason) => {
@@ -708,6 +721,22 @@ where
         checkpoint_errors: checkpoint_errors.load(Ordering::Relaxed),
         slow_shards,
     })
+}
+
+/// Fold one shard into the running merge. The first shard seeds the
+/// digest; every later one merges into it, so resume and fresh runs that
+/// merge the same shards in the same order produce the same bits.
+fn merge_shard(
+    merged: &mut Option<ShardDigest>,
+    merged_flight: &mut WorstK,
+    d: ShardDigest,
+    w: &WorstK,
+) {
+    merged_flight.merge_from(w);
+    match merged {
+        None => *merged = Some(d),
+        Some(acc) => acc.merge_from(&d),
+    }
 }
 
 /// Saturating wall-clock nanoseconds since `start`.
@@ -1005,6 +1034,80 @@ mod tests {
         let out = run(&off, &schema, fold(ids)).unwrap();
         assert_eq!(out.shards_resumed, 0);
         assert_eq!(out.fingerprint, reference.fingerprint);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The validity scan merges the prefix of resuming shards as it reads
+    /// them and the merge pass takes over at the first gap. Wherever the
+    /// gaps fall, and under a `max_new_shards` cap, a resume reports what
+    /// merging every shard in the merge pass gives: the uninterrupted
+    /// digest and flight selection when complete, none otherwise, and
+    /// shard counts set by which checkpoints survive.
+    #[test]
+    fn prefix_merge_keeps_every_outcome() {
+        let (schema, ids) = schema();
+        let dir = std::env::temp_dir().join(format!(
+            "diversifi-prefix-test-{}-{}",
+            std::process::id(),
+            0x9F1Cu32
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut cfg = CampaignConfig::new(6000);
+        cfg.shard_size = 500;
+        cfg.threads = 2;
+        cfg.flight_k = 5;
+        let observed = |cfg: &CampaignConfig| {
+            run_campaign_observed(cfg, &schema, observed_fold(ids, 3.0), |_| {}, |_| {}).unwrap()
+        };
+        let reference = observed(&cfg);
+        let selection = |w: &WorstK| -> Vec<(u64, u64, u64)> {
+            w.entries().iter().map(|e| (e.score.to_bits(), e.seed, e.index)).collect()
+        };
+        let want_flight = selection(reference.flight.as_ref().unwrap());
+
+        cfg.checkpoint_dir = Some(dir.clone());
+        assert_eq!(observed(&cfg).fingerprint, reference.fingerprint);
+        let shards = cfg.shards();
+        let saved: Vec<Vec<u8>> =
+            (0..shards).map(|s| std::fs::read(shard_path(&dir, s)).unwrap()).collect();
+
+        // (missing checkpoints, cap on newly run shards)
+        let cases: [(&[usize], Option<usize>); 4] =
+            [(&[], None), (&[0], None), (&[5, 6], None), (&[3, 8], Some(1))];
+        for (gaps, cap) in cases {
+            for (s, bytes) in saved.iter().enumerate() {
+                std::fs::write(shard_path(&dir, s), bytes).unwrap();
+            }
+            for &s in gaps {
+                std::fs::remove_file(shard_path(&dir, s)).unwrap();
+            }
+            cfg.max_new_shards = cap;
+            let out = observed(&cfg);
+            let ran = cap.map_or(gaps.len(), |c| c.min(gaps.len()));
+            assert_eq!(out.shards_resumed, shards - gaps.len(), "gaps {gaps:?}");
+            assert_eq!(out.shards_run, ran, "gaps {gaps:?}");
+            assert_eq!(out.complete, ran == gaps.len(), "gaps {gaps:?}");
+            if out.complete {
+                let digest = out.digest.as_ref().unwrap();
+                assert_eq!(Some(digest.fingerprint(&schema)), reference.fingerprint);
+                assert_eq!(out.fingerprint, reference.fingerprint, "gaps {gaps:?}");
+                assert_eq!(selection(out.flight.as_ref().unwrap()), want_flight, "gaps {gaps:?}");
+            } else {
+                assert!(out.digest.is_none() && out.fingerprint.is_none() && out.flight.is_none());
+                // The capped run checkpointed the first gap; one more run
+                // fills the second and completes.
+                cfg.max_new_shards = None;
+                let rest = observed(&cfg);
+                assert_eq!((rest.shards_run, rest.shards_resumed), (1, shards - 1));
+                assert_eq!(rest.fingerprint, reference.fingerprint);
+                assert_eq!(selection(rest.flight.as_ref().unwrap()), want_flight);
+            }
+            if gaps.is_empty() {
+                assert!(out.health.merge_ns > 0, "the scan's merges count as merge time");
+            }
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -22,8 +22,10 @@
 //! array index away from its accumulator — no string hashing per call.
 //!
 //! Everything serialises to the vendored `serde` value tree with exact
-//! round-tripping (floats are finite by construction and print in
-//! shortest-round-trip form), which is what checkpoint/resume relies on.
+//! round-tripping, which is what checkpoint/resume relies on: summary
+//! floats are finite by construction and print in shortest-round-trip
+//! form, and sketch levels, nearly all of a checkpoint's numbers, go out
+//! as exact `u64` bit patterns.
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -171,13 +173,22 @@ impl QuantileSketch {
     }
 }
 
+/// The retained values go out as their exact `u64` bit patterns under
+/// `level_bits`, as `WorstK` writes its scores: nothing is formatted or
+/// parsed as a float, and a checkpoint that still carries the decimal
+/// `levels` form fails to load, so its shard re-runs rather than merges.
 impl Serialize for QuantileSketch {
     fn to_value(&self) -> Value {
+        let level_bits = self
+            .levels
+            .iter()
+            .map(|lvl| Value::Array(lvl.iter().map(|x| Value::U64(x.to_bits())).collect()))
+            .collect();
         Value::Object(vec![
             ("k".to_string(), Value::U64(self.k as u64)),
             ("count".to_string(), Value::U64(self.count)),
             ("parity".to_string(), self.parity.to_value()),
-            ("levels".to_string(), self.levels.to_value()),
+            ("level_bits".to_string(), Value::Array(level_bits)),
         ])
     }
 }
@@ -192,8 +203,13 @@ impl Deserialize for QuantileSketch {
             v.get("count").and_then(Value::as_u64).ok_or("QuantileSketch: missing `count`")?;
         let parity: Vec<u64> =
             Deserialize::from_value(v.get("parity").ok_or("QuantileSketch: missing `parity`")?)?;
-        let levels: Vec<Vec<f64>> =
-            Deserialize::from_value(v.get("levels").ok_or("QuantileSketch: missing `levels`")?)?;
+        let level_bits: Vec<Vec<u64>> = Deserialize::from_value(
+            v.get("level_bits").ok_or("QuantileSketch: missing `level_bits`")?,
+        )?;
+        let levels: Vec<Vec<f64>> = level_bits
+            .into_iter()
+            .map(|lvl| lvl.into_iter().map(f64::from_bits).collect())
+            .collect();
         if levels.is_empty() || levels.len() != parity.len() {
             return Err("QuantileSketch: level/parity shape mismatch".to_string());
         }
@@ -861,6 +877,21 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+
+        // The decimal `levels` form older checkpoints carry is refused, and
+        // so is a bit pattern that decodes to a non-finite value.
+        let rename = |key: &str, levels: Value| {
+            let Value::Object(mut pairs) = v.clone() else { unreachable!() };
+            pairs.retain(|(k, _)| k != "level_bits");
+            pairs.push((key.to_string(), levels));
+            Value::Object(pairs)
+        };
+        let old = rename("levels", s.levels.to_value());
+        assert!(QuantileSketch::from_value(&old).unwrap_err().contains("`level_bits`"));
+        let mut nan: Vec<Vec<u64>> =
+            s.levels.iter().map(|l| l.iter().map(|x| x.to_bits()).collect()).collect();
+        nan[0][0] = f64::NAN.to_bits();
+        assert!(QuantileSketch::from_value(&rename("level_bits", nan.to_value())).is_err());
     }
 
     #[test]

@@ -146,3 +146,67 @@ fn edited_scenario_discards_stale_checkpoints() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Rewrite a checkpoint's sketch payloads into the decimal form written
+/// before sketch levels went out as exact bits: each `level_bits` array
+/// of `u64` patterns becomes a `levels` array of the floats they encode.
+fn to_decimal_levels(v: serde_json::Value) -> serde_json::Value {
+    use serde_json::Value;
+    match v {
+        Value::Object(pairs) => Value::Object(
+            pairs
+                .into_iter()
+                .map(|(k, v)| match (k.as_str(), v) {
+                    ("level_bits", Value::Array(levels)) => {
+                        let levels = levels
+                            .into_iter()
+                            .map(|lvl| match lvl {
+                                Value::Array(bits) => Value::Array(
+                                    bits.iter()
+                                        .map(|b| Value::F64(f64::from_bits(b.as_u64().unwrap())))
+                                        .collect(),
+                                ),
+                                other => panic!("sketch level is not an array: {other:?}"),
+                            })
+                            .collect();
+                        ("levels".to_string(), Value::Array(levels))
+                    }
+                    (_, v) => (k, to_decimal_levels(v)),
+                })
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.into_iter().map(to_decimal_levels).collect()),
+        other => other,
+    }
+}
+
+/// A checkpoint written before sketch levels were stored as bits is never
+/// merged: its shard re-runs, every other shard resumes, and the resume
+/// lands on the uninterrupted fingerprint.
+#[test]
+fn pre_bits_checkpoint_is_rerun_not_merged() {
+    let (want_fp, _, _) = reference();
+    let scn = tiny_scenario();
+    let dir = tmp_dir("decimal");
+    let mut cfg = scn.campaign_config();
+    cfg.threads = 2;
+    cfg.checkpoint_dir = Some(dir.clone());
+    run_fleet_campaign_observed(&scn, &cfg, |_| {}, |_| {}).expect("first run");
+
+    let victim = dir.join("shard-000005.json");
+    let text = std::fs::read_to_string(&victim).unwrap();
+    assert!(text.contains("\"level_bits\""), "checkpoints carry sketch levels as bits");
+    let old = to_decimal_levels(serde_json::from_str(&text).unwrap());
+    let old_text = serde_json::to_string(&old).unwrap();
+    assert!(old_text.contains("\"levels\"") && !old_text.contains("\"level_bits\""));
+    std::fs::write(&victim, old_text).unwrap();
+
+    let rep = run_fleet_campaign_observed(&scn, &cfg, |_| {}, |_| {}).expect("resume").report;
+    assert_eq!(rep.shards_run, 1, "the decimal-form shard re-runs");
+    assert_eq!(rep.shards_resumed, rep.shards_total - 1);
+    assert_eq!(rep.fingerprint, want_fp);
+    let rewritten = std::fs::read_to_string(&victim).unwrap();
+    assert!(rewritten.contains("\"level_bits\""), "the re-run shard checkpoints anew");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
