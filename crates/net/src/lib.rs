@@ -2,8 +2,6 @@
 //!
 //! The wired-network substrate of the DiversiFi reproduction:
 //!
-//! - [`rtp`] — RTP fixed-header codec and the payload-type → stream-profile
-//!   table used for application-transparent initialization (§5.2.1).
 //! - [`packet`] — the stream-packet representation on the LAN.
 //! - [`wan`] — WAN path and relay models for the call-population studies
 //!   (Tables 1–2).
@@ -22,14 +20,12 @@
 
 pub mod middlebox;
 pub mod packet;
-pub mod rtp;
 pub mod switch;
 pub mod tcp;
 pub mod wan;
 
 pub use middlebox::{Middlebox, MiddleboxConfig, MiddleboxMetrics};
 pub use packet::StreamPacket;
-pub use rtp::{profile_for, PayloadProfile, RtpError, RtpHeader, RTP_HEADER_LEN};
 pub use switch::{FlowMatch, Port, Rule, SdnSwitch};
 pub use tcp::{TcpConfig, TcpReceiver, TcpSegment, TcpSender};
 pub use wan::{RelayNode, WanPath};

@@ -43,7 +43,6 @@ pub mod mac;
 pub mod radio;
 pub mod realization;
 pub mod scan;
-pub mod wire;
 
 pub use ap::{AccessPoint, ApConfig, ApMetrics, Enqueued, QueueDiscipline};
 pub use channel::{Band, Channel};
@@ -59,7 +58,6 @@ pub use realization::{
     SHADOW_TICK,
 };
 pub use scan::{DeployedAp, Deployment, ScanEntry, ScanTiming, TimedScan, CONNECTABLE_RSSI_DBM};
-pub use wire::{QueueMgmtIe, WireError, WireFrame, WireFrameType};
 
 #[cfg(test)]
 mod proptests {

@@ -1,32 +1,11 @@
 //! Cross-crate consistency tests: the contracts between substrate crates
 //! that no single crate's unit tests can check.
 
-use diversifi_client::{Algorithm1Config, LinkObservation};
-use diversifi_net::{profile_for, FlowMatch, Middlebox, MiddleboxConfig, Port, RtpHeader, SdnSwitch, StreamPacket};
+use diversifi_client::LinkObservation;
+use diversifi_net::{FlowMatch, Middlebox, MiddleboxConfig, Port, SdnSwitch, StreamPacket};
 use diversifi_simcore::{SeedFactory, SimDuration, SimTime};
 use diversifi_voip::{conceal, PlayoutConfig, StreamSpec, StreamTrace, DEFAULT_DEADLINE};
 use diversifi_wifi::FlowId;
-
-/// §5.2.1: the RTP payload type alone must be enough to configure
-/// Algorithm 1 — stream rate, packet deadline, and the AP queue length IE.
-#[test]
-fn rtp_profile_drives_algorithm1_config() {
-    let header = RtpHeader::pcmu(0, 0, 0xABCD);
-    let wire = header.encode();
-    let parsed = RtpHeader::decode(&wire).unwrap();
-    let profile = profile_for(parsed.payload_type).expect("G.711 is a static type");
-
-    let alg = Algorithm1Config {
-        inter_packet_spacing: profile.spec.interval,
-        max_tolerable_delay: profile.max_tolerable_delay,
-        packet_loss_timeout: profile.spec.interval * 2,
-        ..Algorithm1Config::voip()
-    };
-    // The paper's worked numbers: 20 ms spacing, 100 ms budget → APQL 5,
-    // ETTRH 97.2 ms.
-    assert_eq!(alg.ap_queue_len(), 5);
-    assert_eq!(alg.ettrh(), SimDuration::from_micros(97_200));
-}
 
 /// The SDN switch and the middlebox compose: what the switch replicates is
 /// exactly what the middlebox buffers, and the start protocol returns the
