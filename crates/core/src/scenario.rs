@@ -522,17 +522,30 @@ impl Scenario {
     }
 
     /// Build the campaign engine config for the fleet campaign. The
-    /// scenario fingerprint pins checkpoints to this exact scenario: a
-    /// checkpoint directory holding shards from a different scenario (or
+    /// campaign fingerprint pins checkpoints to this scenario's outcomes:
+    /// a checkpoint directory holding shards from a different scenario (or
     /// an edited one) is discarded, never merged.
     pub fn campaign_config(&self) -> CampaignConfig {
         let mut cfg = CampaignConfig::new(self.fleet.calls);
         cfg.shard_size = self.campaign.shard_size.max(1);
         cfg.threads = self.campaign.threads;
         cfg.checkpoint_dir = self.campaign.checkpoint_dir.as_ref().map(PathBuf::from);
-        cfg.config_fingerprint = self.fingerprint();
+        cfg.config_fingerprint = self.campaign_fingerprint();
         cfg.flight_k = self.observe.flight_topk;
         cfg
+    }
+
+    /// The fingerprint of every field that can decide a campaign's
+    /// outcome: the scenario's own, without `[campaign] threads` and
+    /// `checkpoint_dir`. The merged digest does not depend on either, so a
+    /// campaign resumed at another thread count, or from checkpoints moved
+    /// to another directory, reuses every shard. Any other edit, even a
+    /// cosmetic one, costs a re-run rather than risking a wrong merge.
+    pub fn campaign_fingerprint(&self) -> u64 {
+        let mut outcome = self.clone();
+        outcome.campaign.threads = 0;
+        outcome.campaign.checkpoint_dir = None;
+        outcome.fingerprint()
     }
 
     /// FNV-1a fingerprint of the canonical (JSON) serialization.
