@@ -1,27 +1,18 @@
-//! `repro` — regenerate every table and figure of the DiversiFi paper.
+//! `repro` — regenerate every table and figure of the DiversiFi paper, and
+//! run the scenario-file campaigns.
 //!
-//! Usage:
 //! ```text
-//! repro [--quick] [--seed N] [--out DIR] [EXPERIMENT...]    # N decimal or 0x hex
+//! repro [--quick] [--seed N] [--out DIR] [--capture DIR] [EXPERIMENT...]
+//! repro campaign FILE [--out DIR] [--flight-topk N] [--capture DIR]
+//! repro chaos FILE [--out DIR] [--plans N] [--corpus DIR] [--canary] [--capture DIR]
+//! repro validate FILE...
+//! repro status
 //! ```
-//! Experiments: `table1 table2 table3 fig1 fig2a fig2b fig2c fig2d fig2e
-//! fig3 fig4 fig5 fig6 fig8 fig9 fig10 overhead mbox-scale` or `all`, plus
-//! the extensions `ablations`, `fec`, `crosstech`, and `uplink`.
-//!
-//! Resilience sweep (deterministic fault plans, paired vs primary-only):
-//! ```text
-//! repro --resilience                    # fault catalogue × seeds → report
-//! ```
-//!
-//! Telemetry capture (full fidelity needs a build with `--features trace`):
-//! ```text
-//! repro --trace-out trace.json          # Chrome/Perfetto JSON + JSONL sidecar
-//! repro --metrics-out metrics.txt       # per-sweep metrics table
-//! repro --telemetry-status              # is the telemetry layer compiled in?
-//! ```
-//! With only telemetry flags given, the standard experiments are skipped.
-//! An unknown flag or experiment name is an error (exit code 2), reported
-//! before anything runs.
+//! `repro --help` explains each form. A subcommand parses only its own
+//! flags, and nothing runs until they all parse. A bad argument, an
+//! unreadable file or an artifact that cannot be written ends the run with
+//! `error: …` and exit code 2; a failed verdict (chaos violations, the
+//! resilience gate) exits 1.
 
 use diversifi::analysis::{
     self, burst_summary, correlation_figure, pcr_by_impairment, strategy_cdf, AnalysisOptions,
@@ -46,7 +37,8 @@ struct Ctx {
     scale: Scale,
     seed: u64,
     out_dir: String,
-    threads: usize,
+    /// Every artifact that could not be written, with its IO error.
+    failed: Vec<String>,
     main_corpus: Option<Vec<CallRecord>>,
     eval_corpus: Option<Vec<EvalRun>>,
 }
@@ -71,174 +63,173 @@ impl Ctx {
     }
 }
 
+/// `repro --help`: one usage block per form.
+const HELP: &str = "\
+repro [--quick] [--seed N] [--out DIR] [--capture DIR] [EXPERIMENT...]
+  Regenerate the paper's tables and figures, one JSON artifact each under
+  --out (default results). --quick runs them at reduced scale; --seed N
+  (decimal or 0x hex) reseeds them. --capture DIR traces one instrumented
+  §6 sweep into DIR/telemetry.json (Perfetto), DIR/telemetry.jsonl and
+  DIR/metrics.txt (events need a `--features trace` build); given with no
+  experiment, it runs only that capture. With neither, `all` runs.
+  experiments: table1 table2 table3 fig1 fig2a fig2b fig2c fig2d fig2e fig3
+  fig4 fig5 fig6 fig8 fig9 fig10 overhead mbox-scale (`all`), ablations fec
+  crosstech uplink multiclient resilience (`extensions`). `resilience`
+  exits 1 if DiversiFi's loss or tick miss exceeds primary-only's by more
+  than 2pp on any paired seed.
+
+repro campaign FILE [--out DIR] [--flight-topk N] [--capture DIR]
+  Run a scenario file's (.json or .toml) sharded, checkpointable fleet
+  campaign; write its JSON report and campaign-health JSONL under --out.
+  --flight-topk N keeps the N worst calls (overrides the scenario's
+  [observe] section); --capture DIR re-simulates them (4 if N is 0) into
+  DIR/flight_<scenario>.json (Perfetto) and .jsonl.
+
+repro chaos FILE [--out DIR] [--plans N] [--corpus DIR] [--canary] [--capture DIR]
+  Fuzz seeded fault plans against the paired no-amplification, MTTR and
+  engine-panic oracles (the scenario's [chaos] section sets the budget),
+  shrink every violation to a minimal reproducer, write the JSON report
+  under --out, and exit 1 on any violation. --plans N overrides the plan
+  count (0 replays the corpus only); --corpus DIR replays every reproducer
+  in DIR first and adds the newly shrunk ones; --canary plants a synthetic
+  violation that must be found and shrunk (exit 1 if not); --capture DIR
+  re-simulates the worst finding into DIR/chaos_<scenario>.json and .jsonl.
+
+repro validate FILE...
+  Parse, validate and lower each scenario file and print the lowered
+  configuration, or stop at the first field-path error.
+
+repro status
+  Print whether the telemetry layer is compiled in.
+
+The scenario subcommands take their seed from the scenario's `seed` field.";
+
+/// The subcommands; any other first argument starts the figures form.
+const SUBCOMMANDS: [&str; 4] = ["campaign", "chaos", "validate", "status"];
+
+/// What a subcommand reports: `Ok(true)` when it passed, `Ok(false)` when a
+/// verdict failed (exit 1), `Err` when it could not do its job (exit 2).
+type Verdict = Result<bool, String>;
+
 fn main() {
-    let mut scale = Scale::full();
-    let mut seed: Option<u64> = None;
-    let mut out_dir = "results".to_string();
-    let mut wanted: Vec<String> = Vec::new();
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut campaign_path: Option<String> = None;
-    let mut validate_paths: Vec<String> = Vec::new();
-    let mut forensics_out: Option<String> = None;
-    let mut flight_topk: Option<usize> = None;
-    let mut chaos_path: Option<String> = None;
-    let mut chaos_plans: Option<u64> = None;
-    let mut chaos_corpus: Option<String> = None;
-    let mut chaos_canary = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => scale = Scale::quick(),
-            "--seed" => seed = Some(value_or_exit::<SeedArg>(&mut args, &a, SEED).0),
-            "--out" => out_dir = value_or_exit(&mut args, &a, "a directory"),
-            "--trace-out" => trace_out = Some(value_or_exit(&mut args, &a, "a file path")),
-            "--metrics-out" => metrics_out = Some(value_or_exit(&mut args, &a, "a file path")),
-            "--resilience" => wanted.push("resilience".to_string()),
-            "--campaign" => {
-                campaign_path = Some(value_or_exit(&mut args, &a, SCENARIO_FILE));
-            }
-            "--forensics-out" => {
-                forensics_out = Some(value_or_exit(&mut args, &a, "a directory"));
-            }
-            "--chaos" => {
-                chaos_path = Some(value_or_exit(&mut args, &a, SCENARIO_FILE));
-            }
-            "--chaos-plans" => {
-                chaos_plans = Some(value_or_exit(&mut args, &a, "an unsigned integer"));
-            }
-            "--chaos-corpus" => {
-                chaos_corpus = Some(value_or_exit(&mut args, &a, "a directory"));
-            }
-            "--chaos-canary" => chaos_canary = true,
-            "--flight-topk" => {
-                flight_topk = Some(value_or_exit(&mut args, &a, "an unsigned integer"));
-            }
-            "--validate-scenario" => {
-                validate_paths.push(value_or_exit(&mut args, &a, SCENARIO_FILE));
-            }
-            "--telemetry-status" => {
-                println!(
-                    "telemetry: compiled {}",
-                    if diversifi_simcore::telemetry::TRACE_COMPILED { "in" } else { "out" }
-                );
-                return;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "repro [--quick] [--seed N] [--out DIR] [--trace-out PATH] \
-                     [--metrics-out PATH] [--telemetry-status] \
-                     [--campaign SCENARIO.{{json,toml}}] \
-                     [--forensics-out DIR] [--flight-topk N] \
-                     [--validate-scenario SCENARIO.{{json,toml}}] \
-                     [--chaos SCENARIO.{{json,toml}}] [--chaos-plans N] \
-                     [--chaos-corpus DIR] [--chaos-canary] \
-                     [--resilience] [EXPERIMENT...]\n\
-                     experiments: table1 table2 table3 fig1 fig2a fig2b fig2c fig2d \
-                     fig2e fig3 fig4 fig5 fig6 fig8 fig9 fig10 overhead mbox-scale all \
-                     ablations fec crosstech uplink multiclient resilience\n\
-                     --seed N seeds the experiments (decimal or 0x hex); the \
-                     scenario-file modes below take the scenario's `seed` \
-                     field instead and refuse --seed;\n\
-                     --campaign runs a declarative scenario file's fleet campaign \
-                     (sharded, checkpointable) and writes a JSON report plus a \
-                     campaign-health JSONL time series under --out;\n\
-                     --flight-topk N arms the flight recorder for the K worst calls \
-                     (overrides the scenario's [observe] section);\n\
-                     --forensics-out DIR re-simulates the worst calls and writes \
-                     their Perfetto + JSONL timelines there;\n\
-                     --validate-scenario parses + lowers a scenario file and prints \
-                     the lowered configuration or a field-path error;\n\
-                     --chaos fuzzes seeded adversarial fault plans against the \
-                     paired no-amplification / MTTR / engine-panic oracles \
-                     ([chaos] scenario section sets the budget), shrinks every \
-                     violation to a minimal reproducer, and exits non-zero on \
-                     violations;\n\
-                     --chaos-plans N overrides the plan count (0 = replay the \
-                     corpus only);\n\
-                     --chaos-corpus DIR replays every committed reproducer in \
-                     DIR first, then writes newly shrunk reproducers there;\n\
-                     --chaos-canary plants a synthetic violation to prove the \
-                     fuzzer finds and shrinks it (exits non-zero if it does NOT)."
-                );
-                return;
-            }
-            other => wanted.push(or_exit(experiment_arg(other))),
-        }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{HELP}");
+        return;
     }
-    // Scenario-file modes run on their own and exit: validation first
-    // (all requested files, worst exit code wins), then the campaign,
-    // then the chaos scan.
-    let scenario_mode = [
-        ("--validate-scenario", !validate_paths.is_empty()),
-        ("--campaign", campaign_path.is_some()),
-        ("--chaos", chaos_path.is_some()),
-    ]
-    .into_iter()
-    .find_map(|(flag, on)| on.then_some(flag));
-    if let Some(mode) = scenario_mode {
-        or_exit(seed_applies(seed, mode));
-        let mut code = 0;
-        for p in &validate_paths {
-            code = code.max(validate_scenario_cli(p));
-        }
-        if let Some(p) = &campaign_path {
-            if code == 0 {
-                code = campaign_cli(p, &out_dir, forensics_out.as_deref(), flight_topk);
-            }
-        }
-        if let Some(p) = &chaos_path {
-            if code == 0 {
-                code = chaos_cli(
-                    p,
-                    &out_dir,
-                    chaos_plans,
-                    chaos_corpus.as_deref(),
-                    chaos_canary,
-                    forensics_out.as_deref(),
-                );
-            }
-        }
-        std::process::exit(code);
-    }
-    // With only telemetry flags given, run just the capture scenario.
-    let telemetry_only =
-        wanted.is_empty() && (trace_out.is_some() || metrics_out.is_some());
-    if wanted.is_empty() {
-        if !telemetry_only {
-            wanted = STANDARD.iter().map(|s| s.to_string()).collect();
-        }
-    } else {
-        // "all" expands in place to the paper's tables/figures;
-        // "extensions" to the beyond-the-paper experiments.
-        let mut expanded = Vec::new();
-        for w in wanted {
-            match w.as_str() {
-                "all" => expanded.extend(STANDARD.iter().map(|s| s.to_string())),
-                "extensions" => expanded.extend(EXTENSIONS.iter().map(|s| s.to_string())),
-                _ => expanded.push(w),
-            }
-        }
-        expanded.dedup();
-        wanted = expanded;
-    }
-
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16);
-    let seed = seed.unwrap_or(0xD1BE5F1);
-    let mut ctx = Ctx { scale, seed, out_dir, threads, main_corpus: None, eval_corpus: None };
-
-    if trace_out.is_some() || metrics_out.is_some() {
-        if let Err(e) = telemetry_capture(&ctx, trace_out.as_deref(), metrics_out.as_deref()) {
-            eprintln!("error: telemetry: failed to write {e}");
+    let cmd = match args.first() {
+        Some(a) if SUBCOMMANDS.contains(&a.as_str()) => args.remove(0),
+        _ => String::new(),
+    };
+    let args = Args { rest: args.into_iter(), cmd };
+    let verdict = match args.cmd.as_str() {
+        "campaign" => campaign(args),
+        "chaos" => chaos(args),
+        "validate" => validate(args),
+        "status" => status(args),
+        _ => figures(args),
+    };
+    match verdict {
+        Ok(true) => {}
+        Ok(false) => std::process::exit(1),
+        Err(e) => {
+            eprintln!("error: {e}");
             std::process::exit(2);
         }
     }
+}
 
+/// One subcommand's arguments, consumed left to right.
+struct Args {
+    rest: std::vec::IntoIter<String>,
+    /// The subcommand, empty for the figures form.
+    cmd: String,
+}
+
+impl Args {
+    fn next(&mut self) -> Option<String> {
+        self.rest.next()
+    }
+
+    /// Take and parse the next argument as `flag`'s value.
+    fn value<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, String> {
+        flag_value(flag, self.rest.next(), what)
+    }
+
+    /// A positional argument: anything that is not a flag.
+    fn positional(&self, arg: String) -> Result<String, String> {
+        if arg.starts_with('-') {
+            Err(unknown_flag(&self.cmd, &arg))
+        } else {
+            Ok(arg)
+        }
+    }
+
+    /// The one scenario file of `campaign` or `chaos`.
+    fn one_file(&self, mut files: Vec<String>) -> Result<String, String> {
+        match files.len() {
+            1 => Ok(files.remove(0)),
+            0 => Err(format!("`repro {}` needs {SCENARIO_FILE}", self.cmd)),
+            _ => Err(format!("`repro {}` takes one scenario file, not {}", self.cmd, files.join(" "))),
+        }
+    }
+}
+
+/// The error for a flag that `repro {cmd}` does not take. `--seed` names
+/// what sets the seed of a scenario subcommand instead.
+fn unknown_flag(cmd: &str, flag: &str) -> String {
+    match cmd {
+        "" => format!("unknown flag {flag}"),
+        "campaign" | "chaos" | "validate" if flag == "--seed" => format!(
+            "--seed is not a flag of `repro {cmd}`: the scenario's `seed` field sets the seed"
+        ),
+        _ => format!("unknown flag {flag} for `repro {cmd}`"),
+    }
+}
+
+/// The figures form: run each requested experiment (the paper's tables
+/// and figures by default), after the telemetry capture if asked for. An
+/// artifact that cannot be written does not stop the run; the rest still
+/// run, and the error then names every artifact that failed.
+fn figures(mut args: Args) -> Verdict {
+    let mut scale = Scale::full();
+    let mut seed = 0xD1BE5F1;
+    let mut out_dir = DEFAULT_OUT.to_string();
+    let mut capture: Option<String> = None;
+    let mut wanted = Vec::new();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--quick" => scale = Scale::quick(),
+            "--seed" => seed = args.value::<SeedArg>(&a, SEED)?.0,
+            "--out" => out_dir = args.value(&a, DIR)?,
+            "--capture" => capture = Some(args.value(&a, DIR)?),
+            _ => wanted.push(experiment_arg(&a)?),
+        }
+    }
+    if wanted.is_empty() && capture.is_none() {
+        wanted.push("all".to_string());
+    }
+    // "all" expands in place to the paper's tables/figures; "extensions"
+    // to the beyond-the-paper experiments.
+    let mut expanded = Vec::new();
+    for w in wanted {
+        match w.as_str() {
+            "all" => expanded.extend(STANDARD.iter().map(|s| s.to_string())),
+            "extensions" => expanded.extend(EXTENSIONS.iter().map(|s| s.to_string())),
+            _ => expanded.push(w),
+        }
+    }
+    expanded.dedup();
+
+    let mut ctx =
+        Ctx { scale, seed, out_dir, failed: Vec::new(), main_corpus: None, eval_corpus: None };
+    if let Some(dir) = &capture {
+        telemetry_capture(&mut ctx, dir);
+    }
     // Experiments with a pass/fail verdict (resilience's no-amplification
-    // rows) raise the exit code; the worst verdict wins.
-    let mut exit_code = 0;
-    for exp in wanted {
+    // rows) fail the run.
+    let mut passed = true;
+    for exp in expanded {
         println!("\n================ {exp} ================");
         match exp.as_str() {
             "table1" => table1(&mut ctx),
@@ -264,12 +255,14 @@ fn main() {
             "crosstech" => crosstech(&mut ctx),
             "uplink" => uplink(&mut ctx),
             "multiclient" => multiclient(&mut ctx),
-            "resilience" => exit_code = exit_code.max(resilience(&mut ctx)),
+            "resilience" => passed &= resilience(&mut ctx)?,
             other => unreachable!("experiment_arg admitted {other}"),
         }
     }
-    if exit_code != 0 {
-        std::process::exit(exit_code);
+    if ctx.failed.is_empty() {
+        Ok(passed)
+    } else {
+        Err(ctx.failed.join("; "))
     }
 }
 
@@ -283,38 +276,45 @@ const STANDARD: [&str; 18] = [
 const EXTENSIONS: [&str; 6] =
     ["ablations", "fec", "crosstech", "uplink", "multiclient", "resilience"];
 
-/// Accept a positional argument as an experiment name, `all` or
-/// `extensions`. Anything else is an error naming it: an unknown flag if
-/// it starts with `-`, an unknown experiment otherwise.
+/// Accept a figures-form argument that is no flag of that form as an
+/// experiment name, `all` or `extensions`. Anything else is an error
+/// naming it: an unknown flag if it starts with `-`, a subcommand out of
+/// place, or an unknown experiment or subcommand.
 fn experiment_arg(arg: &str) -> Result<String, String> {
     if arg.starts_with('-') {
-        Err(format!("error: unknown flag {arg}"))
+        Err(unknown_flag("", arg))
     } else if ["all", "extensions"].contains(&arg)
         || STANDARD.contains(&arg)
         || EXTENSIONS.contains(&arg)
     {
         Ok(arg.to_string())
+    } else if SUBCOMMANDS.contains(&arg) {
+        Err(format!("the subcommand {arg} must come first: repro {arg} ..."))
     } else {
-        Err(format!("error: unknown experiment {arg}"))
+        Err(format!("unknown experiment or subcommand {arg}"))
     }
 }
 
-/// What a scenario-file flag needs, for its error message.
+/// What a scenario-file argument needs, for its error message.
 const SCENARIO_FILE: &str = "a scenario file (.json or .toml)";
 
+/// What a directory flag needs.
+const DIR: &str = "a directory";
+
+/// What a count flag needs.
+const COUNT: &str = "an unsigned integer";
+
 /// Parse the value given after `flag`. A missing or unparsable value is
-/// the error `error: <flag> needs <what>`.
+/// the error `<flag> needs <what>`.
 fn flag_value<T: std::str::FromStr>(
     flag: &str,
     value: Option<String>,
     what: &str,
 ) -> Result<T, String> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("error: {flag} needs {what}"))
+    value.and_then(|v| v.parse().ok()).ok_or_else(|| format!("{flag} needs {what}"))
 }
 
-/// What `--seed` needs, for its error message.
+/// What `--seed` needs.
 const SEED: &str = "an unsigned integer (decimal or 0x hex)";
 
 /// A `--seed` value: decimal, or hex with a `0x` prefix as every log
@@ -333,86 +333,71 @@ impl std::str::FromStr for SeedArg {
     }
 }
 
-/// A scenario-file mode takes its seed from the scenario, so a `--seed`
-/// given with it would be silently ignored: that is an error naming the
-/// field to set instead.
-fn seed_applies(seed: Option<u64>, mode: &str) -> Result<(), String> {
-    match seed {
-        Some(_) => Err(format!(
-            "error: --seed has no effect with {mode}: the scenario's `seed` field sets it"
-        )),
-        None => Ok(()),
+/// Where artifacts go without `--out`.
+const DEFAULT_OUT: &str = "results";
+
+/// `repro status`: which telemetry path this build compiled.
+fn status(mut args: Args) -> Verdict {
+    if let Some(a) = args.next() {
+        return Err(format!("`repro status` takes no arguments, not {a}"));
     }
+    let compiled = diversifi_simcore::telemetry::TRACE_COMPILED;
+    println!("telemetry: compiled {}", if compiled { "in" } else { "out" });
+    Ok(true)
 }
 
-/// Take and parse the next argument as `flag`'s value, or print the
-/// [`flag_value`] error and exit with code 2.
-fn value_or_exit<T: std::str::FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> T {
-    or_exit(flag_value(flag, args.next(), what))
-}
-
-/// Unwrap `r`, or print its error and exit with code 2.
-fn or_exit<T>(r: Result<T, String>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
-}
-
-/// Load + parse a scenario file, reporting I/O and field-path parse
-/// errors on stderr. `.toml` files go through the TOML front-end,
-/// everything else through JSON.
+/// Load + parse a scenario file. `.toml` files go through the TOML
+/// front-end, everything else through JSON; a parse error carries the
+/// offending field's path.
 fn load_scenario(path: &str) -> Result<diversifi::Scenario, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    diversifi::Scenario::from_file_text(&text, path)
+    diversifi::Scenario::from_file_text(&text, path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// `repro --validate-scenario FILE`: parse, validate, and lower a
-/// scenario file, then print the lowered configuration summary. Exit 0
-/// on success, 2 with the field-path error on stderr otherwise.
-fn validate_scenario_cli(path: &str) -> i32 {
+/// `repro validate FILE...`: parse, validate, and lower each scenario
+/// file, then print the lowered configuration summary.
+fn validate(mut args: Args) -> Verdict {
     use diversifi::scenario::mode_tag;
-    let scn = match load_scenario(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("validate-scenario: {e}");
-            return 2;
+    let mut files = Vec::new();
+    while let Some(a) = args.next() {
+        files.push(args.positional(a)?);
+    }
+    if files.is_empty() {
+        return Err(format!("`repro validate` needs {SCENARIO_FILE}"));
+    }
+    for path in &files {
+        let scn = load_scenario(path)?;
+        let cfg = scn.campaign_config();
+        println!("[scenario] OK: {path}");
+        println!("[scenario] name={:?} seed={} venue={}", scn.name, scn.seed, scn.venue.tag());
+        for (label, ap) in [("primary", &scn.primary), ("secondary", &scn.secondary)] {
+            println!(
+                "[scenario] {label}: {} @ {:.1} m, {} link, {:.1} dBm, diversity x{}",
+                diversifi::scenario::channel_tag(ap.channel),
+                ap.distance_m,
+                ap.quality.tag(),
+                ap.tx_power_dbm,
+                ap.diversity_order,
+            );
         }
-    };
-    let cfg = scn.campaign_config();
-    println!("[scenario] OK: {path}");
-    println!("[scenario] name={:?} seed={} venue={}", scn.name, scn.seed, scn.venue.tag());
-    for (label, ap) in [("primary", &scn.primary), ("secondary", &scn.secondary)] {
         println!(
-            "[scenario] {label}: {} @ {:.1} m, {} link, {:.1} dBm, diversity x{}",
-            diversifi::scenario::channel_tag(ap.channel),
-            ap.distance_m,
-            ap.quality.tag(),
-            ap.tx_power_dbm,
-            ap.diversity_order,
+            "[scenario] fleet: {} calls in {} shards of {} ({} threads, checkpoints: {})",
+            scn.fleet.calls,
+            cfg.shards(),
+            cfg.shard_size,
+            if scn.campaign.threads == 0 { "auto".to_string() } else { scn.campaign.threads.to_string() },
+            scn.campaign.checkpoint_dir.as_deref().unwrap_or("off"),
         );
+        let arms: Vec<String> =
+            scn.arms.iter().map(|a| format!("{}:{}", a.name, mode_tag(a.mode))).collect();
+        println!("[scenario] arms: [{}]", arms.join(", "));
+        if !scn.faults.specs.is_empty() {
+            println!("[scenario] faults: {} spec(s)", scn.faults.specs.len());
+        }
+        println!("[scenario] fingerprint: {:016x}", scn.fingerprint());
     }
-    println!(
-        "[scenario] fleet: {} calls in {} shards of {} ({} threads, checkpoints: {})",
-        scn.fleet.calls,
-        cfg.shards(),
-        cfg.shard_size,
-        if scn.campaign.threads == 0 { "auto".to_string() } else { scn.campaign.threads.to_string() },
-        scn.campaign.checkpoint_dir.as_deref().unwrap_or("off"),
-    );
-    let arms: Vec<String> =
-        scn.arms.iter().map(|a| format!("{}:{}", a.name, mode_tag(a.mode))).collect();
-    println!("[scenario] arms: [{}]", arms.join(", "));
-    if !scn.faults.specs.is_empty() {
-        println!("[scenario] faults: {} spec(s)", scn.faults.specs.len());
-    }
-    println!("[scenario] fingerprint: {:016x}", scn.fingerprint());
-    0
+    Ok(true)
 }
 
 /// A human calls/sec figure that degrades gracefully: campaigns that
@@ -427,32 +412,32 @@ fn rate_str(calls: u64, secs: f64) -> String {
     }
 }
 
-/// `repro --campaign FILE`: run the scenario's sharded fleet campaign
-/// with live progress (including calls/sec) and health heartbeats, print
-/// the campaign report, and write the JSON artifact plus the
-/// campaign-health JSONL under `--out`. With `--flight-topk` /
-/// `--forensics-out` (or a scenario `[observe]` section) the flight
-/// recorder retains the K worst calls and re-simulates their full event
-/// timelines. Exit 0 on success, 2 on parse/run failure.
-fn campaign_cli(
-    path: &str,
-    out_dir: &str,
-    forensics_out: Option<&str>,
-    flight_topk: Option<usize>,
-) -> i32 {
-    let scn = match load_scenario(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("campaign: {e}");
-            return 2;
+/// `repro campaign FILE`: run the scenario's sharded fleet campaign with
+/// live progress (including calls/sec) and health heartbeats, print the
+/// campaign report, and write the JSON artifact plus the campaign-health
+/// JSONL under `--out`. With `--flight-topk` / `--capture` (or a scenario
+/// `[observe]` section) the flight recorder retains the K worst calls, and
+/// `--capture` re-simulates their full event timelines.
+fn campaign(mut args: Args) -> Verdict {
+    let mut out_dir = DEFAULT_OUT.to_string();
+    let mut flight_topk: Option<usize> = None;
+    let mut capture: Option<String> = None;
+    let mut files = Vec::new();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out_dir = args.value(&a, DIR)?,
+            "--flight-topk" => flight_topk = Some(args.value(&a, COUNT)?),
+            "--capture" => capture = Some(args.value(&a, DIR)?),
+            _ => files.push(args.positional(a)?),
         }
-    };
+    }
+    let scn = load_scenario(&args.one_file(files)?)?;
     let mut cfg = scn.campaign_config();
     if let Some(k) = flight_topk {
         cfg.flight_k = k;
     }
-    if forensics_out.is_some() && cfg.flight_k == 0 {
-        // Forensics with nothing retained would be an empty dossier;
+    if capture.is_some() && cfg.flight_k == 0 {
+        // A capture with nothing retained would be an empty dossier;
         // default to a useful handful.
         cfg.flight_k = 4;
     }
@@ -530,13 +515,8 @@ fn campaign_cli(
             rate_str(hb.calls_done, hb.elapsed_ns as f64 / 1e9),
         );
     };
-    let run = match diversifi::run_fleet_campaign_observed(&scn, &cfg, progress, heartbeat) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("campaign: {e}");
-            return 2;
-        }
-    };
+    let run = diversifi::run_fleet_campaign_observed(&scn, &cfg, progress, heartbeat)
+        .map_err(|e| format!("campaign {:?}: {e}", scn.name))?;
     let rep = &run.report;
     let elapsed = start.elapsed().as_secs_f64();
 
@@ -631,28 +611,16 @@ fn campaign_cli(
 
     let safe_name = rep.scenario.replace([' ', '/'], "_");
     let artifact = format!("campaign_{safe_name}");
-    match report::write_json(out_dir, &artifact, rep) {
-        Ok(p) => println!("[artifact] {p}"),
-        Err(e) => {
-            eprintln!("campaign: failed to write artifact: {e}");
-            return 2;
-        }
-    }
+    println!("[artifact] {}", write_json(&out_dir, &artifact, rep)?);
     let lines = health_lines.into_inner().unwrap();
     if !lines.is_empty() {
         let path = format!("{out_dir}/campaign-health_{safe_name}.jsonl");
-        let body = lines.join("\n") + "\n";
-        if let Err(e) =
-            std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, body))
-        {
-            eprintln!("campaign: failed to write health series: {e}");
-            return 2;
-        }
+        write_text(&path, &(lines.join("\n") + "\n"))?;
         println!("[artifact] {path}");
     }
 
-    if let Some(dir) = forensics_out {
-        let worst = run.flight.as_ref().expect("flight_k > 0 when forensics requested");
+    if let Some(dir) = &capture {
+        let worst = run.flight.as_ref().expect("flight_k > 0 when a capture is requested");
         if worst.is_empty() {
             println!("[forensics] nothing to capture: no calls fell below the poor trigger");
         } else {
@@ -664,12 +632,7 @@ fn campaign_cli(
                 );
             }
             let captures = diversifi::capture_worst_calls(&scn, worst, scn.observe.ring);
-            let base = format!("{dir}/flight_{safe_name}");
-            let (chrome, jsonl) = (format!("{base}.json"), format!("{base}.jsonl"));
-            if let Err(e) = write_timeline(&captures, &chrome, &jsonl) {
-                eprintln!("campaign: failed to write forensics: {e}");
-                return 2;
-            }
+            let (chrome, jsonl) = write_timeline(&captures, dir, &format!("flight_{safe_name}"))?;
             println!(
                 "[forensics] {} captures ({} calls × {} arms) → {chrome} (Perfetto), {jsonl}",
                 captures.runs.len(),
@@ -678,78 +641,71 @@ fn campaign_cli(
             );
         }
     }
-    0
+    Ok(true)
 }
 
-/// `repro --chaos SCENARIO`: the adversarial fault-plan fuzzing campaign.
+/// `repro chaos FILE`: the adversarial fault-plan fuzzing campaign.
 ///
 /// Runs in two stages, either of which can be disabled:
 ///
-/// 1. **Corpus replay** (`--chaos-corpus DIR`): every committed
-///    `*.json` reproducer in DIR is replayed under the real oracles.
-///    A replay violation means a fixed bug is back — hard failure.
+/// 1. **Corpus replay** (`--corpus DIR`): every committed `*.json`
+///    reproducer in DIR is replayed under the real oracles. A replay
+///    violation means a fixed bug is back — a failed verdict.
 /// 2. **Scan**: `plans` seeded plans (scenario `[chaos]` section,
-///    `--chaos-plans` override; 0 skips the scan) are generated under
-///    the budget and evaluated; retained violations are shrunk to
-///    minimal reproducers, written to the corpus directory (when given)
-///    and to the JSON artifact.
+///    `--plans` override; 0 skips the scan) are generated under the budget
+///    and evaluated; retained violations are shrunk to minimal
+///    reproducers, written to the corpus directory (when given) and to the
+///    JSON artifact.
 ///
-/// Exit code: 0 when clean, 1 on any violation / replay failure /
-/// quarantined shard. Under `--chaos-canary` the verdict inverts for the
-/// scan: the planted violation MUST be found (and shrink to its minimal
-/// two-spec form) or the fuzzer itself is broken.
-fn chaos_cli(
-    path: &str,
-    out_dir: &str,
-    plans_override: Option<u64>,
-    corpus_dir: Option<&str>,
-    canary: bool,
-    forensics_out: Option<&str>,
-) -> i32 {
+/// The verdict fails on any violation, replay failure or quarantined
+/// shard. Under `--canary` it inverts for the scan: the planted violation
+/// MUST be found (and shrink to its minimal two-spec form) or the fuzzer
+/// itself is broken.
+fn chaos(mut args: Args) -> Verdict {
     use diversifi::chaos::{capture_reproducer, replay_reproducer, run_chaos, ChaosConfig};
     use diversifi_simcore::chaos::ChaosReproducer;
 
-    let scn = match load_scenario(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            return 2;
+    let mut out_dir = DEFAULT_OUT.to_string();
+    let mut plans: Option<u64> = None;
+    let mut corpus_dir: Option<String> = None;
+    let mut canary = false;
+    let mut capture: Option<String> = None;
+    let mut files = Vec::new();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out_dir = args.value(&a, DIR)?,
+            "--plans" => plans = Some(args.value(&a, COUNT)?),
+            "--corpus" => corpus_dir = Some(args.value(&a, DIR)?),
+            "--canary" => canary = true,
+            "--capture" => capture = Some(args.value(&a, DIR)?),
+            _ => files.push(args.positional(a)?),
         }
-    };
+    }
+    let scn = load_scenario(&args.one_file(files)?)?;
     let mut cfg = ChaosConfig::from_scenario(&scn);
     cfg.canary = canary;
-    if let Some(n) = plans_override {
+    if let Some(n) = plans {
         cfg.plans = n;
     }
 
-    let mut code = 0;
+    let mut passed = true;
 
     // Stage 1: replay the committed corpus (proptest-regressions style).
-    if let Some(dir) = corpus_dir {
+    if let Some(dir) = &corpus_dir {
         let mut entries: Vec<std::path::PathBuf> = match std::fs::read_dir(dir) {
             Ok(rd) => rd
                 .filter_map(|e| e.ok().map(|e| e.path()))
                 .filter(|p| p.extension().is_some_and(|x| x == "json"))
                 .collect(),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => {
-                eprintln!("chaos: corpus dir {dir}: {e}");
-                return 2;
-            }
+            Err(e) => return Err(format!("cannot read corpus {dir}: {e}")),
         };
         entries.sort();
         for p in &entries {
-            let rep: ChaosReproducer = match std::fs::read_to_string(p)
+            let rep: ChaosReproducer = std::fs::read_to_string(p)
                 .map_err(|e| e.to_string())
                 .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-            {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("chaos: corpus entry {}: {e}", p.display());
-                    code = code.max(2);
-                    continue;
-                }
-            };
+                .map_err(|e| format!("corpus entry {}: {e}", p.display()))?;
             match replay_reproducer(&cfg, &rep) {
                 None => println!(
                     "[chaos] corpus {} ({}, {} specs): clean",
@@ -764,7 +720,7 @@ fn chaos_cli(
                         v.oracle,
                         v.detail
                     );
-                    code = code.max(1);
+                    passed = false;
                 }
             }
         }
@@ -773,7 +729,7 @@ fn chaos_cli(
 
     // Stage 2: the fuzzing scan.
     if cfg.plans == 0 {
-        return code;
+        return Ok(passed);
     }
     println!(
         "[chaos] {:?}: {} plans, horizon {:.1}s, max {} specs, seed {:#x}{}",
@@ -784,13 +740,7 @@ fn chaos_cli(
         cfg.seed,
         if canary { " (planted canary)" } else { "" },
     );
-    let report = match run_chaos(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            return 2;
-        }
-    };
+    let report = run_chaos(&cfg).map_err(|e| format!("chaos scan {:?}: {e}", scn.name))?;
     println!(
         "[chaos] scanned {} plans ({} empty): {} violation(s) — \
          {} amplification, {} engine-panic, {} unbounded-MTTR",
@@ -806,7 +756,7 @@ fn chaos_cli(
     }
     for q in &report.quarantined {
         eprintln!("[chaos] shard {q} quarantined (panic escaped per-plan capture)");
-        code = code.max(1);
+        passed = false;
     }
     for f in &report.findings {
         println!(
@@ -823,40 +773,26 @@ fn chaos_cli(
     }
 
     let safe_name = scn.name.replace([' ', '/'], "_");
-    match report::write_json(out_dir, &format!("chaos_{safe_name}"), &report) {
-        Ok(p) => println!("[artifact] {p}"),
-        Err(e) => {
-            eprintln!("chaos: failed to write artifact: {e}");
-            return 2;
-        }
-    }
+    println!("[artifact] {}", write_json(&out_dir, &format!("chaos_{safe_name}"), &report)?);
 
     // Newly shrunk reproducers join the corpus (committed by the
     // developer once triaged, like proptest-regressions files).
-    if let Some(dir) = corpus_dir {
+    if let Some(dir) = &corpus_dir {
         for f in &report.findings {
             let name = format!("chaos-{:016x}-{:06}.json", f.reproducer.seed, f.reproducer.index);
             let text = serde_json::to_string_pretty(&f.reproducer)
                 .expect("reproducer serialization cannot fail");
-            let p = std::path::Path::new(dir).join(&name);
-            if let Err(e) = write_text_atomic(&p, &(text + "\n")) {
-                eprintln!("chaos: failed to write reproducer {}: {e}", p.display());
-                return 2;
-            }
-            println!("[chaos] reproducer → {}", p.display());
+            let p = format!("{dir}/{name}");
+            write_text(&p, &(text + "\n"))?;
+            println!("[chaos] reproducer → {p}");
         }
     }
 
     // Forensics: freeze both arms of the worst finding's minimal plan.
-    if let Some(dir) = forensics_out {
+    if let Some(dir) = &capture {
         if let Some(f) = report.findings.first() {
             let captures = capture_reproducer(&cfg, &f.reproducer, scn.observe.ring);
-            let base = format!("{dir}/chaos_{safe_name}");
-            let (chrome, jsonl) = (format!("{base}.json"), format!("{base}.jsonl"));
-            if let Err(e) = write_timeline(&captures, &chrome, &jsonl) {
-                eprintln!("chaos: failed to write forensics: {e}");
-                return 2;
-            }
+            let (chrome, jsonl) = write_timeline(&captures, dir, &format!("chaos_{safe_name}"))?;
             println!("[forensics] worst finding (plan {:06}) → {chrome}, {jsonl}", f.index);
         } else {
             println!("[forensics] nothing to capture: no findings");
@@ -876,7 +812,7 @@ fn chaos_cli(
                  {} spec(s)",
                 report.findings[0].minimal_specs
             );
-            code.max(0)
+            Ok(passed)
         } else {
             eprintln!(
                 "[chaos] canary FAIL: violations={} findings={} complete={}",
@@ -884,41 +820,42 @@ fn chaos_cli(
                 report.findings.len(),
                 report.complete
             );
-            1
+            Ok(false)
         }
     } else {
         if report.violations > 0 {
             eprintln!("[chaos] FAIL: {} violating plan(s)", report.violations);
-            code = code.max(1);
+            passed = false;
         }
         if !report.complete {
             eprintln!("[chaos] FAIL: scan incomplete");
-            code = code.max(1);
+            passed = false;
         }
-        code
+        Ok(passed)
     }
 }
 
 /// Write one event timeline as its two artifacts: the Perfetto / Chrome
-/// trace at `chrome` and the JSONL event stream at `jsonl`. Each lands
-/// atomically, parent directories created; the first IO error is
-/// returned. Every timeline `repro` writes (`--trace-out` and both
-/// `--forensics-out` captures) goes through here.
-fn write_timeline(merged: &MergedTelemetry, chrome: &str, jsonl: &str) -> std::io::Result<()> {
-    write_text_atomic(Path::new(chrome), &export::chrome_trace(merged))?;
-    write_text_atomic(Path::new(jsonl), &export::jsonl(merged))
+/// trace `DIR/STEM.json` and the JSONL event stream `DIR/STEM.jsonl`. Each
+/// lands atomically, parent directories created. Returns both paths, or
+/// the error naming the first that could not be written. Every timeline
+/// `repro` writes goes through here.
+fn write_timeline(
+    merged: &MergedTelemetry,
+    dir: &str,
+    stem: &str,
+) -> Result<(String, String), String> {
+    let (chrome, jsonl) = (format!("{dir}/{stem}.json"), format!("{dir}/{stem}.jsonl"));
+    write_text(&chrome, &export::chrome_trace(merged))?;
+    write_text(&jsonl, &export::jsonl(merged))?;
+    Ok((chrome, jsonl))
 }
 
 /// Capture one fully-instrumented paper scenario (§6 testbed weak pair,
 /// customized-AP DiversiFi with a coexisting TCP flow) across a small sweep
-/// and export the merged telemetry. An artifact that cannot be written is
-/// an error naming its path.
-fn telemetry_capture(
-    ctx: &Ctx,
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
-) -> Result<(), String> {
-    use diversifi::world::{RunMode, World, WorldConfig};
+/// and export the merged telemetry under `dir`.
+fn telemetry_capture(ctx: &mut Ctx, dir: &str) {
+    use diversifi::world::{World, WorldConfig};
 
     if !diversifi_simcore::telemetry::TRACE_COMPILED {
         eprintln!(
@@ -940,25 +877,36 @@ fn telemetry_capture(
         World::new(&cfg, &seeds.subfactory("telemetry", i as u64)).run()
     });
     println!("{}", export::sweep_report(&merged));
-    if let Some(path) = trace_out {
-        let sidecar = format!("{path}.jsonl");
-        write_timeline(&merged, path, &sidecar).map_err(|e| format!("{path}: {e}"))?;
-        println!("[artifact] {path} (Chrome trace — open at ui.perfetto.dev)");
-        println!("[artifact] {sidecar} (event stream, one JSON object per line)");
+    match write_timeline(&merged, dir, "telemetry") {
+        Ok((chrome, jsonl)) => {
+            println!("[artifact] {chrome} (Chrome trace — open at ui.perfetto.dev)");
+            println!("[artifact] {jsonl} (event stream, one JSON object per line)");
+        }
+        Err(e) => ctx.failed.push(e),
     }
-    if let Some(path) = metrics_out {
-        write_text_atomic(Path::new(path), &export::metrics_table(&merged.metrics))
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("[artifact] {path} (per-sweep metrics table)");
+    let metrics = format!("{dir}/metrics.txt");
+    match write_text(&metrics, &export::metrics_table(&merged.metrics)) {
+        Ok(()) => println!("[artifact] {metrics} (per-sweep metrics table)"),
+        Err(e) => ctx.failed.push(e),
     }
-    Ok(())
 }
 
-fn save<T: serde::Serialize>(ctx: &Ctx, name: &str, value: &T) {
-    match report::write_json(&ctx.out_dir, name, value) {
+/// Write one experiment's JSON artifact, or note it as failed.
+fn save<T: serde::Serialize>(ctx: &mut Ctx, name: &str, value: &T) {
+    match write_json(&ctx.out_dir, name, value) {
         Ok(path) => println!("[artifact] {path}"),
-        Err(e) => eprintln!("[artifact] failed to write {name}: {e}"),
+        Err(e) => ctx.failed.push(e),
     }
+}
+
+/// Write `value` as the JSON artifact `DIR/NAME.json`; returns its path.
+fn write_json<T: serde::Serialize>(dir: &str, name: &str, value: &T) -> Result<String, String> {
+    report::write_json(dir, name, value).map_err(|e| format!("cannot write {dir}/{name}.json: {e}"))
+}
+
+/// Write `text` to `path` atomically, parent directories created.
+fn write_text(path: &str, text: &str) -> Result<(), String> {
+    write_text_atomic(Path::new(path), text).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn fig1(ctx: &mut Ctx) {
@@ -1282,7 +1230,7 @@ fn fig9(ctx: &mut Ctx) {
 
 fn fig10(ctx: &mut Ctx) {
     let n = (26 / ctx.scale.corpus_divisor).max(4);
-    let pairs = run_tcp_corpus(n, ctx.threads, ctx.seed ^ 0x10);
+    let pairs = run_tcp_corpus(n, 0, ctx.seed ^ 0x10);
     let diffs_kbps: Vec<f64> =
         pairs.iter().map(|p| (p.off_bps - p.on_bps) / 1000.0).collect();
     let off = mean(&pairs.iter().map(|p| p.off_bps).collect::<Vec<_>>());
@@ -1350,7 +1298,6 @@ fn mbox_scale(ctx: &mut Ctx) {
     println!("Δ(0 → 1000 streams) = {delta:.2} ms [paper: 1.1 ms]");
     save(ctx, "mbox_scale", &sweep);
 }
-
 
 fn ablations(ctx: &mut Ctx) {
     use diversifi::ablation;
@@ -1510,53 +1457,45 @@ fn multiclient(ctx: &mut Ctx) {
     save(ctx, "multiclient", &artifact);
 }
 
-/// `--resilience` — the deterministic fault catalogue, run paired: each
-/// seed simulates a primary-only baseline and a DiversiFi arm on the same
-/// channel realisation with the same fault plan. The report covers both
-/// sides of the degradation contract: what the faults cost (loss,
-/// worst-window loss, MOS) and how recovery behaved (MTTR from the fault
-/// engine, degraded-mode time, probes, duplicate overhead).
-/// Per-seed no-amplification gate for `--resilience`, in loss / tick-miss
+/// Per-seed no-amplification gate for `resilience`, in loss / tick-miss
 /// percentage points: DiversiFi beyond `baseline + 2pp` on any paired
-/// realisation is a hard failure (non-zero exit). Small sub-gate jitter
-/// between the arms is expected on weak paired links; a 2pp excursion is
-/// not.
+/// realisation fails the verdict (exit 1). Small sub-gate jitter between
+/// the arms is expected on weak paired links; a 2pp excursion is not.
 const AMPLIFICATION_GATE_PP: f64 = 2.0;
 
-fn resilience(ctx: &mut Ctx) -> i32 {
-    use diversifi::world::{World, WorldConfig};
-    use diversifi_simcore::{FaultKind, FaultPlan, SimTime, WorkerArena};
+/// `resilience` — the deterministic fault catalogue, run paired: each
+/// seed simulates a primary-only baseline and a DiversiFi arm on the same
+/// channel realisation with the same fault plan, through
+/// [`run_paired`](diversifi::chaos::run_paired) as the chaos oracles do,
+/// once with VoIP and once with the FPS workload. The report covers both
+/// sides of the degradation contract: what the faults cost (loss,
+/// worst-window loss, MOS; tick misses and QoE) and how recovery behaved
+/// (MTTR from the fault engine, degraded-mode time, probes, duplicate
+/// overhead). A pair whose world panics is an error naming the scenario
+/// and the seed.
+fn resilience(ctx: &mut Ctx) -> Verdict {
+    use diversifi::chaos::run_paired;
+    use diversifi::world::{RunReport, WorldConfig};
+    use diversifi_simcore::{FaultKind, FaultPlan, SimTime};
     use diversifi_voip::emodel::mos_from_stats;
-    use diversifi_voip::{burst_ratio, CodecModel, StreamTrace};
-    use diversifi_wifi::RealizationCache;
+    use diversifi_voip::{burst_ratio, CodecModel, FpsConfig, FpsOutcome, StreamTrace, WorkloadKind};
 
-    // Per-worker scratch of both sweeps below: a task's two arms share one
-    // seed, so they share one pair of realisations.
-    let paired_scratch = || (RealizationCache::new(2), WorkerArena::new());
     let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
     let ms = SimDuration::from_millis;
-    let scenarios: Vec<(&str, RunMode, FaultPlan)> = vec![
-        (
-            "primary_ap_reboot",
-            RunMode::DiversifiCustomAp,
-            FaultPlan::single_ap_reboot(0, at(8), SimDuration::from_secs(2)),
-        ),
+    // Each plan's DiversiFi arm runs the deployment its faults bite: the
+    // middlebox one for `middlebox_restart`, the customized-AP one else.
+    let scenarios: Vec<(&str, FaultPlan)> = vec![
+        ("primary_ap_reboot", FaultPlan::single_ap_reboot(0, at(8), SimDuration::from_secs(2))),
         (
             "secondary_ap_flap",
-            RunMode::DiversifiCustomAp,
             FaultPlan::none().with(
                 at(6),
                 FaultKind::ApFlap { ap: 1, down: ms(1200), up: ms(1800), cycles: 3 },
             ),
         ),
-        (
-            "secondary_blackout",
-            RunMode::DiversifiCustomAp,
-            FaultPlan::single_ap_reboot(1, at(5), SimDuration::from_secs(10)),
-        ),
+        ("secondary_blackout", FaultPlan::single_ap_reboot(1, at(5), SimDuration::from_secs(10))),
         (
             "middlebox_restart",
-            RunMode::DiversifiMiddlebox,
             FaultPlan::none().with(
                 at(8),
                 FaultKind::MiddleboxRestart { outage: ms(1500), reinstall_delay: ms(400) },
@@ -1564,7 +1503,6 @@ fn resilience(ctx: &mut Ctx) -> i32 {
         ),
         (
             "brownout",
-            RunMode::DiversifiCustomAp,
             FaultPlan::none().with(
                 at(6),
                 FaultKind::Brownout {
@@ -1576,13 +1514,11 @@ fn resilience(ctx: &mut Ctx) -> i32 {
         ),
         (
             "uplink_outage",
-            RunMode::DiversifiCustomAp,
             FaultPlan::none()
                 .with(at(8), FaultKind::UplinkOutage { duration: SimDuration::from_secs(2) }),
         ),
         (
             "interference_storm",
-            RunMode::DiversifiCustomAp,
             FaultPlan::none().with(
                 at(6),
                 FaultKind::InterferenceStorm {
@@ -1598,82 +1534,50 @@ fn resilience(ctx: &mut Ctx) -> i32 {
     let n = (12 / ctx.scale.corpus_divisor).max(4) as u64;
     let secs = ctx.scale.call_secs.clamp(20, 32);
     let seed = ctx.seed;
-
-    struct Rec {
-        si: usize,
-        loss_b: f64,
-        loss_d: f64,
-        mttr_ms: Vec<f64>,
-        unrecovered: usize,
-        degraded_ms: f64,
-        probes: u64,
-        air: u64,
-        dups: u64,
-        trace_b: StreamTrace,
-        trace_d: StreamTrace,
-    }
-
     let tasks: Vec<(usize, u64)> =
         (0..scenarios.len()).flat_map(|si| (0..n).map(move |k| (si, k))).collect();
-    let sweep = SweepRunner::new(ctx.threads);
-    let rows = sweep.run_indexed_with(tasks.len(), paired_scratch, |i, (cache, arena)| {
-        let (si, k) = tasks[i];
-        let (_, mode, plan) = &scenarios[si];
-        let mut a = LinkConfig::office(Channel::CH1, 22.0);
-        a.ge = GeParams::weak_link();
-        let mut b = LinkConfig::office(Channel::CH11, 28.0);
-        b.ge = GeParams::weak_link();
-        let mut base = WorldConfig::testbed(a, b);
-        base.mode = RunMode::PrimaryOnly;
-        base.spec.duration = SimDuration::from_secs(secs);
-        base.faults = plan.clone();
-        let mut dvf = base.clone();
-        dvf.mode = *mode;
-        let s = SeedFactory::new(seed ^ 0x5E511E ^ ((si as u64) << 32) ^ k);
-        let rb = World::new_cached_in(&base, &s, cache, arena).run_in(arena);
-        let rd = World::new_cached_in(&dvf, &s, cache, arena).run_in(arena);
-        Rec {
-            si,
-            loss_b: rb.trace.loss_rate(DEFAULT_DEADLINE) * 100.0,
-            loss_d: rd.trace.loss_rate(DEFAULT_DEADLINE) * 100.0,
-            mttr_ms: rd
-                .fault_outcomes
-                .iter()
-                .filter_map(|o| o.mttr())
-                .map(|d| d.as_millis_f64())
-                .collect(),
-            unrecovered: rd.fault_outcomes.iter().filter(|o| o.recovered_at.is_none()).count(),
-            degraded_ms: rd.alg_stats.degraded_ns as f64 / 1e6,
-            probes: rd.alg_stats.probe_visits,
-            air: rd.secondary_air_tx,
-            dups: rd.alg_stats.duplicate_packets,
-            trace_b: rb.trace,
-            trace_d: rd.trace,
-        }
-    });
+    let mut fps_knobs = FpsConfig::office();
+    fps_knobs.duration = SimDuration::from_secs(secs);
+
+    // Both passes run every (scenario, seed) task on the same two weak
+    // links; only the workload and the seed salt differ. Each row is
+    // (scenario index, baseline report, DiversiFi report).
+    let paired = |workload: WorkloadKind, salt: u64| {
+        let rows = SweepRunner::new(0).run_indexed(tasks.len(), |i| {
+            let (si, k) = tasks[i];
+            let (label, plan) = &scenarios[si];
+            let mut a = LinkConfig::office(Channel::CH1, 22.0);
+            a.ge = GeParams::weak_link();
+            let mut b = LinkConfig::office(Channel::CH11, 28.0);
+            b.ge = GeParams::weak_link();
+            let mut base = WorldConfig::testbed(a, b);
+            base.mode = RunMode::PrimaryOnly;
+            base.spec.duration = SimDuration::from_secs(secs);
+            base.set_workload(workload);
+            base.faults = plan.clone();
+            let master = seed ^ salt ^ ((si as u64) << 32) ^ k;
+            run_paired(&base, &SeedFactory::new(master))
+                .map(|(rb, rd)| (si, rb, rd))
+                .map_err(|e| {
+                    format!(
+                        "resilience {label} ({} pass, seed {master:#x}): a world panicked: {e}",
+                        workload.label()
+                    )
+                })
+        });
+        rows.into_iter().collect::<Result<Vec<(usize, RunReport, RunReport)>, String>>()
+    };
 
     // MOS from the trace's own loss/burst structure, with a nominal 60 ms
     // of non-network (codec + playout) delay on both arms.
     let mos = |tr: &StreamTrace| {
-        let ind = tr.loss_indicator(DEFAULT_DEADLINE);
-        let mut bursts = Vec::new();
-        let mut run = 0usize;
-        for v in &ind {
-            if *v > 0.0 {
-                run += 1;
-            } else if run > 0 {
-                bursts.push(run);
-                run = 0;
-            }
-        }
-        if run > 0 {
-            bursts.push(run);
-        }
         let loss = tr.loss_rate(DEFAULT_DEADLINE);
-        let br = burst_ratio(&bursts, loss);
+        let br = burst_ratio(&tr.burst_lengths(DEFAULT_DEADLINE), loss);
         mos_from_stats(&CodecModel::g711_plc(), loss * 100.0, br, 60.0).mos
     };
 
+    let rows = paired(WorkloadKind::Voip, 0x5E511E)?;
+    let loss = |r: &RunReport| r.trace.loss_rate(DEFAULT_DEADLINE) * 100.0;
     let window = SimDuration::from_secs(5);
     let mut quality_t = TextTable::new(&[
         "Scenario",
@@ -1696,30 +1600,38 @@ fn resilience(ctx: &mut Ctx) -> i32 {
     let mut artifact = Vec::new();
     let (mut pairs, mut amplified) = (0usize, 0usize);
     let mut gate_failures: Vec<String> = Vec::new();
-    for (si, (label, _, _)) in scenarios.iter().enumerate() {
-        let rs: Vec<&Rec> = rows.iter().filter(|r| r.si == si).collect();
-        let fvec = |f: &dyn Fn(&Rec) -> f64| rs.iter().map(|r| f(r)).collect::<Vec<f64>>();
-        let lb = mean(&fvec(&|r| r.loss_b));
-        let ld = mean(&fvec(&|r| r.loss_d));
-        let tb: Vec<StreamTrace> = rs.iter().map(|r| r.trace_b.clone()).collect();
-        let td: Vec<StreamTrace> = rs.iter().map(|r| r.trace_d.clone()).collect();
+    for (si, (label, _)) in scenarios.iter().enumerate() {
+        let rs: Vec<(&RunReport, &RunReport)> =
+            rows.iter().filter(|r| r.0 == si).map(|(_, rb, rd)| (rb, rd)).collect();
+        let fvec = |f: &dyn Fn(&RunReport) -> f64| rs.iter().map(|r| f(r.1)).collect::<Vec<f64>>();
+        let lb = mean(&rs.iter().map(|r| loss(r.0)).collect::<Vec<_>>());
+        let ld = mean(&fvec(&loss));
+        let tb: Vec<StreamTrace> = rs.iter().map(|r| r.0.trace.clone()).collect();
+        let td: Vec<StreamTrace> = rs.iter().map(|r| r.1.trace.clone()).collect();
         let w5b = metrics::worst_window_ecdf(&tb, window, DEFAULT_DEADLINE).quantile(0.9);
         let w5d = metrics::worst_window_ecdf(&td, window, DEFAULT_DEADLINE).quantile(0.9);
         let mos_b = mean(&tb.iter().map(&mos).collect::<Vec<_>>());
         let mos_d = mean(&td.iter().map(&mos).collect::<Vec<_>>());
-        let mttrs: Vec<f64> = rs.iter().flat_map(|r| r.mttr_ms.iter().copied()).collect();
+        let mttrs: Vec<f64> = rs
+            .iter()
+            .flat_map(|r| r.1.fault_outcomes.iter().filter_map(|o| o.mttr()))
+            .map(|d| d.as_millis_f64())
+            .collect();
         let mttr = if mttrs.is_empty() { f64::NAN } else { mean(&mttrs) };
-        let unrecovered: usize = rs.iter().map(|r| r.unrecovered).sum();
-        let degraded = mean(&fvec(&|r| r.degraded_ms));
-        let probes = mean(&fvec(&|r| r.probes as f64));
-        let air = mean(&fvec(&|r| r.air as f64));
-        let dups = mean(&fvec(&|r| r.dups as f64));
+        let unrecovered: usize = rs
+            .iter()
+            .map(|r| r.1.fault_outcomes.iter().filter(|o| o.recovered_at.is_none()).count())
+            .sum();
+        let degraded = mean(&fvec(&|r| r.alg_stats.degraded_ns as f64 / 1e6));
+        let probes = mean(&fvec(&|r| r.alg_stats.probe_visits as f64));
+        let air = mean(&fvec(&|r| r.secondary_air_tx as f64));
+        let dups = mean(&fvec(&|r| r.alg_stats.duplicate_packets as f64));
+        let per_seed: Vec<(f64, f64)> = rs.iter().map(|r| (loss(r.0), loss(r.1))).collect();
         pairs += rs.len();
-        amplified += rs.iter().filter(|r| r.loss_d > r.loss_b).count();
-        for r in rs.iter().filter(|r| r.loss_d > r.loss_b + AMPLIFICATION_GATE_PP) {
+        amplified += per_seed.iter().filter(|(b, d)| d > b).count();
+        for (b, d) in per_seed.iter().filter(|(b, d)| *d > b + AMPLIFICATION_GATE_PP) {
             gate_failures.push(format!(
-                "[voip] {label}: loss {:.2}% vs primary-only {:.2}% (gate {AMPLIFICATION_GATE_PP}pp)",
-                r.loss_d, r.loss_b
+                "[voip] {label}: loss {d:.2}% vs primary-only {b:.2}% (gate {AMPLIFICATION_GATE_PP}pp)"
             ));
         }
         quality_t.row(&[
@@ -1754,7 +1666,7 @@ fn resilience(ctx: &mut Ctx) -> i32 {
             "mean_probe_visits": probes,
             "mean_secondary_air_tx": air,
             "mean_duplicates": dups,
-            "per_seed_loss_pct": rs.iter().map(|r| (r.loss_b, r.loss_d)).collect::<Vec<_>>(),
+            "per_seed_loss_pct": per_seed,
         }));
     }
     println!("[voip] Fault impact ({n} seeds/scenario, {secs} s calls, paired realisations):");
@@ -1770,55 +1682,8 @@ fn resilience(ctx: &mut Ctx) -> i32 {
     // cloud-gaming workload. Quality is per-tick deadline compliance (state
     // downlink + input uplink) and the deadline-based session QoE instead
     // of MOS.
-    use diversifi_voip::{FpsConfig, WorkloadKind};
-    let mut fps_knobs = FpsConfig::office();
-    fps_knobs.duration = SimDuration::from_secs(secs);
-
-    struct FpsRec {
-        si: usize,
-        miss_b: f64,
-        miss_d: f64,
-        input_miss_d: f64,
-        blackout_d: u64,
-        outage_b: u64,
-        outage_d: u64,
-        qoe_b: f64,
-        qoe_d: f64,
-    }
-
-    let fps_rows = sweep.run_indexed_with(tasks.len(), paired_scratch, |i, (cache, arena)| {
-        let (si, k) = tasks[i];
-        let (_, mode, plan) = &scenarios[si];
-        let mut a = LinkConfig::office(Channel::CH1, 22.0);
-        a.ge = GeParams::weak_link();
-        let mut b = LinkConfig::office(Channel::CH11, 28.0);
-        b.ge = GeParams::weak_link();
-        let mut base = WorldConfig::testbed(a, b);
-        base.mode = RunMode::PrimaryOnly;
-        base.set_workload(WorkloadKind::Fps(fps_knobs));
-        base.faults = plan.clone();
-        let mut dvf = base.clone();
-        dvf.mode = *mode;
-        let s = SeedFactory::new(seed ^ 0xF5511E ^ ((si as u64) << 32) ^ k);
-        let mut run = |cfg: &WorldConfig| {
-            let r = World::new_cached_in(cfg, &s, cache, arena).run_in(arena);
-            *r.workload.fps().expect("fps outcome")
-        };
-        let ob = run(&base);
-        let od = run(&dvf);
-        FpsRec {
-            si,
-            miss_b: 100.0 * ob.state.miss_rate(),
-            miss_d: 100.0 * od.state.miss_rate(),
-            input_miss_d: 100.0 * od.input.miss_rate(),
-            blackout_d: od.input_blackout,
-            outage_b: ob.state.longest_outage_ticks,
-            outage_d: od.state.longest_outage_ticks,
-            qoe_b: ob.qoe,
-            qoe_d: od.qoe,
-        }
-    });
-
+    let fps_rows = paired(WorkloadKind::Fps(fps_knobs), 0xF5511E)?;
+    let fps = |r: &RunReport| *r.workload.fps().expect("fps outcome");
     let mut fps_t = TextTable::new(&[
         "Scenario",
         "Tick miss base (%)",
@@ -1831,23 +1696,29 @@ fn resilience(ctx: &mut Ctx) -> i32 {
     ]);
     let mut fps_artifact = Vec::new();
     let (mut fps_pairs, mut fps_amplified) = (0usize, 0usize);
-    for (si, (label, _, _)) in scenarios.iter().enumerate() {
-        let rs: Vec<&FpsRec> = fps_rows.iter().filter(|r| r.si == si).collect();
-        let fvec = |f: &dyn Fn(&FpsRec) -> f64| rs.iter().map(|r| f(r)).collect::<Vec<f64>>();
-        let mb = mean(&fvec(&|r| r.miss_b));
-        let md = mean(&fvec(&|r| r.miss_d));
-        let imd = mean(&fvec(&|r| r.input_miss_d));
-        let blackout = mean(&fvec(&|r| r.blackout_d as f64));
-        let ob = mean(&fvec(&|r| r.outage_b as f64));
-        let od = mean(&fvec(&|r| r.outage_d as f64));
-        let qb = mean(&fvec(&|r| r.qoe_b));
-        let qd = mean(&fvec(&|r| r.qoe_d));
+    for (si, (label, _)) in scenarios.iter().enumerate() {
+        let rs: Vec<(FpsOutcome, FpsOutcome)> =
+            fps_rows.iter().filter(|r| r.0 == si).map(|(_, rb, rd)| (fps(rb), fps(rd))).collect();
+        let fmean = |f: &dyn Fn(&(FpsOutcome, FpsOutcome)) -> f64| {
+            mean(&rs.iter().map(f).collect::<Vec<f64>>())
+        };
+        let mb = fmean(&|(b, _)| 100.0 * b.state.miss_rate());
+        let md = fmean(&|(_, d)| 100.0 * d.state.miss_rate());
+        let imd = fmean(&|(_, d)| 100.0 * d.input.miss_rate());
+        let blackout = fmean(&|(_, d)| d.input_blackout as f64);
+        let ob = fmean(&|(b, _)| b.state.longest_outage_ticks as f64);
+        let od = fmean(&|(_, d)| d.state.longest_outage_ticks as f64);
+        let qb = fmean(&|(b, _)| b.qoe);
+        let qd = fmean(&|(_, d)| d.qoe);
+        let per_seed: Vec<(f64, f64)> = rs
+            .iter()
+            .map(|(b, d)| (100.0 * b.state.miss_rate(), 100.0 * d.state.miss_rate()))
+            .collect();
         fps_pairs += rs.len();
-        fps_amplified += rs.iter().filter(|r| r.miss_d > r.miss_b).count();
-        for r in rs.iter().filter(|r| r.miss_d > r.miss_b + AMPLIFICATION_GATE_PP) {
+        fps_amplified += per_seed.iter().filter(|(b, d)| d > b).count();
+        for (b, d) in per_seed.iter().filter(|(b, d)| *d > b + AMPLIFICATION_GATE_PP) {
             gate_failures.push(format!(
-                "[fps] {label}: tick miss {:.2}% vs primary-only {:.2}% (gate {AMPLIFICATION_GATE_PP}pp)",
-                r.miss_d, r.miss_b
+                "[fps] {label}: tick miss {d:.2}% vs primary-only {b:.2}% (gate {AMPLIFICATION_GATE_PP}pp)"
             ));
         }
         fps_t.row(&[
@@ -1870,7 +1741,7 @@ fn resilience(ctx: &mut Ctx) -> i32 {
             "worst_outage_diversifi_ticks": od,
             "qoe_base": qb,
             "qoe_diversifi": qd,
-            "per_seed_tick_miss_pct": rs.iter().map(|r| (r.miss_b, r.miss_d)).collect::<Vec<_>>(),
+            "per_seed_tick_miss_pct": per_seed,
         }));
     }
     println!(
@@ -1892,9 +1763,7 @@ fn resilience(ctx: &mut Ctx) -> i32 {
             "gate_failures": gate_failures,
         }),
     );
-    if gate_failures.is_empty() {
-        0
-    } else {
+    if !gate_failures.is_empty() {
         eprintln!(
             "[resilience] FAIL: {} no-amplification row(s) beyond the {AMPLIFICATION_GATE_PP}pp gate:",
             gate_failures.len()
@@ -1902,8 +1771,8 @@ fn resilience(ctx: &mut Ctx) -> i32 {
         for f in &gate_failures {
             eprintln!("[resilience]   {f}");
         }
-        1
     }
+    Ok(gate_failures.is_empty())
 }
 
 #[cfg(test)]
@@ -1917,38 +1786,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let merged = MergedTelemetry::default();
         // Parent directories are created on the way.
-        let chrome = dir.join("a/b/trace.json");
-        let jsonl = dir.join("a/b/trace.json.jsonl");
-        write_timeline(&merged, chrome.to_str().unwrap(), jsonl.to_str().unwrap()).unwrap();
+        let nested = dir.join("a/b");
+        let (chrome, jsonl) = write_timeline(&merged, nested.to_str().unwrap(), "trace").unwrap();
+        assert_eq!(chrome, format!("{}/trace.json", nested.display()));
+        assert_eq!(jsonl, format!("{}/trace.jsonl", nested.display()));
         assert!(std::fs::read_to_string(&chrome).unwrap().contains("\"traceEvents\""));
-        assert!(jsonl.exists());
-        // A regular file where a parent directory must go blocks the write.
+        assert!(Path::new(&jsonl).exists());
+        // A regular file where a parent directory must go blocks the write,
+        // and the error names the path.
         std::fs::write(dir.join("file"), "").unwrap();
-        let blocked = dir.join("file/trace.json");
-        let blocked_jsonl = dir.join("file/trace.json.jsonl");
-        assert!(write_timeline(&merged, blocked.to_str().unwrap(), blocked_jsonl.to_str().unwrap())
-            .is_err());
+        let blocked = dir.join("file");
+        let err = write_timeline(&merged, blocked.to_str().unwrap(), "trace").unwrap_err();
+        assert!(err.starts_with(&format!("cannot write {}/trace.json: ", blocked.display())), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flag_value_parses_or_names_the_flag() {
-        assert_eq!(flag_value::<u64>("--seed", Some("42".into()), "an unsigned integer"), Ok(42));
+        assert_eq!(flag_value::<u64>("--plans", Some("42".into()), COUNT), Ok(42));
+        assert_eq!(flag_value::<String>("--out", Some("dir".into()), DIR), Ok("dir".to_string()));
         assert_eq!(
-            flag_value::<String>("--out", Some("dir".into()), "a directory"),
-            Ok("dir".to_string())
+            flag_value::<u64>("--plans", None, COUNT),
+            Err("--plans needs an unsigned integer".to_string())
         );
         assert_eq!(
-            flag_value::<u64>("--seed", None, "an unsigned integer"),
-            Err("error: --seed needs an unsigned integer".to_string())
+            flag_value::<usize>("--flight-topk", Some("-1".into()), COUNT),
+            Err("--flight-topk needs an unsigned integer".to_string())
         );
         assert_eq!(
-            flag_value::<usize>("--flight-topk", Some("-1".into()), "an unsigned integer"),
-            Err("error: --flight-topk needs an unsigned integer".to_string())
-        );
-        assert_eq!(
-            flag_value::<String>("--chaos", None, SCENARIO_FILE),
-            Err("error: --chaos needs a scenario file (.json or .toml)".to_string())
+            flag_value::<String>("--capture", None, DIR),
+            Err("--capture needs a directory".to_string())
         );
         for (text, seed) in [("42", 42), ("0xCAFEBABE", 0xCAFE_BABE), ("0Xd1be5f1", 0xD1B_E5F1)] {
             assert_eq!(flag_value::<SeedArg>("--seed", Some(text.into()), SEED), Ok(SeedArg(seed)));
@@ -1956,7 +1823,7 @@ mod tests {
         for bad in ["0x", "0xZZ", "x1", "-1", "0x1_0"] {
             assert_eq!(
                 flag_value::<SeedArg>("--seed", Some(bad.into()), SEED),
-                Err("error: --seed needs an unsigned integer (decimal or 0x hex)".to_string()),
+                Err("--seed needs an unsigned integer (decimal or 0x hex)".to_string()),
                 "{bad}"
             );
         }
@@ -1964,23 +1831,26 @@ mod tests {
 
     #[test]
     fn seed_is_refused_where_the_scenario_sets_it() {
-        assert_eq!(seed_applies(None, "--chaos"), Ok(()));
-        for mode in ["--chaos", "--campaign", "--validate-scenario"] {
+        for cmd in ["chaos", "campaign", "validate"] {
             assert_eq!(
-                seed_applies(Some(7), mode),
-                Err(format!(
-                    "error: --seed has no effect with {mode}: the scenario's `seed` field sets it"
-                ))
+                unknown_flag(cmd, "--seed"),
+                format!(
+                    "--seed is not a flag of `repro {cmd}`: the scenario's `seed` field sets the seed"
+                )
             );
         }
+        assert_eq!(unknown_flag("status", "--seed"), "unknown flag --seed for `repro status`");
+        assert_eq!(unknown_flag("chaos", "--quick"), "unknown flag --quick for `repro chaos`");
     }
 
     #[test]
     fn experiment_arg_rejects_unknown_flags_and_names() {
         for (arg, err) in [
-            ("--bench-compare", "error: unknown flag --bench-compare"),
-            ("--quik", "error: unknown flag --quik"),
-            ("fig7", "error: unknown experiment fig7"),
+            ("--bench-compare", "unknown flag --bench-compare"),
+            ("--quik", "unknown flag --quik"),
+            ("--plans", "unknown flag --plans"),
+            ("fig7", "unknown experiment or subcommand fig7"),
+            ("chaos", "the subcommand chaos must come first: repro chaos ..."),
         ] {
             assert_eq!(experiment_arg(arg), Err(err.to_string()));
         }

@@ -4,7 +4,7 @@
 use crate::corpus::{self, CallEnvironment, CorpusMix};
 use crate::twonic::{run_temporal_cached, run_two_nic_cached, TwoNicScenario};
 use diversifi_client::{self as client, DivertConfig, LinkObservation};
-use diversifi_simcore::{Ecdf, SeedFactory, SimDuration, SweepRunner};
+use diversifi_simcore::{SeedFactory, SimDuration, SweepRunner};
 use diversifi_voip::{
     conceal, metrics, CodecModel, PcrModel, PlayoutConfig, StreamSpec, StreamTrace,
     DEFAULT_DEADLINE,
@@ -367,13 +367,6 @@ pub fn burst_summary(records: &[CallRecord], strategy: Strategy, label: &str) ->
         mean_bursty,
         histogram: hist.per_call_series(traces.len().max(1) as u64),
     }
-}
-
-/// Build an ECDF over arbitrary per-call values (used by Fig. 10).
-pub fn ecdf_series(values: Vec<f64>, lo: f64, hi: f64) -> (Ecdf, Vec<(f64, f64)>) {
-    let e = Ecdf::new(values);
-    let pts = e.series(lo, hi, 101);
-    (e, pts)
 }
 
 #[cfg(test)]

@@ -323,7 +323,7 @@ pub struct ShardQuarantineReport {
     pub reason: String,
 }
 
-/// The campaign-level artifact written by `repro --campaign`.
+/// The campaign-level artifact written by `repro campaign`.
 #[derive(Clone, Debug, Serialize)]
 pub struct FleetCampaignReport {
     /// Scenario name.

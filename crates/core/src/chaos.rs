@@ -42,9 +42,9 @@
 //!
 //! Every thread that evaluates plans keeps one private context: a
 //! [`RealizationCache`] of two entries (one plan's two links) and a
-//! [`WorkerArena`]. Both arms of a plan run through
-//! [`World::new_cached_in`] / [`World::run_in`] on it, so the DiversiFi
-//! arm reuses the two realisations the baseline arm just built, and so do
+//! [`WorkerArena`]. Both arms of a plan run through [`run_paired`] on it
+//! ([`World::new_cached_in`] / [`World::run_in`]), so the DiversiFi arm
+//! reuses the two realisations the baseline arm just built, and so do
 //! the shrinker's candidates, which keep their plan's `(seed, index)`.
 //! A realisation draws its shadowing track on demand, so the baseline arm
 //! draws the primary track only as far as it reads and never draws the
@@ -68,7 +68,7 @@
 
 use crate::flight::replay_traced;
 use crate::scenario::Scenario;
-use crate::world::{RunMode, World, WorldConfig};
+use crate::world::{RunMode, RunReport, World, WorldConfig};
 use diversifi_simcore::chaos::{generate_plan, shrink_plan, ChaosBudget, ChaosReproducer};
 use diversifi_simcore::check;
 use diversifi_simcore::{
@@ -179,6 +179,21 @@ impl ChaosConfig {
         }
         h
     }
+
+    /// The primary-only arm a plan is judged against: the paired
+    /// deployment over the budget's horizon, under `plan`.
+    fn base_world(&self, plan: &FaultPlan) -> WorldConfig {
+        let mut base = WorldConfig::testbed(self.primary.clone(), self.secondary.clone());
+        base.mode = RunMode::PrimaryOnly;
+        base.spec.duration = self.budget.horizon;
+        base.faults = plan.clone();
+        base
+    }
+}
+
+/// The seeds both arms of plan `index` of a scan seeded `seed` run on.
+fn world_seeds(seed: u64, index: u64) -> SeedFactory {
+    SeedFactory::new(seed).subfactory("chaos.world", index)
 }
 
 /// One oracle verdict against one plan.
@@ -220,6 +235,37 @@ thread_local! {
     static WORLD_CONTEXT: RefCell<WorldContext> = RefCell::new(WorldContext::new());
 }
 
+/// Run one fault plan paired: `base` (primary-only, the plan in
+/// `faults`) and its DiversiFi arm on the same `seeds`, so both arms see
+/// the same channel realisations. The DiversiFi arm is `base` in the
+/// middlebox deployment if the plan restarts the middlebox, in the
+/// customized-AP one otherwise. Returns the baseline report first.
+///
+/// Both arms run on the thread's world context (see the module docs)
+/// under [`check::capture_panic`]: a panic in either comes back as its
+/// message, and the context is rebuilt so nothing the half-finished run
+/// left behind reaches the next pair.
+pub fn run_paired(
+    base: &WorldConfig,
+    seeds: &SeedFactory,
+) -> Result<(RunReport, RunReport), String> {
+    let mut dvf = base.clone();
+    dvf.mode = dvf_mode(&base.faults);
+    WORLD_CONTEXT.with(|ctx| {
+        let mut ctx = ctx.borrow_mut();
+        let WorldContext { cache, arena } = &mut *ctx;
+        let ran = check::capture_panic(|| {
+            let rb = World::new_cached_in(base, seeds, cache, arena).run_in(arena);
+            let rd = World::new_cached_in(&dvf, seeds, cache, arena).run_in(arena);
+            (rb, rd)
+        });
+        if ran.is_err() {
+            *ctx = WorldContext::new();
+        }
+        ran
+    })
+}
+
 /// Evaluate one plan against the oracles. Pure function of
 /// `(cfg, seed, index, plan)`; `None` means every oracle held.
 pub fn evaluate_plan(
@@ -246,32 +292,8 @@ pub fn evaluate_plan(
         });
     }
 
-    let mut base = WorldConfig::testbed(cfg.primary.clone(), cfg.secondary.clone());
-    base.mode = RunMode::PrimaryOnly;
-    base.spec.duration = cfg.budget.horizon;
-    base.faults = plan.clone();
-    let mut dvf = base.clone();
-    dvf.mode = dvf_mode(plan);
-    let seeds = SeedFactory::new(seed).subfactory("chaos.world", index);
-    let ran = WORLD_CONTEXT.with(|ctx| {
-        let mut ctx = ctx.borrow_mut();
-        let WorldContext { cache, arena } = &mut *ctx;
-        let ran = check::capture_panic(|| {
-            let rb = World::new_cached_in(&base, &seeds, cache, arena).run_in(arena);
-            let rd = World::new_cached_in(&dvf, &seeds, cache, arena).run_in(arena);
-            (
-                rb.trace.loss_rate(DEFAULT_DEADLINE),
-                rd.trace.loss_rate(DEFAULT_DEADLINE),
-                rd.fault_outcomes,
-            )
-        });
-        if ran.is_err() {
-            *ctx = WorldContext::new();
-        }
-        ran
-    });
-    let (loss_base, loss_dvf, outcomes) = match ran {
-        Ok(r) => r,
+    let (rb, rd) = match run_paired(&cfg.base_world(plan), &world_seeds(seed, index)) {
+        Ok(pair) => pair,
         Err(msg) => {
             return Some(Violation {
                 oracle: "engine-panic",
@@ -280,6 +302,9 @@ pub fn evaluate_plan(
             })
         }
     };
+    let loss_base = rb.trace.loss_rate(DEFAULT_DEADLINE);
+    let loss_dvf = rd.trace.loss_rate(DEFAULT_DEADLINE);
+    let outcomes = rd.fault_outcomes;
 
     if loss_dvf > loss_base + cfg.tolerance {
         return Some(Violation {
@@ -337,7 +362,7 @@ pub struct ChaosFinding {
     pub reproducer: ChaosReproducer,
 }
 
-/// The chaos campaign artifact written by `repro --chaos`.
+/// The chaos campaign artifact written by `repro chaos`.
 #[derive(Clone, Debug, Serialize)]
 pub struct ChaosReport {
     /// Master seed of the scan.
@@ -521,13 +546,10 @@ pub fn capture_reproducer(
     rep: &ChaosReproducer,
     ring: usize,
 ) -> MergedTelemetry {
-    let mut base = WorldConfig::testbed(cfg.primary.clone(), cfg.secondary.clone());
-    base.mode = RunMode::PrimaryOnly;
-    base.spec.duration = cfg.budget.horizon;
-    base.faults = rep.plan.clone();
+    let base = cfg.base_world(&rep.plan);
     let mut dvf = base.clone();
     dvf.mode = dvf_mode(&rep.plan);
-    let seeds = SeedFactory::new(rep.seed).subfactory("chaos.world", rep.index);
+    let seeds = world_seeds(rep.seed, rep.index);
     let replays = [(base, "primary-only"), (dvf, "diversifi")].map(|(world_cfg, arm)| {
         let label = format!("chaos/plan-{:06}/{arm} seed={:#x}", rep.index, rep.seed);
         (label, world_cfg, seeds.clone())
@@ -663,5 +685,30 @@ mod tests {
         for k in &knobs {
             assert_ne!(k.fingerprint(), base.fingerprint());
         }
+    }
+
+    #[test]
+    fn a_pair_that_panics_is_an_error_and_the_next_pair_runs_clean() {
+        use crate::world::ClientSpec;
+        let cfg = ChaosConfig::new(0x9A1);
+        let plan =
+            FaultPlan::single_ap_reboot(0, SimTime::from_secs(3), SimDuration::from_secs(1));
+        let seeds = world_seeds(cfg.seed, 0);
+        // A fleet refuses the primary-only deployment at construction.
+        let mut broken = cfg.base_world(&plan);
+        broken.fleet = vec![ClientSpec {
+            primary: cfg.primary.clone(),
+            secondary: cfg.secondary.clone(),
+            diversifi: false,
+        }];
+        let err = run_paired(&broken, &seeds).expect_err("a fleet in primary-only mode panics");
+        assert!(err.contains("customized-AP deployment only"), "{err}");
+        // The rebuilt context serves the next pair exactly as bare worlds.
+        let base = cfg.base_world(&plan);
+        let (rb, rd) = run_paired(&base, &seeds).expect("a valid pair runs");
+        let mut dvf = base.clone();
+        dvf.mode = RunMode::DiversifiCustomAp;
+        assert_eq!(rb.trace.fates, World::new(&base, &seeds).run().trace.fates);
+        assert_eq!(rd.trace.fates, World::new(&dvf, &seeds).run().trace.fates);
     }
 }

@@ -64,33 +64,6 @@ pub fn signed_pct(v: f64) -> String {
     format!("{}{:.1}%", if v >= 0.0 { "+" } else { "-" }, v.abs())
 }
 
-/// Render an ASCII sketch of a CDF series set (quick terminal view; the
-/// JSON artifact carries the full data).
-pub fn ascii_cdf(series: &[(&str, &[(f64, f64)])], width: usize) -> String {
-    let mut out = String::new();
-    for (label, points) in series {
-        let _ = writeln!(out, "{label}:");
-        let mut bar = String::new();
-        let step = points.len().max(1) / width.max(1);
-        for chunk in points.chunks(step.max(1)).take(width) {
-            let y = chunk.last().map(|(_, y)| *y).unwrap_or(0.0);
-            bar.push(match (y * 8.0) as u32 {
-                0 => ' ',
-                1 => '.',
-                2 => ':',
-                3 => '-',
-                4 => '=',
-                5 => '+',
-                6 => '*',
-                7 => '#',
-                _ => '@',
-            });
-        }
-        let _ = writeln!(out, "  [{bar}]");
-    }
-    out
-}
-
 /// Write a JSON artifact under `dir/name.json`; returns the path. Creates
 /// the directory if needed.
 pub fn write_json<T: Serialize>(dir: &str, name: &str, value: &T) -> std::io::Result<String> {
@@ -131,14 +104,6 @@ mod tests {
         assert_eq!(signed_pct(27.7), "+27.7%");
         assert_eq!(signed_pct(-18.4), "-18.4%");
         assert_eq!(signed_pct(0.0), "+0.0%");
-    }
-
-    #[test]
-    fn ascii_cdf_renders() {
-        let pts: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, i as f64 / 100.0)).collect();
-        let s = ascii_cdf(&[("Cross-Link", &pts)], 40);
-        assert!(s.contains("Cross-Link"));
-        assert!(s.contains('['));
     }
 
     #[test]

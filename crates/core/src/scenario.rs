@@ -381,7 +381,7 @@ impl Default for ObserveSpec {
 }
 
 /// Chaos-campaign knobs: the fault-plan fuzzing budget and oracle
-/// tolerances used by `repro --chaos`. Like [`ObserveSpec`], the default
+/// tolerances used by `repro chaos`. Like [`ObserveSpec`], the default
 /// serializes to nothing, so scenarios that never mention `[chaos]` keep
 /// their exact pre-chaos fingerprints and checkpoints.
 #[derive(Clone, Debug, PartialEq)]
@@ -436,7 +436,7 @@ pub struct Scenario {
     pub campaign: CampaignSpec,
     /// Observability knobs (flight recorder).
     pub observe: ObserveSpec,
-    /// Chaos-campaign knobs (`repro --chaos`).
+    /// Chaos-campaign knobs (`repro chaos`).
     pub chaos: ChaosSpec,
 }
 
@@ -648,7 +648,7 @@ impl Scenario {
         };
         // An arm naming a workload the traffic section doesn't define is a
         // deployment bug — reject it here, with the full field path, so
-        // `repro --validate-scenario` fails loudly instead of silently
+        // `repro validate` fails loudly instead of silently
         // lowering the arm onto a different workload.
         for (i, arm) in arms.iter().enumerate() {
             if let Some(w) = &arm.workload {

@@ -112,8 +112,7 @@ pub struct WorldConfig {
     pub wake_batch: usize,
     /// Fault injection: a deterministic schedule of heterogeneous faults
     /// (AP power cycles and flaps, middlebox restarts, brownouts, uplink
-    /// outages, interference storms). Empty in normal runs. The legacy
-    /// single-reboot knob converts losslessly via `ApReboot::into()`.
+    /// outages, interference storms). Empty in normal runs.
     pub faults: FaultPlan,
     /// Clients sharing the two APs. Empty (the default) runs the one
     /// client that `primary`, `secondary` and `mode` describe. A fleet
@@ -134,24 +133,6 @@ pub struct ClientSpec {
     pub secondary: LinkConfig,
     /// Run DiversiFi (true) or stay on the primary (false).
     pub diversifi: bool,
-}
-
-/// A scheduled AP power cycle — the legacy single-fault knob, kept as the
-/// back-compat constructor for [`FaultPlan`] (`reboot.into()`).
-#[derive(Clone, Copy, Debug)]
-pub struct ApReboot {
-    /// Which AP: 0 = primary, 1 = secondary.
-    pub ap: usize,
-    /// When the AP goes down.
-    pub at: SimTime,
-    /// How long it stays down before accepting re-associations.
-    pub outage: SimDuration,
-}
-
-impl From<ApReboot> for FaultPlan {
-    fn from(rb: ApReboot) -> FaultPlan {
-        FaultPlan::single_ap_reboot(rb.ap, rb.at, rb.outage)
-    }
 }
 
 impl WorldConfig {
@@ -2058,20 +2039,6 @@ mod tests {
         let r1 = World::new(&cfg, &seeds(22)).run();
         let r2 = World::new(&cfg, &seeds(22)).run();
         assert_eq!(r1.trace.fates, r2.trace.fates);
-    }
-
-    #[test]
-    fn legacy_reboot_knob_converts_to_equivalent_plan() {
-        let rb = ApReboot {
-            ap: 1,
-            at: SimTime::from_secs(7),
-            outage: SimDuration::from_secs(2),
-        };
-        let plan: diversifi_simcore::FaultPlan = rb.into();
-        assert_eq!(
-            plan,
-            diversifi_simcore::FaultPlan::single_ap_reboot(1, SimTime::from_secs(7), SimDuration::from_secs(2))
-        );
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!
 //! The engine itself never prints; callers observe progress through the
 //! `progress` callback of [`run_campaign_observed`] (the `repro
-//! --campaign` front-end turns it into a calls/sec ticker) and health
+//! campaign` front-end turns it into a calls/sec ticker) and health
 //! through the heartbeat callback.
 //!
 //! # Supervision: quarantine, watchdog, IO retry

@@ -1,7 +1,7 @@
 //! Adversarial fault-plan fuzzing: seeded plan generation under a budget,
 //! plus delta-debugging shrinking to minimal reproducers.
 //!
-//! The resilience suite (`repro --resilience`, `tests/failure_injection.rs`)
+//! The resilience suite (`repro resilience`, `tests/failure_injection.rs`)
 //! checks seven hand-picked fault windows. The chaos engine explores the
 //! *composed* fault space instead: [`generate_plan`] draws a
 //! random-but-seeded [`FaultPlan`] over the full [`FaultKind`] catalogue,

@@ -274,7 +274,7 @@ pub fn metrics_table(metrics: &MetricsRegistry) -> String {
 }
 
 /// Render a full sweep report: metrics table plus profile and drop-count
-/// footer — what `repro --metrics-out` writes.
+/// footer — what `repro --capture` writes to `metrics.txt`.
 pub fn sweep_report(merged: &MergedTelemetry) -> String {
     let mut out = metrics_table(&merged.metrics);
     out.push('\n');

@@ -17,7 +17,7 @@
 //! Recovery bookkeeping uses [`FaultOutcome`]: the world records, per
 //! window, when service was first restored after the impairment cleared,
 //! from which MTTR (mean time to recovery, measured from fault *onset*) is
-//! derived for the metrics registry and the `repro --resilience` report.
+//! derived for the metrics registry and the `repro resilience` report.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};

@@ -145,15 +145,6 @@ impl GilbertElliott {
         self.state
     }
 
-    /// Per-attempt erasure probability contributed by the fading process at
-    /// time `t` (the PHY/SNR part is layered on top by the link model).
-    pub fn erasure_at(&mut self, t: SimTime) -> f64 {
-        match self.state_at(t) {
-            GeState::Good => self.params.good_loss,
-            GeState::Bad => self.params.bad_loss,
-        }
-    }
-
     /// Whether time `t` falls in a *long* (shadowing-class) Bad episode.
     /// Valid only when `state_at(t)` is [`GeState::Bad`].
     pub fn bad_is_long_at(&mut self, t: SimTime) -> bool {
@@ -346,30 +337,6 @@ mod tests {
         let mut ge = GilbertElliott::new(GeParams::good_link(), rng(5));
         ge.state_at(SimTime::from_millis(10));
         ge.state_at(SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn erasure_levels() {
-        let p = GeParams::good_link();
-        let mut ge = GilbertElliott::new(p, rng(6));
-        let mut t = SimTime::ZERO;
-        let mut seen_good = false;
-        let mut seen_bad = false;
-        for _ in 0..200_000 {
-            let e = ge.erasure_at(t);
-            match ge.state_at(t) {
-                GeState::Good => {
-                    assert_eq!(e, p.good_loss);
-                    seen_good = true;
-                }
-                GeState::Bad => {
-                    assert_eq!(e, p.bad_loss);
-                    seen_bad = true;
-                }
-            }
-            t += SimDuration::from_millis(2);
-        }
-        assert!(seen_good && seen_bad, "long run should visit both states");
     }
 
     #[test]

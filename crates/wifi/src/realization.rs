@@ -218,12 +218,6 @@ impl ChannelRealization {
         i
     }
 
-    /// Approximate heap footprint (the whole track, drawn or not), for
-    /// cache sizing diagnostics.
-    pub fn approx_bytes(&self) -> usize {
-        self.ge.len() * std::mem::size_of::<GeSegment>()
-            + self.shadow.len() * std::mem::size_of::<AtomicU64>()
-    }
 }
 
 /// Identity of a realisation: exactly the inputs

@@ -5,7 +5,7 @@
 //! The engine-level variant of this lives in `simcore::campaign`'s unit
 //! tests; this one drives the full `run_fleet_campaign_observed` stack
 //! (scenario → population sampler → fleet digest), the same path as
-//! `repro --campaign`.
+//! `repro campaign`.
 
 use diversifi::campaign::run_fleet_campaign_observed;
 use diversifi::scenario::{Arm, Scenario};

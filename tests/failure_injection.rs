@@ -2,7 +2,7 @@
 //! starvation, graceful degradation) under hostile conditions well outside
 //! the calibrated operating envelope.
 
-use diversifi::world::{ApReboot, RunMode, World, WorldConfig};
+use diversifi::world::{RunMode, World, WorldConfig};
 use diversifi_net::{Middlebox, MiddleboxConfig, StreamPacket};
 use diversifi_simcore::{FaultKind, FaultPlan, SeedFactory, SimDuration, SimTime};
 use diversifi_voip::{StreamSpec, DEFAULT_DEADLINE};
@@ -227,32 +227,6 @@ fn middlebox_buffer_overflow_rolls_over_gracefully() {
     let (_, burst) = mbox.start(flow, 0);
     assert_eq!(burst.len(), 1, "only the newest survivor drains");
     assert_eq!(burst[0].seq, 199);
-}
-
-/// The legacy single-reboot knob and its `FaultPlan` encoding are the same
-/// plan, and two runs configured each way are byte-identical.
-#[test]
-fn legacy_reboot_config_matches_fault_plan_encoding() {
-    let at = SimTime::ZERO + SimDuration::from_secs(10);
-    let outage = SimDuration::from_secs(3);
-    let legacy: FaultPlan = ApReboot { ap: 1, at, outage }.into();
-    let explicit = FaultPlan::single_ap_reboot(1, at, outage);
-    assert_eq!(legacy, explicit, "encodings must be identical plans");
-
-    let primary = LinkConfig::office(Channel::CH1, 18.0);
-    let mut secondary = LinkConfig::office(Channel::CH11, 24.0);
-    secondary.ge = GeParams::weak_link();
-    let mut a = base_cfg(primary.clone(), secondary.clone());
-    a.mode = RunMode::DiversifiCustomAp;
-    a.faults = legacy;
-    let mut b = a.clone();
-    b.faults = explicit;
-    let seeds = SeedFactory::new(0x1E6AC);
-    let ra = World::new(&a, &seeds).run();
-    let rb = World::new(&b, &seeds).run();
-    assert_eq!(ra.trace.fates, rb.trace.fates, "runs must be byte-identical");
-    assert_eq!(ra.secondary_air_tx, rb.secondary_air_tx);
-    assert_eq!(ra.fault_outcomes, rb.fault_outcomes);
 }
 
 /// Runs one (DiversiFi, PrimaryOnly) pair under `plan` and asserts the

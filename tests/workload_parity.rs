@@ -79,7 +79,7 @@ fn office_pair() -> (LinkConfig, LinkConfig) {
 }
 
 /// The world grid: every run mode, TCP on/off, and one instance of each
-/// fault kind the catalogue injects — the same shapes `repro --resilience`
+/// fault kind the catalogue injects — the same shapes `repro resilience`
 /// sweeps, at 12 s calls so debug builds stay quick.
 fn world_grid() -> Vec<(WorldConfig, u64)> {
     let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
