@@ -791,8 +791,10 @@ impl<'a> World<'a> {
             if self.cfg.with_tcp {
                 self.tcp_tx.export_metrics(ComponentId::tcp(), reg);
             }
-            for alg in self.clients.iter().filter_map(|c| c.alg.as_ref()) {
-                alg.export_metrics(ComponentId::client(), reg);
+            for (i, c) in self.clients.iter().enumerate() {
+                if let Some(alg) = &c.alg {
+                    alg.export_metrics(client_component(i), reg);
+                }
             }
             // Recovery-hop latency distribution (Table 3's total), µs.
             let mut hop = diversifi_simcore::LogHistogram::new();
@@ -966,7 +968,7 @@ impl<'a> World<'a> {
                 trace_event!(
                     now,
                     TraceKind::LinkSwitch,
-                    ComponentId::client(),
+                    client_component(client),
                     TraceDetail::Link { to_secondary: side == LinkSide::Secondary },
                 );
                 self.q.schedule(
@@ -1335,7 +1337,7 @@ impl<'a> World<'a> {
             trace_event!(
                 now,
                 TraceKind::Delivery,
-                ComponentId::client(),
+                client_component(client),
                 TraceDetail::Air {
                     seq: frame.seq,
                     attempts: outcome.attempts,
@@ -1483,7 +1485,7 @@ impl<'a> World<'a> {
                 trace_event!(
                     now,
                     TraceKind::Transport,
-                    ComponentId::client(),
+                    client_component(client),
                     TraceDetail::Transport {
                         seq: tick,
                         flight: at.saturating_since(now).as_micros().min(u16::MAX as u64) as u16,
@@ -1529,7 +1531,7 @@ impl<'a> World<'a> {
                 trace_event!(
                     now,
                     TraceKind::Decision,
-                    ComponentId::client(),
+                    client_component(client),
                     TraceDetail::Decision { kind, seq },
                 );
             }
@@ -1585,7 +1587,7 @@ impl<'a> World<'a> {
         trace_event!(
             now,
             TraceKind::LinkSwitch,
-            ComponentId::client(),
+            client_component(client),
             TraceDetail::Link { to_secondary: side == LinkSide::Secondary },
         );
         let residency = match side {
@@ -1684,6 +1686,12 @@ impl<'a> World<'a> {
             self.q.schedule(now + lan, Ev::ApArrival { ap: 0, frame });
         }
     }
+}
+
+/// The trace and metrics identity of client `i`: `client` alone for the
+/// first (and a single) client, `client:i` for the others.
+fn client_component(i: usize) -> ComponentId {
+    ComponentId::client(u16::try_from(i).expect("client index fits a component id"))
 }
 
 /// A fleet of `n` clients spread over the office, all running DiversiFi
@@ -2278,6 +2286,28 @@ mod tests {
             }
         }
         assert_ne!(packet_1[0], packet_1[1], "packet 1 leaves both sources at once");
+    }
+
+    /// A traced fleet tells its clients apart: each client's deliveries
+    /// and Algorithm 1 metrics carry its own component id.
+    #[test]
+    fn traced_fleet_emits_each_client_under_its_own_id() {
+        if !telemetry::TRACE_COMPILED {
+            return;
+        }
+        let seeds = SeedFactory::new(0x3178);
+        let spec = StreamSpec { duration: SimDuration::from_secs(5), ..fleet_spec() };
+        let cfg = office_fleet(2, true, spec, &seeds);
+        let (_, session) = World::new(&cfg, &seeds).run_traced(1 << 20);
+        assert_eq!(session.dropped, 0, "the ring must hold the whole run");
+        for i in 0..2 {
+            let who = ComponentId::client(i);
+            let mut events = session.events.iter();
+            let delivered = events.any(|e| e.kind == TraceKind::Delivery && e.who == who);
+            assert!(delivered, "no delivery traced under {who}");
+            let visits = session.metrics.get(who, "recovery_visits");
+            assert!(visits.is_some(), "no recovery_visits row under {who}");
+        }
     }
 
     #[test]

@@ -334,13 +334,13 @@ mod tests {
             TraceEvent {
                 at: SimTime::from_micros(1050),
                 kind: TraceKind::Delivery,
-                who: ComponentId::client(),
+                who: ComponentId::client(0),
                 detail: TraceDetail::Seq(1),
             },
             TraceEvent {
                 at: SimTime::from_micros(1100),
                 kind: TraceKind::Decision,
-                who: ComponentId::client(),
+                who: ComponentId::client(0),
                 detail: TraceDetail::Decision { kind: DecisionKind::MiddleboxStart, seq: 2 },
             },
             TraceEvent {

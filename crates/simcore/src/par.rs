@@ -305,12 +305,12 @@ mod tests {
             crate::trace_event!(
                 SimTime::from_micros(10 * k + i as u64),
                 TraceKind::Delivery,
-                ComponentId::client(),
+                ComponentId::client(0),
                 TraceDetail::Seq(k)
             );
         }
         crate::telemetry::with_metrics(|m| {
-            m.counter(crate::trace::ComponentId::client(), "emitted", i as u64 + 1)
+            m.counter(crate::trace::ComponentId::client(0), "emitted", i as u64 + 1)
         });
         i
     }
@@ -331,7 +331,7 @@ mod tests {
                 "merge order violated"
             );
         }
-        match ref_merged.metrics.get(crate::trace::ComponentId::client(), "emitted") {
+        match ref_merged.metrics.get(crate::trace::ComponentId::client(0), "emitted") {
             Some(crate::metrics::MetricValue::Counter(n)) => assert_eq!(*n, (1..=9).sum::<u64>()),
             other => panic!("{other:?}"),
         }

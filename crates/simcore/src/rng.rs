@@ -133,7 +133,26 @@ impl RngStream {
     pub fn normal_std(&mut self) -> f64 {
         let u1: f64 = 1.0 - self.rng.gen::<f64>();
         let u2: f64 = self.rng.gen::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        box_muller(u1, u2)
+    }
+
+    /// Fill `out` with standard-normal draws: bit for bit the values of
+    /// `out.len()` [`normal_std`](Self::normal_std) calls, leaving the
+    /// stream where they would. Each block of up to 64 draws takes its
+    /// uniforms first, in `normal_std`'s order, then transforms them in a
+    /// loop that makes no call.
+    pub fn fill_normal_std(&mut self, out: &mut [f64]) {
+        let mut u2 = [0.0f64; NORMAL_BLOCK];
+        for block in out.chunks_mut(NORMAL_BLOCK) {
+            let u2 = &mut u2[..block.len()];
+            for (u1, u2) in block.iter_mut().zip(u2.iter_mut()) {
+                *u1 = 1.0 - self.rng.gen::<f64>();
+                *u2 = self.rng.gen::<f64>();
+            }
+            for (z, &u2) in block.iter_mut().zip(u2.iter()) {
+                *z = box_muller(*z, u2);
+            }
+        }
     }
 
     /// Normal draw with mean `mu` and standard deviation `sigma`.
@@ -145,23 +164,6 @@ impl RngStream {
     /// normal. Used for heavy-tailed WAN jitter.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
-    }
-
-    /// Pareto draw with scale `xm > 0` and shape `alpha > 0` (heavy-tailed
-    /// burst sizes).
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(xm > 0.0 && alpha > 0.0);
-        xm / (1.0 - self.rng.gen::<f64>()).powf(1.0 / alpha)
-    }
-
-    /// Geometric number of failures before first success, `p` in `(0, 1]`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0);
-        if p >= 1.0 {
-            return 0;
-        }
-        let u: f64 = 1.0 - self.rng.gen::<f64>();
-        (u.ln() / (1.0 - p).ln()).floor() as u64
     }
 
     /// Fisher–Yates shuffle.
@@ -176,6 +178,106 @@ impl RngStream {
     pub fn pick<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
         &slice[self.index(slice.len())]
     }
+}
+
+/// Normals [`RngStream::fill_normal_std`] draws per block: the size of its
+/// stack buffer of second uniforms.
+const NORMAL_BLOCK: usize = 64;
+
+/// Box–Muller: `sqrt(-2·ln u1)·cos(2π·u2)` for `u1` in `(0, 1]` and `u2` in
+/// `[0, 1)`. Built from [`ln_unit`] and [`cos_turn`], so it calls no libm
+/// function and takes no data-dependent branch (`sqrt` is one instruction).
+#[inline(always)]
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * ln_unit(u1)).sqrt() * cos_turn(u2)
+}
+
+/// `1.5·2⁵²`: adding it to a float of magnitude below 2⁵¹ rounds that float
+/// to an integer (ties to even), held in the sum's low mantissa bits.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// `2⁵² + 1023`: the float whose low mantissa bits hold a biased exponent,
+/// less this, is the unbiased exponent.
+const EXP_MAGIC: f64 = 4_503_599_627_371_519.0;
+
+// fdlibm's ln(2) split and the minimax coefficients of its log kernel.
+const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+const LG1: f64 = f64::from_bits(0x3FE5_5555_5555_5593);
+const LG2: f64 = f64::from_bits(0x3FD9_9999_9997_FA04);
+const LG3: f64 = f64::from_bits(0x3FD2_4924_9422_9359);
+const LG4: f64 = f64::from_bits(0x3FCC_71C5_1D8E_78AF);
+const LG5: f64 = f64::from_bits(0x3FC7_4664_96CB_03DE);
+const LG6: f64 = f64::from_bits(0x3FC3_9A09_D078_C69F);
+const LG7: f64 = f64::from_bits(0x3FC2_F112_DF3E_5244);
+
+/// Natural logarithm of a normal float in `(0, 1]`, within 1 ulp.
+///
+/// fdlibm's reduction without its special cases: `x = 2^k·m` with `m` in
+/// `[√2/2, √2)`, found by offsetting the exponent field so the split falls
+/// at `√2` rather than 2; then `ln m = 2·atanh(f/(2+f))` for `f = m − 1`,
+/// whose odd series in `s = f/(2+f)` the `LG` polynomial approximates. Zero,
+/// subnormals, negatives and values above 1 are outside its domain.
+#[inline(always)]
+fn ln_unit(x: f64) -> f64 {
+    // Adding (high word of 1) − (high word of √2/2) to the high word
+    // carries into the exponent exactly when the mantissa in [1, 2) is at
+    // least √2. Adding √2/2's high word to the shifted mantissa bits gives `m`.
+    const SQRT_HALF_HI: u64 = 0x3FE6_A09E;
+    let bits = x.to_bits() + ((0x3FF0_0000 - SQRT_HALF_HI) << 32);
+    let k = f64::from_bits(0x4330_0000_0000_0000 | (bits >> 52)) - EXP_MAGIC;
+    let m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) + (SQRT_HALF_HI << 32));
+    let f = m - 1.0;
+    let hfsq = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG2 + w * (LG4 + w * LG6));
+    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    let r = t2 + t1;
+    s * (hfsq + r) + k * LN2_LO - hfsq + f + k * LN2_HI
+}
+
+// fdlibm's minimax coefficients for sin and cos on [−π/4, π/4].
+const S1: f64 = f64::from_bits(0xBFC5_5555_5555_5549);
+const S2: f64 = f64::from_bits(0x3F81_1111_1110_F8A6);
+const S3: f64 = f64::from_bits(0xBF2A_01A0_19C1_61D5);
+const S4: f64 = f64::from_bits(0x3EC7_1DE3_57B1_FE7D);
+const S5: f64 = f64::from_bits(0xBE5A_E5E6_8A2B_9CEB);
+const S6: f64 = f64::from_bits(0x3DE5_D93A_5ACF_D57C);
+const C1: f64 = f64::from_bits(0x3FA5_5555_5555_554C);
+const C2: f64 = f64::from_bits(0xBF56_C16C_16C1_5177);
+const C3: f64 = f64::from_bits(0x3EFA_01A0_19CB_1590);
+const C4: f64 = f64::from_bits(0xBE92_7E4F_809C_52AD);
+const C5: f64 = f64::from_bits(0x3E21_EE9E_BDB4_B1C4);
+const C6: f64 = f64::from_bits(0xBDA8_FAE9_BE88_38D4);
+
+/// `cos(2π·u)` for a turn `u` in `[0, 1)`, within 2 ulp of `cos`/`sin` of
+/// the reduced argument below.
+///
+/// `u` is split exactly as `q/4 + r`, `q` the nearest quarter turn and
+/// `|r| ≤ 1/8` (both `4u` and `4u − q` are exact). Then `cos(2πu)` is
+/// `cos x`, `−sin x`, `−cos x` or `sin x` for `q mod 4` = 0, 1, 2, 3, with
+/// `x = 2π·r` in `[−π/4, π/4]` where fdlibm's kernels hold; both are
+/// evaluated and the result and its sign are picked with bit masks.
+#[inline(always)]
+fn cos_turn(u: f64) -> f64 {
+    let y = 4.0 * u;
+    let rounded = y + ROUND_MAGIC;
+    let q = rounded.to_bits();
+    let x = (y - (rounded - ROUND_MAGIC)) * std::f64::consts::FRAC_PI_2;
+    let z = x * x;
+    let w = z * z;
+    let sr = S2 + z * (S3 + z * S4) + z * w * (S5 + z * S6);
+    let sin = x + z * x * (S1 + z * sr);
+    let cr = z * (C1 + z * (C2 + z * C3)) + w * w * (C4 + z * (C5 + z * C6));
+    let hz = 0.5 * z;
+    let one_less = 1.0 - hz;
+    let cos = one_less + (((1.0 - one_less) - hz) + z * cr);
+    // An odd quarter takes sin; quarters 1 and 2 negate.
+    let odd = (q & 1).wrapping_neg();
+    let magnitude = (cos.to_bits() & !odd) | (sin.to_bits() & odd);
+    f64::from_bits(magnitude ^ ((q.wrapping_add(1) & 2) << 62))
 }
 
 #[cfg(test)]
@@ -255,13 +357,121 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_matches() {
-        let mut r = RngStream::from_seed(5);
-        let p = 0.25;
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| r.geometric(p) as f64).sum::<f64>() / n as f64;
-        // E[failures before success] = (1-p)/p = 3.
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
+    fn fill_normal_std_matches_scalar_draws() {
+        for n in [0usize, 1, 63, 64, 65, 300] {
+            let mut block = RngStream::from_seed(8);
+            let mut scalar = RngStream::from_seed(8);
+            let mut out = vec![f64::NAN; n];
+            block.fill_normal_std(&mut out);
+            for (i, z) in out.iter().enumerate() {
+                assert_eq!(z.to_bits(), scalar.normal_std().to_bits(), "n {n} draw {i}");
+            }
+            // Both streams must stand at the same position afterwards.
+            assert_eq!(block.uniform().to_bits(), scalar.uniform().to_bits(), "n {n}");
+        }
+    }
+
+    /// Distance in units in the last place between two finite floats.
+    fn ulps(a: f64, b: f64) -> u64 {
+        let key = |x: f64| {
+            let i = x.to_bits() as i64;
+            if i < 0 {
+                i64::MIN.wrapping_sub(i)
+            } else {
+                i
+            }
+        };
+        key(a).abs_diff(key(b))
+    }
+
+    /// The `i`-th of a well-spread sequence of 53-bit fractions.
+    fn spread(i: u64) -> u64 {
+        i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11
+    }
+
+    /// `ln_unit` against `f64::ln` on `n` inputs: half are `1 − U` as
+    /// `normal_std` draws them, half spread over every binade of `(0, 1)`.
+    fn check_ln(n: u64) {
+        for i in 0..n {
+            let g = spread(i);
+            let x = if i % 2 == 0 {
+                1.0 - g as f64 / (1u64 << 53) as f64
+            } else {
+                f64::from_bits(((1022 - (i / 2) % 1022) << 52) | (g & ((1 << 52) - 1)))
+            };
+            let (got, want) = (ln_unit(x), x.ln());
+            assert!(ulps(got, want) <= 1, "ln({x:e}) = {got:e}, libm {want:e}");
+        }
+    }
+
+    /// `cos(2π·u)` as the kernel reduces it, from libm: `u = q/4 + r` with
+    /// `q` the nearest quarter (ties to even) and `x = 2π·r`.
+    fn cos_turn_reference(u: f64) -> f64 {
+        let q = (4.0 * u).round_ties_even();
+        let x = (4.0 * u - q) * std::f64::consts::FRAC_PI_2;
+        match q as u64 % 4 {
+            0 => x.cos(),
+            1 => -x.sin(),
+            2 => -x.cos(),
+            _ => x.sin(),
+        }
+    }
+
+    /// `cos_turn` against libm on `n` turns spaced as `uniform` draws them.
+    fn check_cos(n: u64) {
+        for i in 0..n {
+            let u = spread(i) as f64 / (1u64 << 53) as f64;
+            let (got, want) = (cos_turn(u), cos_turn_reference(u));
+            assert!(ulps(got, want) <= 2, "cos_turn({u:e}) = {got:e}, libm {want:e}");
+        }
+    }
+
+    #[test]
+    fn ln_unit_is_within_one_ulp() {
+        check_ln(1_000_000);
+        let eps = f64::EPSILON / 2.0;
+        for x in [1.0, eps, 1.0 - eps] {
+            assert!(ulps(ln_unit(x), x.ln()) <= 1, "ln({x:e})");
+        }
+        assert_eq!(ln_unit(1.0), 0.0);
+        for k in 0..=1022 {
+            let x = f64::from_bits((1023 - k) << 52);
+            assert!(ulps(ln_unit(x), x.ln()) <= 1, "ln(2^-{k})");
+        }
+    }
+
+    #[test]
+    fn cos_turn_is_within_two_ulp_of_the_reduced_argument() {
+        check_cos(1_000_000);
+    }
+
+    #[test]
+    fn cos_turn_is_exact_at_quarters_and_correct_at_octant_edges() {
+        assert_eq!(cos_turn(0.0), 1.0);
+        assert_eq!(cos_turn(0.25), 0.0);
+        assert_eq!(cos_turn(0.5), -1.0);
+        assert_eq!(cos_turn(0.75), 0.0);
+        // At an odd eighth the nearest quarter changes: each side of the
+        // edge must still land on the right branch and sign.
+        let eps = f64::EPSILON / 2.0;
+        for edge in [0.125, 0.375, 0.625, 0.875] {
+            for u in [edge - eps, edge, edge + eps] {
+                let got = cos_turn(u);
+                assert!(ulps(got, cos_turn_reference(u)) <= 2, "cos_turn({u})");
+                let direct = (std::f64::consts::TAU * u).cos();
+                assert!((got - direct).abs() < 1e-15, "cos_turn({u}) = {got}, cos {direct}");
+            }
+        }
+    }
+
+    /// The dense sweep: 10⁸ kernel evaluations against libm, too slow for a
+    /// debug run. Run it with
+    /// `cargo test --release -p diversifi-simcore rng -- --ignored`.
+    #[test]
+    #[ignore]
+    fn kernels_dense_sweep() {
+        check_ln(50_000_000);
+        check_cos(50_000_000);
     }
 
     #[test]
@@ -273,13 +483,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input unchanged");
-    }
-
-    #[test]
-    fn pareto_is_bounded_below() {
-        let mut r = RngStream::from_seed(7);
-        for _ in 0..1000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 }

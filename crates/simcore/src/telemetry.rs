@@ -402,7 +402,7 @@ impl MergedTelemetry {
 /// ```
 /// use diversifi_simcore::{trace_event, ComponentId, SimTime, TraceDetail, TraceKind};
 /// # let (now, seq) = (SimTime::ZERO, 7u64);
-/// trace_event!(now, TraceKind::Delivery, ComponentId::client(), TraceDetail::Seq(seq));
+/// trace_event!(now, TraceKind::Delivery, ComponentId::client(0), TraceDetail::Seq(seq));
 /// ```
 #[macro_export]
 macro_rules! trace_event {
@@ -428,7 +428,7 @@ mod tests {
         TraceEvent {
             at: SimTime::from_millis(ms),
             kind: TraceKind::Delivery,
-            who: ComponentId::client(),
+            who: ComponentId::client(0),
             detail: TraceDetail::Seq(seq),
         }
     }
@@ -467,7 +467,7 @@ mod tests {
         fn boom() -> TraceDetail {
             panic!("detail must not be evaluated while inactive")
         }
-        trace_event!(SimTime::ZERO, TraceKind::Decision, ComponentId::client(), boom());
+        trace_event!(SimTime::ZERO, TraceKind::Decision, ComponentId::client(0), boom());
     }
 
     #[test]

@@ -108,7 +108,9 @@ impl ComponentKind {
         }
     }
 
-    /// True when instances are distinguished by index (APs, MACs).
+    /// True when instances are always shown with their index (APs, MACs).
+    /// Other kinds show a non-zero index only (`client:1`), so a single
+    /// client reads `client`.
     fn indexed(self) -> bool {
         matches!(self, ComponentKind::Ap | ComponentKind::Mac)
     }
@@ -117,7 +119,8 @@ impl ComponentKind {
 /// Interned, copyable component identity: a kind plus an instance index.
 ///
 /// Replaces the old `who: String` — two bytes wide, `Copy`, and formatted
-/// lazily (`"ap:1"`, `"client"`) only when a trace is exported or printed.
+/// lazily (`"ap:1"`, `"client"`, `"client:2"`) only when a trace is
+/// exported or printed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ComponentId {
     /// Which class of component.
@@ -152,9 +155,9 @@ impl ComponentId {
         ComponentId::new(ComponentKind::Mac, i)
     }
 
-    /// The client device.
-    pub const fn client() -> ComponentId {
-        ComponentId::new(ComponentKind::Client, 0)
+    /// Client device `i` of a fleet (0 for a single client).
+    pub const fn client(i: u16) -> ComponentId {
+        ComponentId::new(ComponentKind::Client, i)
     }
 
     /// The recovery middlebox.
@@ -175,7 +178,7 @@ impl ComponentId {
 
 impl fmt::Display for ComponentId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.kind.indexed() {
+        if self.kind.indexed() || self.index > 0 {
             write!(f, "{}:{}", self.kind.label(), self.index)
         } else {
             f.write_str(self.kind.label())
@@ -445,7 +448,7 @@ mod tests {
         TraceEvent {
             at: SimTime::from_millis(ms),
             kind,
-            who: ComponentId::client(),
+            who: ComponentId::client(0),
             detail: TraceDetail::Seq(seq),
         }
     }
@@ -490,7 +493,8 @@ mod tests {
     fn component_display() {
         assert_eq!(ComponentId::ap(1).to_string(), "ap:1");
         assert_eq!(ComponentId::mac(0).to_string(), "mac:0");
-        assert_eq!(ComponentId::client().to_string(), "client");
+        assert_eq!(ComponentId::client(0).to_string(), "client");
+        assert_eq!(ComponentId::client(2).to_string(), "client:2");
         assert_eq!(ComponentId::middlebox().to_string(), "middlebox");
         assert_eq!(ComponentId::world().to_string(), "world");
     }
@@ -527,7 +531,7 @@ mod tests {
         let e = TraceEvent {
             at: SimTime::from_millis(20),
             kind: TraceKind::LinkSwitch,
-            who: ComponentId::client(),
+            who: ComponentId::client(0),
             detail: TraceDetail::Link { to_secondary: true },
         };
         let s = e.to_string();

@@ -230,14 +230,14 @@ impl OrnsteinUhlenbeck {
         self.last = t;
         if dt > 0.0 && self.sigma > 0.0 {
             let (a, noise_sd) = self.transition_coeffs(dt);
-            self.value = self.value * a + self.rng.normal(0.0, noise_sd);
+            self.value = self.value * a + noise_sd * self.rng.normal_std();
         }
         self.value
     }
 
     /// The exact-transition coefficients `(decay, noise_sd)` for a step of
     /// `dt` seconds. On a fixed grid these are constants, so grid
-    /// stepping ([`step_grid`](Self::step_grid)) computes them once per
+    /// stepping ([`fill_grid`](Self::fill_grid)) computes them once per
     /// process instead of one `exp` and `sqrt` per tick; because both paths
     /// evaluate the *same expressions*, hoisting is bit-identical.
     pub fn transition_coeffs(&self, dt: f64) -> (f64, f64) {
@@ -246,16 +246,26 @@ impl OrnsteinUhlenbeck {
         (a, noise_sd)
     }
 
-    /// Advance exactly one grid step of `dt` using coefficients from
-    /// [`transition_coeffs`](Self::transition_coeffs). Bit-identical to
-    /// `at(last + dt)` — in particular, `sigma == 0` draws nothing, so the
-    /// stream position stays in lockstep with the lazy path.
-    pub fn step_grid(&mut self, dt: SimDuration, a: f64, noise_sd: f64) -> f64 {
-        self.last += dt;
+    /// Advance `out.len()` grid steps of `dt` using coefficients from
+    /// [`transition_coeffs`](Self::transition_coeffs), writing each step's
+    /// value to `out`. Bit-identical to `at(last + dt)`,
+    /// `at(last + 2·dt)`, …: the block's normals come from one
+    /// [`RngStream::fill_normal_std`], which equals that many scalar draws.
+    /// `sigma == 0` draws nothing, so the stream position stays in lockstep
+    /// with the lazy path.
+    pub fn fill_grid(&mut self, dt: SimDuration, a: f64, noise_sd: f64, out: &mut [f64]) {
+        self.last += dt * out.len() as u64;
         if self.sigma > 0.0 {
-            self.value = self.value * a + self.rng.normal(0.0, noise_sd);
+            self.rng.fill_normal_std(out);
+            let mut value = self.value;
+            for x in out.iter_mut() {
+                value = value * a + noise_sd * *x;
+                *x = value;
+            }
+            self.value = value;
+        } else {
+            out.fill(self.value);
         }
-        self.value
     }
 }
 
@@ -402,19 +412,25 @@ mod tests {
     #[test]
     fn grid_stepping_is_bit_identical_to_lazy_queries() {
         // Same seed, two consumers: one queried tick-by-tick through the
-        // general transition, one driven by hoisted grid coefficients.
+        // general transition, one filled in blocks of uneven length by
+        // hoisted grid coefficients.
         let dt = SimDuration::from_millis(2);
         for (sigma, tau) in [(3.0, SimDuration::from_secs(4)), (0.0, SimDuration::from_secs(1))] {
             let mut lazy = OrnsteinUhlenbeck::new(sigma, tau, rng(11));
             let mut grid = OrnsteinUhlenbeck::new(sigma, tau, rng(11));
             let (a, noise_sd) = grid.transition_coeffs(dt.as_secs_f64());
-            for k in 1..=2_000u64 {
-                let want = lazy.at(SimTime::from_nanos(k * dt.as_nanos()));
-                let got = grid.step_grid(dt, a, noise_sd);
-                assert_eq!(want.to_bits(), got.to_bits(), "diverged at tick {k}");
+            let mut k = 0u64;
+            for len in [1usize, 0, 63, 64, 65, 7, 300, 1_500] {
+                let mut block = vec![f64::NAN; len];
+                grid.fill_grid(dt, a, noise_sd, &mut block);
+                for got in block {
+                    k += 1;
+                    let want = lazy.at(SimTime::from_nanos(k * dt.as_nanos()));
+                    assert_eq!(want.to_bits(), got.to_bits(), "diverged at tick {k}");
+                }
             }
             // Afterwards both must resume from the same stream position.
-            let t = SimTime::from_nanos(2_001 * dt.as_nanos());
+            let t = SimTime::from_nanos((k + 1) * dt.as_nanos());
             assert_eq!(lazy.at(t).to_bits(), grid.at(t).to_bits());
         }
     }

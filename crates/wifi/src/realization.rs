@@ -53,6 +53,9 @@ pub const SHADOW_TICK: SimDuration = SimDuration::from_millis(2);
 /// read.
 pub const SHADOW_BLOCK: usize = 256;
 
+/// Ticks a [`ShadowCursor`] draws per block, into a stack buffer.
+const SHADOW_CHUNK: usize = 64;
+
 /// A live Ornstein–Uhlenbeck process advanced on the [`SHADOW_TICK`] grid.
 ///
 /// Draws exactly one normal per grid step, independent of the caller's query
@@ -61,7 +64,10 @@ pub const SHADOW_BLOCK: usize = 256;
 /// generator behind a realisation's track: the OU transition coefficients
 /// for one tick are computed once here, so a step is one multiply-add and
 /// one normal draw. `dt` is always exactly [`SHADOW_TICK`], so the hoisted
-/// coefficients are bit-identical to the per-query ones.
+/// coefficients are bit-identical to the per-query ones. Both a live
+/// link's gaps and a track's extensions are drawn in blocks of up to 64
+/// ticks by [`OrnsteinUhlenbeck::fill_grid`], whose normals come from one
+/// call-free Box–Muller loop.
 #[derive(Clone, Debug)]
 pub struct ShadowCursor {
     ou: OrnsteinUhlenbeck,
@@ -88,13 +94,23 @@ impl ShadowCursor {
     }
 
     /// Shadowing value (dB) at grid tick `k`, stepping the process forward
-    /// one tick at a time. `k` must be non-decreasing.
+    /// in blocks. `k` must be non-decreasing.
     fn at_tick(&mut self, k: u64) -> f64 {
+        let mut buf = [0.0; SHADOW_CHUNK];
         while self.tick < k {
-            self.tick += 1;
-            self.value = self.ou.step_grid(SHADOW_TICK, self.a, self.noise_sd);
+            let n = ((k - self.tick) as usize).min(SHADOW_CHUNK);
+            self.fill(&mut buf[..n]);
         }
         self.value
+    }
+
+    /// Step `out.len()` ticks, writing ticks `tick + 1 ..= tick + len`.
+    fn fill(&mut self, out: &mut [f64]) {
+        self.ou.fill_grid(SHADOW_TICK, self.a, self.noise_sd, out);
+        self.tick += out.len() as u64;
+        if let Some(&last) = out.last() {
+            self.value = last;
+        }
     }
 }
 
@@ -192,8 +208,20 @@ impl ChannelRealization {
         let drawn = self.drawn.load(Ordering::Relaxed);
         if k >= drawn {
             let end = (k + SHADOW_BLOCK).min(self.shadow.len() - 1);
-            for (tick, slot) in (drawn..=end).zip(&self.shadow[drawn..=end]) {
-                slot.store(cursor.at_tick(tick as u64).to_bits(), Ordering::Relaxed);
+            // Tick 0 is the process's stationary start; every later slot is
+            // one grid step past the one before.
+            let mut next = drawn;
+            if next == 0 {
+                self.shadow[0].store(cursor.value.to_bits(), Ordering::Relaxed);
+                next = 1;
+            }
+            let mut buf = [0.0; SHADOW_CHUNK];
+            for slots in self.shadow[next..=end].chunks(SHADOW_CHUNK) {
+                let buf = &mut buf[..slots.len()];
+                cursor.fill(buf);
+                for (slot, v) in slots.iter().zip(buf.iter()) {
+                    slot.store(v.to_bits(), Ordering::Relaxed);
+                }
             }
             self.drawn.store(end + 1, Ordering::Release);
         }
@@ -383,7 +411,9 @@ mod tests {
     }
 
     /// The eager reference: the OU process queried tick by tick through its
-    /// general transition over `[0, horizon]`, as bits.
+    /// general transition over `[0, horizon]`, as bits. Each of its ticks
+    /// takes one scalar normal draw, so comparing a track with it checks
+    /// the block fills against scalar draws.
     fn eager_track(cfg: &LinkConfig, index: u64, horizon: SimTime) -> Vec<u64> {
         let mut ou = OrnsteinUhlenbeck::new(
             cfg.shadow_sigma_db,
