@@ -30,7 +30,7 @@ use diversifi_client::cross_link;
 use diversifi_simcore::export::{self, write_text_atomic};
 use diversifi_simcore::{mean, Ecdf, MergedTelemetry, SeedFactory, SimDuration, SweepRunner};
 use diversifi_voip::{metrics, StreamSpec, DEFAULT_DEADLINE};
-use diversifi_wifi::{Channel, GeParams, LinkConfig};
+use diversifi_wifi::{Channel, GeParams, LinkConfig, RealizationCache};
 use std::path::Path;
 
 struct Ctx {
@@ -1065,7 +1065,8 @@ fn fig3(ctx: &mut Ctx) {
         a.ge = GeParams::weak_link();
         let mut b = LinkConfig::office(Channel::CH11, 36.0);
         b.ge = GeParams::weak_link();
-        diversifi::run_two_nic(&diversifi::TwoNicScenario::new(spec, a, b), &seeds)
+        let scn = diversifi::TwoNicScenario::new(spec, a, b);
+        diversifi::run_two_nic(&scn, &seeds, &RealizationCache::new(2))
     };
     let scores = SweepRunner::available().run_indexed(64, |k| {
         let run = run_pair(k as u64);
@@ -1353,7 +1354,8 @@ fn fec(ctx: &mut Ctx) {
         let base = run_single(&spec, &a, &seeds, 0).trace.loss_rate(DEFAULT_DEADLINE) * 100.0;
         let fec4 = run_fec(&spec, &a, &seeds, 4).loss_rate(DEFAULT_DEADLINE) * 100.0;
         let fec8 = run_fec(&spec, &a, &seeds, 8).loss_rate(DEFAULT_DEADLINE) * 100.0;
-        let two = run_two_nic(&diversifi::TwoNicScenario::new(spec, a, b), &seeds);
+        let scn = diversifi::TwoNicScenario::new(spec, a, b);
+        let two = run_two_nic(&scn, &seeds, &RealizationCache::new(2));
         let cross = two.a.trace.merged_with(&two.b.trace).loss_rate(DEFAULT_DEADLINE) * 100.0;
         (base, fec4, fec8, cross)
     });
@@ -1385,7 +1387,8 @@ fn crosstech(ctx: &mut Ctx) {
         a.microwave = Some(oven);
         let mut b = LinkConfig::office(Channel::CH11, 18.0);
         b.microwave = Some(oven);
-        let two = run_two_nic(&diversifi::TwoNicScenario::new(spec, a.clone(), b), &seeds);
+        let scn = diversifi::TwoNicScenario::new(spec, a.clone(), b);
+        let two = run_two_nic(&scn, &seeds, &RealizationCache::new(2));
         let ww = two.a.trace.merged_with(&two.b.trace).loss_rate(DEFAULT_DEADLINE) * 100.0;
         let xt = run_cross_technology(&spec, &a, &CellularConfig::default(), &seeds);
         (ww, xt.merged.loss_rate(DEFAULT_DEADLINE) * 100.0)

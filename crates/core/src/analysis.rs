@@ -2,7 +2,7 @@
 //! strategy on the resulting traces, and compute each figure's data.
 
 use crate::corpus::{self, CallEnvironment, CorpusMix};
-use crate::twonic::{run_temporal_cached, run_two_nic_cached, TwoNicScenario};
+use crate::twonic::{run_temporal, run_two_nic, TwoNicScenario};
 use diversifi_client::{self as client, DivertConfig, LinkObservation};
 use diversifi_simcore::{SeedFactory, SimDuration, SweepRunner};
 use diversifi_voip::{
@@ -146,7 +146,7 @@ fn simulate_call(
     cache: &RealizationCache,
 ) -> CallRecord {
     let scn = TwoNicScenario::new(spec, env.link_a.clone(), env.link_b.clone());
-    let run = run_two_nic_cached(&scn, call_seeds, cache);
+    let run = run_two_nic(&scn, call_seeds, cache);
     // Temporal replication runs on the a-priori stronger (nearer) link,
     // with the same seed streams → the same channel realisation, replayed
     // from the cache rather than re-sampled per arm.
@@ -157,8 +157,8 @@ fn simulate_call(
             &env.link_b
         };
         (
-            Some(run_temporal_cached(&spec, stronger_cfg, call_seeds, SimDuration::ZERO, cache)),
-            Some(run_temporal_cached(
+            Some(run_temporal(&spec, stronger_cfg, call_seeds, SimDuration::ZERO, cache)),
+            Some(run_temporal(
                 &spec,
                 stronger_cfg,
                 call_seeds,

@@ -116,7 +116,7 @@ mod tests {
     use crate::twonic::{run_two_nic, TwoNicScenario};
     use diversifi_simcore::mean;
     use diversifi_voip::DEFAULT_DEADLINE;
-    use diversifi_wifi::{Channel, MicrowaveOven};
+    use diversifi_wifi::{Channel, MicrowaveOven, RealizationCache};
 
     fn spec() -> StreamSpec {
         StreamSpec {
@@ -167,6 +167,7 @@ mod tests {
             let two = run_two_nic(
                 &TwoNicScenario::new(spec(), wifi_a.clone(), wifi_b.clone()),
                 &seeds,
+                &RealizationCache::new(2),
             );
             wifi_wifi += two.a.trace.merged_with(&two.b.trace).loss_rate(DEFAULT_DEADLINE);
             let xt = run_cross_technology(&spec(), &wifi_a, &CellularConfig::default(), &seeds);

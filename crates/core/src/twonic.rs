@@ -65,53 +65,36 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Simulate one replicated stream over one link; returns its trace and the
-/// RSSI the OS would report early in the call.
-///
-/// `emit` gives, for every stream packet, the (possibly more than one)
-/// transmission instants — the temporal-replication experiment passes two.
-fn run_link(
-    spec: &StreamSpec,
-    link_cfg: &LinkConfig,
-    seeds: &SeedFactory,
-    index: u64,
-    lan_delay: SimDuration,
-    pipeline: &PipelineConfig,
-    copies: &[SimDuration],
-) -> LinkObservation {
-    let link = LinkModel::new(link_cfg.clone(), seeds, index);
-    run_link_on(spec, link, seeds, index, lan_delay, pipeline, copies)
-}
-
-/// Horizon to which a link's channel realisation must be materialised for
-/// a stream of `spec`: the call itself plus the AP-backlog and MAC-retry
-/// slack that can push transmissions past the last send instant.
-fn channel_horizon(spec: &StreamSpec) -> SimTime {
+/// Horizon to which a link's channel realisation is materialised for a
+/// stream of `spec`: the call itself, plus 500 ms (the AP backlog cap here,
+/// the drain tail in `World`), plus 2 s of slack for MAC exchanges
+/// straddling the end. `LinkModel` audits that no read passes it, so the
+/// slack is a checked bound, not a guess.
+pub(crate) fn channel_horizon(spec: &StreamSpec) -> SimTime {
     SimTime::ZERO + spec.duration + SimDuration::from_millis(500) + SimDuration::from_secs(2)
 }
 
-/// [`run_link`] with the channel realisation replayed from `cache` instead
-/// of sampled lazily. Bit-identical output (the replay parity is pinned in
-/// `diversifi-wifi`); the point is that paired runs over the same
-/// `(link, seed, index)` — e.g. the temporal-replication arms — materialise
-/// the radio environment once.
-#[allow(clippy::too_many_arguments)]
-fn run_link_cached(
+/// The link `(link_cfg, seeds, index)` over a stream of `spec`, replaying
+/// its channel realisation from `cache`. Paired arms over the same link
+/// and seed (the temporal-replication arms reuse the cross-link
+/// experiment's link 0) materialise the radio environment once.
+fn cached_link(
     spec: &StreamSpec,
     link_cfg: &LinkConfig,
     seeds: &SeedFactory,
     index: u64,
-    lan_delay: SimDuration,
-    pipeline: &PipelineConfig,
-    copies: &[SimDuration],
     cache: &RealizationCache,
-) -> LinkObservation {
+) -> LinkModel {
     let real = cache.get_or_materialize(link_cfg, seeds, index, channel_horizon(spec));
-    let link = LinkModel::from_realization(link_cfg.clone(), real, seeds, index);
-    run_link_on(spec, link, seeds, index, lan_delay, pipeline, copies)
+    LinkModel::from_realization(link_cfg.clone(), real, seeds, index)
 }
 
-fn run_link_on(
+/// Simulate one replicated stream over `link`; returns its trace and the
+/// RSSI the OS would report early in the call.
+///
+/// `copies` gives, for every stream packet, the (possibly more than one)
+/// transmission offsets — the temporal-replication experiment passes two.
+fn run_link(
     spec: &StreamSpec,
     mut link: LinkModel,
     seeds: &SeedFactory,
@@ -161,50 +144,29 @@ fn run_link_on(
     LinkObservation { trace, rssi_dbm }
 }
 
-/// Run the full two-NIC replication experiment for one call.
-pub fn run_two_nic(scn: &TwoNicScenario, seeds: &SeedFactory) -> TwoNicRun {
-    let pipeline = PipelineConfig::default();
-    let a = run_link(&scn.spec, &scn.link_a, seeds, 0, scn.lan_delay, &pipeline, &[SimDuration::ZERO]);
-    let b = run_link(&scn.spec, &scn.link_b, seeds, 1, scn.lan_delay, &pipeline, &[SimDuration::ZERO]);
-    TwoNicRun { a, b }
-}
-
-/// [`run_two_nic`] replaying both links' realisations from `cache` —
-/// bit-identical to the lazy path, but arms of a paired experiment that
-/// revisit the same `(link, seed)` sample the channel only once.
-pub fn run_two_nic_cached(
+/// Run the full two-NIC replication experiment for one call, replaying
+/// both links' realisations from `cache` so the arms of a paired analysis
+/// that revisit the same `(link, seed)` sample the channel only once. A
+/// one-off call passes a fresh `RealizationCache::new(2)`.
+pub fn run_two_nic(
     scn: &TwoNicScenario,
     seeds: &SeedFactory,
     cache: &RealizationCache,
 ) -> TwoNicRun {
     let pipeline = PipelineConfig::default();
-    let horizon = channel_horizon(&scn.spec);
-    let [link_a, link_b] = [(&scn.link_a, 0), (&scn.link_b, 1)].map(|(cfg, index)| {
-        let real = cache.get_or_materialize(cfg, seeds, index, horizon);
-        LinkModel::from_realization(cfg.clone(), real, seeds, index)
+    let [a, b] = [(&scn.link_a, 0), (&scn.link_b, 1)].map(|(cfg, index)| {
+        let link = cached_link(&scn.spec, cfg, seeds, index, cache);
+        run_link(&scn.spec, link, seeds, index, scn.lan_delay, &pipeline, &[SimDuration::ZERO])
     });
-    let a = run_link_on(&scn.spec, link_a, seeds, 0, scn.lan_delay, &pipeline, &[SimDuration::ZERO]);
-    let b = run_link_on(&scn.spec, link_b, seeds, 1, scn.lan_delay, &pipeline, &[SimDuration::ZERO]);
     TwoNicRun { a, b }
 }
 
 /// Temporal replication (§4.2): two copies of every packet on the *same*
 /// link, the second delayed by `delta`. The trace keeps the earliest copy.
+/// The channel is replayed from `cache`: temporal replication runs on the
+/// same link and seed as the cross-link experiment's link 0, so in a
+/// paired analysis it is a pure cache hit.
 pub fn run_temporal(
-    spec: &StreamSpec,
-    link_cfg: &LinkConfig,
-    seeds: &SeedFactory,
-    delta: SimDuration,
-) -> StreamTrace {
-    let pipeline = PipelineConfig::default();
-    run_link(spec, link_cfg, seeds, 0, SimDuration::from_micros(500), &pipeline, &[SimDuration::ZERO, delta])
-        .trace
-}
-
-/// [`run_temporal`] with the channel realisation replayed from `cache`.
-/// Since temporal replication runs on the same link/seed as the cross-link
-/// experiment's link 0, this is a pure cache hit in paired analyses.
-pub fn run_temporal_cached(
     spec: &StreamSpec,
     link_cfg: &LinkConfig,
     seeds: &SeedFactory,
@@ -212,17 +174,9 @@ pub fn run_temporal_cached(
     cache: &RealizationCache,
 ) -> StreamTrace {
     let pipeline = PipelineConfig::default();
-    run_link_cached(
-        spec,
-        link_cfg,
-        seeds,
-        0,
-        SimDuration::from_micros(500),
-        &pipeline,
-        &[SimDuration::ZERO, delta],
-        cache,
-    )
-    .trace
+    let link = cached_link(spec, link_cfg, seeds, 0, cache);
+    let lan_delay = SimDuration::from_micros(500);
+    run_link(spec, link, seeds, 0, lan_delay, &pipeline, &[SimDuration::ZERO, delta]).trace
 }
 
 /// A single unreplicated stream over one link (the §4.2 baseline).
@@ -233,7 +187,8 @@ pub fn run_single(
     index: u64,
 ) -> LinkObservation {
     let pipeline = PipelineConfig::default();
-    run_link(spec, link_cfg, seeds, index, SimDuration::from_micros(500), &pipeline, &[SimDuration::ZERO])
+    let link = LinkModel::new(link_cfg.clone(), seeds, index, channel_horizon(spec));
+    run_link(spec, link, seeds, index, SimDuration::from_micros(500), &pipeline, &[SimDuration::ZERO])
 }
 
 #[cfg(test)]
@@ -251,7 +206,7 @@ mod tests {
         // The declarative preset lowers to the same hand-built pair this
         // test used to construct (CH1 @ 10 m / CH11 @ 14 m, both good).
         let scn = crate::scenario::Scenario::office_short("clean", 0).two_nic();
-        let run = run_two_nic(&scn, &seeds(0));
+        let run = run_two_nic(&scn, &seeds(0), &RealizationCache::new(2));
         assert!(run.a.trace.loss_rate(DEFAULT_DEADLINE) < 0.05);
         assert!(run.b.trace.loss_rate(DEFAULT_DEADLINE) < 0.05);
         assert_eq!(run.a.trace.len(), 6000);
@@ -260,7 +215,7 @@ mod tests {
     #[test]
     fn merged_beats_both_links() {
         let scn = crate::scenario::Scenario::office_weak_pair("weak", 0).two_nic();
-        let run = run_two_nic(&scn, &seeds(1));
+        let run = run_two_nic(&scn, &seeds(1), &RealizationCache::new(2));
         let la = run.a.trace.loss_rate(DEFAULT_DEADLINE);
         let lb = run.b.trace.loss_rate(DEFAULT_DEADLINE);
         let merged = run.a.trace.merged_with(&run.b.trace).loss_rate(DEFAULT_DEADLINE);
@@ -284,10 +239,12 @@ mod tests {
         for i in 0..runs {
             let s = seeds(100 + i);
             let baseline = run_single(&spec, &weak, &s, 0).trace;
-            let temporal = run_temporal(&spec, &weak, &s, SimDuration::from_millis(100));
+            let cache = RealizationCache::new(2);
+            let temporal = run_temporal(&spec, &weak, &s, SimDuration::from_millis(100), &cache);
             let two = run_two_nic(
                 &TwoNicScenario::new(spec, weak.clone(), weak_b.clone()),
                 &s,
+                &cache,
             );
             let cross = two.a.trace.merged_with(&two.b.trace);
             base_sum += baseline.loss_rate(DEFAULT_DEADLINE);
@@ -311,8 +268,8 @@ mod tests {
             LinkConfig::office(Channel::CH1, 20.0),
             LinkConfig::office(Channel::CH11, 25.0),
         );
-        let r1 = run_two_nic(&scn, &seeds(7));
-        let r2 = run_two_nic(&scn, &seeds(7));
+        let r1 = run_two_nic(&scn, &seeds(7), &RealizationCache::new(2));
+        let r2 = run_two_nic(&scn, &seeds(7), &RealizationCache::new(2));
         assert_eq!(r1.a.trace.fates, r2.a.trace.fates);
         assert_eq!(r1.b.trace.fates, r2.b.trace.fates);
         assert_eq!(r1.a.rssi_dbm, r2.a.rssi_dbm);
@@ -329,25 +286,32 @@ mod tests {
         weak.ge = diversifi_wifi::GeParams::weak_link();
         let scn = TwoNicScenario::new(spec, weak, LinkConfig::office(Channel::CH11, 33.0));
         let s = seeds(9);
-        let lazy = run_two_nic(&scn, &s);
+        let fresh = run_two_nic(&scn, &s, &RealizationCache::new(2));
+        // A shared cache: the first run materialises both links, the
+        // second replays them, and both match the fresh-cache run.
         let cache = RealizationCache::new(8);
-        let cached = run_two_nic_cached(&scn, &s, &cache);
-        assert_eq!(lazy.a.trace.fates, cached.a.trace.fates);
-        assert_eq!(lazy.b.trace.fates, cached.b.trace.fates);
-        assert_eq!(lazy.a.rssi_dbm.to_bits(), cached.a.rssi_dbm.to_bits());
+        run_two_nic(&scn, &s, &cache);
+        assert_eq!(cache.stats(), (0, 2));
+        let cached = run_two_nic(&scn, &s, &cache);
+        assert_eq!(cache.stats(), (2, 2), "the second run must replay both links");
+        assert_eq!(fresh.a.trace.fates, cached.a.trace.fates);
+        assert_eq!(fresh.b.trace.fates, cached.b.trace.fates);
+        assert_eq!(fresh.a.rssi_dbm.to_bits(), cached.a.rssi_dbm.to_bits());
 
         // Temporal replication on link A replays the already-materialised
         // channel: two more paired arms, zero more materialisations.
-        let (_, misses_before) = cache.stats();
-        let t100 =
-            run_temporal_cached(&scn.spec, &scn.link_a, &s, SimDuration::from_millis(100), &cache);
-        let t0 = run_temporal_cached(&scn.spec, &scn.link_a, &s, SimDuration::ZERO, &cache);
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, misses_before, "temporal arms must hit the cache");
-        assert!(hits >= 2, "expected replay hits, got {hits}");
-        assert_eq!(t0.len(), lazy.a.trace.len());
-        let lazy_t100 = run_temporal(&scn.spec, &scn.link_a, &s, SimDuration::from_millis(100));
-        assert_eq!(lazy_t100.fates, t100.fates);
+        let t100 = run_temporal(&scn.spec, &scn.link_a, &s, SimDuration::from_millis(100), &cache);
+        let t0 = run_temporal(&scn.spec, &scn.link_a, &s, SimDuration::ZERO, &cache);
+        assert_eq!(cache.stats(), (4, 2), "temporal arms must hit the cache");
+        assert_eq!(t0.len(), fresh.a.trace.len());
+        let fresh_t100 = run_temporal(
+            &scn.spec,
+            &scn.link_a,
+            &s,
+            SimDuration::from_millis(100),
+            &RealizationCache::new(2),
+        );
+        assert_eq!(fresh_t100.fates, t100.fates);
     }
 
     #[test]
@@ -360,7 +324,7 @@ mod tests {
         // Shorten to 5 seconds to keep the test fast.
         let mut scn = scn;
         scn.spec.duration = SimDuration::from_secs(5);
-        let run = run_two_nic(&scn, &seeds(3));
+        let run = run_two_nic(&scn, &seeds(3), &RealizationCache::new(2));
         assert_eq!(run.a.trace.len() as u64, scn.spec.packet_count());
         assert!(run.a.trace.loss_rate(DEFAULT_DEADLINE) < 0.3);
     }
@@ -402,7 +366,7 @@ pub fn run_fec(
 ) -> StreamTrace {
     assert!(k >= 2, "FEC group must cover at least 2 data packets");
     let pipeline = PipelineConfig::default();
-    let mut link = LinkModel::new(link_cfg.clone(), seeds, 0);
+    let mut link = LinkModel::new(link_cfg.clone(), seeds, 0, channel_horizon(spec));
     let mut trace = StreamTrace::new(*spec, SimTime::ZERO);
     let mut jitter_rng: RngStream = seeds.stream("lan-jitter", 0);
     let lan_delay = SimDuration::from_micros(500);
@@ -524,7 +488,8 @@ mod fec_tests {
             let seeds = SeedFactory::new(0xFEC1 + i);
             base_sum += run_single(&spec, &a, &seeds, 0).trace.loss_rate(DEFAULT_DEADLINE);
             fec_sum += run_fec(&spec, &a, &seeds, 4).loss_rate(DEFAULT_DEADLINE);
-            let two = run_two_nic(&TwoNicScenario::new(spec, a.clone(), b.clone()), &seeds);
+            let scn = TwoNicScenario::new(spec, a.clone(), b.clone());
+            let two = run_two_nic(&scn, &seeds, &RealizationCache::new(2));
             cross_sum += two.a.trace.merged_with(&two.b.trace).loss_rate(DEFAULT_DEADLINE);
         }
         assert!(fec_sum < base_sum, "FEC should still help a little");

@@ -11,6 +11,7 @@
 //! have been transmitted during the excursion (they queue at the client
 //! and go out slightly late).
 
+use crate::twonic::channel_horizon;
 use diversifi_simcore::{SeedFactory, SimDuration, SimTime};
 use diversifi_voip::{StreamSpec, StreamTrace};
 use diversifi_wifi::{
@@ -47,8 +48,9 @@ pub fn run_uplink(
     mode: UplinkMode,
 ) -> (StreamTrace, UplinkStats) {
     let mac_cfg = MacConfig::default();
-    let mut link_p = LinkModel::new(primary.clone(), seeds, 0);
-    let mut link_s = LinkModel::new(secondary.clone(), seeds, 1);
+    let horizon = channel_horizon(spec);
+    let mut link_p = LinkModel::new(primary.clone(), seeds, 0, horizon);
+    let mut link_s = LinkModel::new(secondary.clone(), seeds, 1, horizon);
     let mut trace = StreamTrace::new(*spec, SimTime::ZERO);
     let mut stats = UplinkStats::default();
     let switch = SimDuration::from_micros(2800);

@@ -27,6 +27,7 @@
 //! is a pure function of `(WorldConfig, seed)` and DiversiFi-on vs -off are
 //! paired experiments over the same channel realisation.
 
+use crate::twonic::channel_horizon;
 use diversifi_client::{
     Alg1Stats, Algorithm1, Algorithm1Config, Command, DeploymentMode, LinkSide, Residency,
 };
@@ -511,7 +512,7 @@ impl<'a> World<'a> {
     /// If `cfg.fleet` asks for something a fleet does not model (see
     /// [`WorldConfig::fleet`]).
     pub fn new(cfg: &'a WorldConfig, seeds: &SeedFactory) -> World<'a> {
-        let horizon = Self::channel_horizon(cfg);
+        let horizon = channel_horizon(&cfg.spec);
         Self::build(cfg, seeds, &mut WorkerArena::new(), &mut |link, seeds, index| {
             Arc::new(ChannelRealization::materialize(link, seeds, index, horizon))
         })
@@ -532,18 +533,10 @@ impl<'a> World<'a> {
         cache: &RealizationCache,
         arena: &mut WorkerArena,
     ) -> World<'a> {
-        let horizon = Self::channel_horizon(cfg);
+        let horizon = channel_horizon(&cfg.spec);
         Self::build(cfg, seeds, arena, &mut |link, seeds, index| {
             cache.get_or_materialize(link, seeds, index, horizon)
         })
-    }
-
-    /// Horizon the realisations must cover: the measurement window plus the
-    /// drain tail, plus slack for MAC exchanges straddling the end. Queries
-    /// past it freeze deterministically, so the slack only has to be
-    /// generous, not exact.
-    fn channel_horizon(cfg: &WorldConfig) -> SimTime {
-        SimTime::ZERO + cfg.spec.duration + SimDuration::from_millis(500) + SimDuration::from_secs(2)
     }
 
     /// The one constructor behind [`World::new`] and
@@ -1468,17 +1461,12 @@ impl<'a> World<'a> {
         }
         // 3 attempts, like the middlebox re-install requests (the input
         // path cannot afford the PS fix's 5: the next tick is 15 ms away).
-        let mut delay = self.cfg.uplink_delay;
-        let mut fate = InputFate::Lost;
-        for _ in 0..3 {
-            let loss = self.control_loss();
-            if !self.rng.chance(loss) {
-                let at = now + delay + self.cfg.lan_delay + self.brownout_extra_delay();
-                fate = InputFate::Delivered(at);
-                break;
+        let fate = match self.send_uplink_control(3) {
+            Some(delay) => {
+                InputFate::Delivered(now + delay + self.cfg.lan_delay + self.brownout_extra_delay())
             }
-            delay += self.cfg.uplink_delay;
-        }
+            None => InputFate::Lost,
+        };
         match fate {
             InputFate::Delivered(at) => {
                 self.tick_ledger.delivered();
@@ -1497,23 +1485,34 @@ impl<'a> World<'a> {
         self.clients[client].workload.record_input(tick, fate);
     }
 
+    /// Send one uplink control message (a PS Null frame, a middlebox
+    /// start request, an input tick) with up to `attempts` tries against
+    /// `control_loss()`, each retry costing one more uplink hop. Returns
+    /// the uplink delay of the attempt that got through, or `None` when
+    /// every attempt was lost. Draws exactly one `chance` per attempt made.
+    fn send_uplink_control(&mut self, attempts: u32) -> Option<SimDuration> {
+        let mut delay = self.cfg.uplink_delay;
+        for _ in 0..attempts {
+            let loss = self.control_loss();
+            if !self.rng.chance(loss) {
+                return Some(delay);
+            }
+            delay += self.cfg.uplink_delay;
+        }
+        None
+    }
+
     /// Tell `ap` that `client`'s stations there sleep or wake: one uplink
     /// Null(PM) frame per station, modelling the paper's 5-retry driver
     /// fix — with 5 attempts the residual loss is tiny.
     fn send_ps(&mut self, now: SimTime, client: usize, ap: usize, sleeping: bool) {
-        'frame: for adapter in self.clients[client].stations(ap) {
-            let mut delay = self.cfg.uplink_delay;
-            for _ in 0..5 {
-                let loss = self.control_loss();
-                if !self.rng.chance(loss) {
-                    self.q.schedule(now + delay, Ev::PsDelivered { ap, adapter, sleeping });
-                    continue 'frame;
-                }
-                delay += self.cfg.uplink_delay;
+        for adapter in self.clients[client].stations(ap) {
+            // A frame whose 5 attempts are all lost is dropped: the AP
+            // never learns, and its state stays desynchronised until the
+            // next PS exchange (the bug the paper had to fix).
+            if let Some(delay) = self.send_uplink_control(5) {
+                self.q.schedule(now + delay, Ev::PsDelivered { ap, adapter, sleeping });
             }
-            // All 5 attempts lost: the AP never learns; state
-            // desynchronised until the next PS exchange (the bug the paper
-            // had to fix).
         }
     }
 
@@ -1557,19 +1556,11 @@ impl<'a> World<'a> {
                     // Bounded retry, same shape as the PS Null-frame fix: a
                     // lost re-install request must not silently disable
                     // replication for the rest of the run. Three tries keep
-                    // the residual loss negligible; each retry costs one
-                    // more uplink hop of latency.
-                    let mut d = self.cfg.uplink_delay
-                        + self.cfg.lan_delay
-                        + self.cfg.middlebox_net_delay;
-                    for _ in 0..3 {
-                        let loss = self.control_loss();
-                        if !self.rng.chance(loss) {
-                            let ev = Ev::MiddleboxControl { client, start: Some(from_seq) };
-                            self.q.schedule(now + d, ev);
-                            break;
-                        }
-                        d += self.cfg.uplink_delay;
+                    // the residual loss negligible.
+                    if let Some(up) = self.send_uplink_control(3) {
+                        let d = up + self.cfg.lan_delay + self.cfg.middlebox_net_delay;
+                        let ev = Ev::MiddleboxControl { client, start: Some(from_seq) };
+                        self.q.schedule(now + d, ev);
                     }
                 }
                 Command::MiddleboxStop => {

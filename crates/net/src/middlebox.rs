@@ -113,11 +113,6 @@ impl Middlebox {
         });
     }
 
-    /// Unregister a flow and free its buffer.
-    pub fn unregister(&mut self, flow: FlowId) {
-        self.flows.remove(&flow);
-    }
-
     /// Number of registered flows (the load driver for service delay).
     pub fn flow_count(&self) -> usize {
         self.flows.len()
@@ -313,15 +308,6 @@ mod tests {
         // The middlebox buffers normally once the process is back.
         assert!(m.ingest(pkt(6)).is_none());
         assert_eq!(m.buffered(F), 1);
-    }
-
-    #[test]
-    fn unregister_frees_buffer() {
-        let mut m = mbox();
-        m.ingest(pkt(0));
-        m.unregister(F);
-        assert_eq!(m.flow_count(), 0);
-        assert_eq!(m.buffered(F), 0);
     }
 
     #[test]

@@ -220,8 +220,8 @@ impl Deserialize for QuantileSketch {
     }
 }
 
-/// Welford running moments plus min/max — the mergeable, serialisable
-/// cousin of [`crate::stats::Summary`] used inside shard digests.
+/// Welford running moments plus min/max, mergeable and serialisable, as
+/// used inside shard digests.
 #[derive(Clone, Copy, Debug)]
 pub struct Welford {
     count: u64,

@@ -55,7 +55,6 @@ pub mod digest;
 pub mod export;
 pub mod fault;
 pub mod flight;
-pub mod merge;
 pub mod metrics;
 pub mod par;
 mod queue;
@@ -85,7 +84,6 @@ pub use rng::{RngStream, SeedFactory};
 pub use scratch::MetricsScratch;
 pub use stats::{
     autocorrelation, cross_correlation, mean, pearson, quantile_unsorted, BucketHistogram, Ecdf,
-    Summary,
 };
 pub use telemetry::{MergedTelemetry, RunInfo, SweepEvent, TelemetrySession};
 pub use time::{SimDuration, SimTime};

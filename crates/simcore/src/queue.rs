@@ -32,7 +32,7 @@
 //! `ReferenceQueue`) by the differential tests below and the model-based
 //! proptest in `lib.rs`.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -217,12 +217,6 @@ impl<E> EventQueue<E> {
         self.bucketed += 1;
     }
 
-    /// Schedule `event` at `now() + delta` — the dominant caller pattern
-    /// (frame service times, retry backoffs, periodic timers).
-    pub fn schedule_after(&mut self, delta: SimDuration, event: E) {
-        self.schedule(self.now + delta, event)
-    }
-
     /// The bucket holding the wheel's earliest event: the first occupied
     /// bucket in circular order from `now`'s, which by the wheel invariant
     /// is the earliest day.
@@ -403,24 +397,6 @@ mod tests {
         q.schedule(SimTime::from_secs(10), Tag(0));
         q.pop();
         q.schedule(SimTime::from_secs(9), Tag(1));
-    }
-
-    #[test]
-    fn schedule_after_uses_current_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(10), Tag(0));
-        q.pop().unwrap();
-        q.schedule_after(SimDuration::from_millis(20), Tag(1));
-        assert_eq!(q.pop().unwrap().0, SimTime::from_millis(30));
-    }
-
-    #[test]
-    fn schedule_after_is_fifo() {
-        let mut q = EventQueue::new();
-        q.schedule_after(SimDuration::from_millis(5), Tag(1));
-        q.schedule_after(SimDuration::from_millis(5), Tag(2));
-        assert_eq!(q.pop().unwrap().1, Tag(1));
-        assert_eq!(q.pop().unwrap().1, Tag(2));
     }
 
     #[test]

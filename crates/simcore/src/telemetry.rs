@@ -296,7 +296,7 @@ pub struct MergedTelemetry {
     /// All surviving events across the sweep, `(at, run, seq)`-ordered
     /// once [`finish`](Self::finish) has run. Events pushed here directly
     /// (the field is public for exporter tests and ad-hoc assembly) are
-    /// folded into the merge by the next `finish`.
+    /// put in order by the next `finish`.
     pub events: Vec<SweepEvent>,
     /// One entry per run index absorbed (gaps filled with unlabelled,
     /// empty runs).
@@ -308,13 +308,6 @@ pub struct MergedTelemetry {
     pub metrics: MetricsRegistry,
     /// Summed wall-clock profile across runs.
     pub profile: PhaseProfile,
-    /// Absorbed per-run streams awaiting `finish`. Each is sorted by
-    /// `(at, seq)` — checked on absorb — and carries a single run index,
-    /// so it is equally sorted under the full `(at, run, seq)` merge key.
-    pending: Vec<Vec<SweepEvent>>,
-    /// Set when some absorbed stream violated `at`-monotonicity; `finish`
-    /// then falls back to the full sort instead of the k-way merge.
-    pending_unsorted: bool,
 }
 
 impl MergedTelemetry {
@@ -322,24 +315,12 @@ impl MergedTelemetry {
     /// last run to establish the merge order.
     pub fn absorb(&mut self, run: u32, session: TelemetrySession) {
         let TelemetrySession { events, dropped, profile, metrics } = session;
-        // Per-run seq is increasing by construction, so the stream is
-        // `(at, seq)`-sorted iff `at` never decreases. World runs emit at
-        // the event loop's monotone `now`, so this is the common case;
-        // a hand-built session that violates it just disables the k-way
-        // fast path for this merge.
-        let mut sorted = true;
-        let mut stream = Vec::with_capacity(events.len());
-        for (i, event) in events.into_iter().enumerate() {
-            if let Some(prev) = stream.last() {
-                let prev: &SweepEvent = prev;
-                sorted &= prev.event.at <= event.at;
-            }
-            stream.push(SweepEvent { run, seq: dropped + i as u64, event });
-        }
-        self.pending_unsorted |= !sorted;
-        if !stream.is_empty() {
-            self.pending.push(stream);
-        }
+        self.events.extend(
+            events
+                .into_iter()
+                .enumerate()
+                .map(|(i, event)| SweepEvent { run, seq: dropped + i as u64, event }),
+        );
         let slot = run as usize;
         if self.runs.len() <= slot {
             self.runs.resize_with(slot + 1, RunInfo::default);
@@ -353,32 +334,10 @@ impl MergedTelemetry {
     /// Establish the merge order: events by `(sim-time, run, seq)`,
     /// metrics rows canonical. Idempotent; the resulting order is
     /// independent of worker count and of the order runs were absorbed
-    /// in.
-    ///
-    /// Absorbed sessions are already sorted streams, so this is a
-    /// loser-tree k-way merge ([`crate::merge`]) — O(N log k) instead of
-    /// the O(N log N) concatenate-and-sort it replaces. Events pushed
-    /// into [`events`](Self::events) by hand, or absorbed streams that
-    /// were not time-sorted, fall back to the full sort with identical
-    /// output (the merge key is total: no two events compare equal).
+    /// in, because the key is unique per event (one `seq` per run), so
+    /// an unstable sort leaves nothing to chance.
     pub fn finish(&mut self) {
-        let key = |e: &SweepEvent| (e.event.at, e.run, e.seq);
-        let mut streams = std::mem::take(&mut self.pending);
-        let head = std::mem::take(&mut self.events);
-        let fast = !self.pending_unsorted && crate::merge::is_sorted_by_key(&head, key);
-        if !head.is_empty() {
-            // The pre-existing contents participate as one more stream
-            // (already sorted on the fast path, e.g. from a prior finish).
-            streams.insert(0, head);
-        }
-        self.events = if fast {
-            crate::merge::merge_sorted_by_key(streams, key)
-        } else {
-            let mut all: Vec<SweepEvent> = streams.into_iter().flatten().collect();
-            all.sort_unstable_by_key(key);
-            all
-        };
-        self.pending_unsorted = false;
+        self.events.sort_unstable_by_key(|e| (e.event.at, e.run, e.seq));
         self.metrics.sort_rows();
     }
 

@@ -54,8 +54,7 @@ pub use link::{LinkConfig, LinkModel};
 pub use mac::{frame_airtime, transmit, MacConfig, MacMetrics, TxOutcome};
 pub use radio::{PhyRate, NOISE_FLOOR_DBM, RATE_LADDER};
 pub use realization::{
-    ChannelRealization, RealizationCache, RealizationKey, ShadowCursor, SHADOW_BLOCK,
-    SHADOW_TICK,
+    ChannelRealization, RealizationCache, RealizationKey, SHADOW_BLOCK, SHADOW_TICK,
 };
 pub use scan::{DeployedAp, Deployment, ScanEntry, ScanTiming, TimedScan, CONNECTABLE_RSSI_DBM};
 
@@ -122,7 +121,7 @@ mod proptests {
         ) {
             let seeds = SeedFactory::new(seed);
             let mut link = LinkModel::new(
-                LinkConfig::office(Channel::CH11, distance), &seeds, 0);
+                LinkConfig::office(Channel::CH11, distance), &seeds, 0, SimTime::from_secs(1));
             let mac = MacConfig::default();
             let f = Frame::data(FlowId(0), 0, bytes, SimTime::ZERO, ClientId(0), AdapterId(0));
             let start = SimTime::from_millis(1);
@@ -148,7 +147,7 @@ mod proptests {
             if with_mw { cfg.microwave = Some(MicrowaveOven::default()); }
             if with_cong { cfg.congestion = Some(Congestion::heavy()); }
             let seeds = SeedFactory::new(seed);
-            let mut link = LinkModel::new(cfg, &seeds, 0);
+            let mut link = LinkModel::new(cfg, &seeds, 0, SimTime::from_secs(1));
             let mut t = SimTime::ZERO;
             for _ in 0..64 {
                 let rate = link.select_rate_at(t);

@@ -21,10 +21,10 @@
 //! channels share (almost) nothing.
 
 use crate::channel::Channel;
-use crate::fading::{GeParams, GeState, GilbertElliott, OrnsteinUhlenbeck};
+use crate::fading::{GeParams, GeState};
 use crate::impairment::{Congestion, MicrowaveOven, MobilityPattern};
 use crate::radio::{self, PhyRate};
-use crate::realization::{ChannelRealization, ShadowCursor};
+use crate::realization::ChannelRealization;
 use diversifi_simcore::{RngStream, SeedFactory, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -86,30 +86,21 @@ impl LinkConfig {
     }
 }
 
-/// Where a link's channel state comes from: processes advanced live, or a
-/// realisation shared with other arms and replayed (its shadowing track is
-/// drawn as the arms read it). Both consume identical `"link-ge"` /
-/// `"link-shadow"` randomness, so the two modes are bit-identical within
-/// the realisation horizon.
-#[derive(Clone, Debug)]
-enum ChannelSource {
-    Live {
-        ge: GilbertElliott,
-        shadow: ShadowCursor,
-    },
-    Replay {
-        real: Arc<ChannelRealization>,
-        /// Last GE segment index, so forward replay is O(1) amortised.
-        cursor: usize,
-        last_query: SimTime,
-    },
-}
-
-/// The live link: config plus its stochastic processes.
+/// One AP↔client link: its config, the channel realisation it replays, and
+/// its own per-attempt randomness.
+///
+/// The channel environment (Gilbert–Elliott timeline and shadowing track)
+/// always comes from a [`ChannelRealization`]: built fresh by
+/// [`LinkModel::new`], or shared with other arms by
+/// [`LinkModel::from_realization`]. A realisation is a pure function of
+/// `(link parameters, seed, index, horizon)`, so the two are bit-identical.
 #[derive(Clone, Debug)]
 pub struct LinkModel {
     cfg: LinkConfig,
-    source: ChannelSource,
+    real: Arc<ChannelRealization>,
+    /// Last GE segment index, so forward replay is O(1) amortised.
+    ge_cursor: usize,
+    last_query: SimTime,
     rng: RngStream,
     /// Geometry-implied mean RSSI, cached (it is pure config).
     mean_rssi_dbm: f64,
@@ -124,20 +115,16 @@ pub struct LinkModel {
 }
 
 impl LinkModel {
-    /// Instantiate the link's stochastic processes from a seed factory.
-    /// `index` distinguishes multiple links of one scenario.
-    pub fn new(cfg: LinkConfig, seeds: &SeedFactory, index: u64) -> LinkModel {
-        let ge = GilbertElliott::new(cfg.ge, seeds.stream("link-ge", index));
-        let shadow = ShadowCursor::new(OrnsteinUhlenbeck::new(
-            cfg.shadow_sigma_db,
-            cfg.shadow_tau,
-            seeds.stream("link-shadow", index),
-        ));
-        Self::with_source(cfg, ChannelSource::Live { ge, shadow }, seeds, index)
+    /// A link over a fresh realisation of its channel on `[0, horizon]`.
+    /// `index` distinguishes multiple links of one scenario. Reads past
+    /// `horizon` trip the audit layer (see [`ChannelRealization`]).
+    pub fn new(cfg: LinkConfig, seeds: &SeedFactory, index: u64, horizon: SimTime) -> LinkModel {
+        let real = Arc::new(ChannelRealization::materialize(&cfg, seeds, index, horizon));
+        Self::from_realization(cfg, real, seeds, index)
     }
 
-    /// Instantiate a link that replays a shared realisation instead of
-    /// advancing its own channel processes.
+    /// A link replaying `real`, typically shared with the other arms of a
+    /// paired experiment through a [`crate::RealizationCache`].
     ///
     /// `seeds`/`index` still seed the per-attempt erasure/backoff stream —
     /// that randomness is per-arm and is never part of the shared
@@ -148,22 +135,13 @@ impl LinkModel {
         seeds: &SeedFactory,
         index: u64,
     ) -> LinkModel {
-        let source =
-            ChannelSource::Replay { real, cursor: 0, last_query: SimTime::ZERO };
-        Self::with_source(cfg, source, seeds, index)
-    }
-
-    fn with_source(
-        cfg: LinkConfig,
-        source: ChannelSource,
-        seeds: &SeedFactory,
-        index: u64,
-    ) -> LinkModel {
         let rng = seeds.stream("link-attempts", index);
         let mean_rssi_dbm = cfg.mean_rssi_dbm();
         LinkModel {
             cfg,
-            source,
+            real,
+            ge_cursor: 0,
+            last_query: SimTime::ZERO,
             rng,
             mean_rssi_dbm,
             reported_rssi: mean_rssi_dbm,
@@ -182,29 +160,13 @@ impl LinkModel {
         self.extra_erasure
     }
 
-    /// Shadowing offset (dB) at `t` from whichever channel source backs us.
-    fn shadow_db_at(&mut self, t: SimTime) -> f64 {
-        match &mut self.source {
-            ChannelSource::Live { shadow, .. } => shadow.at(t),
-            ChannelSource::Replay { real, .. } => real.shadow_at(t),
-        }
-    }
-
     /// Fading state at `t`: `(state, is-long-bad-episode)`.
     fn fade_at(&mut self, t: SimTime) -> (GeState, bool) {
-        match &mut self.source {
-            ChannelSource::Live { ge, .. } => {
-                let state = ge.state_at(t);
-                (state, ge.bad_is_long_at(t))
-            }
-            ChannelSource::Replay { real, cursor, last_query } => {
-                assert!(t >= *last_query, "GilbertElliott queried backwards in time");
-                *last_query = t;
-                *cursor = real.ge_index_at(*cursor, t);
-                let seg = real.ge_segments()[*cursor];
-                (seg.state, seg.state == GeState::Bad && seg.long)
-            }
-        }
+        assert!(t >= self.last_query, "GilbertElliott queried backwards in time");
+        self.last_query = t;
+        self.ge_cursor = self.real.ge_index_at(self.ge_cursor, t);
+        let seg = self.real.ge_segments()[self.ge_cursor];
+        (seg.state, seg.state == GeState::Bad && seg.long)
     }
 
     /// The static configuration.
@@ -220,7 +182,17 @@ impl LinkModel {
     /// Instantaneous RSSI (dBm) at `t`, including shadowing and mobility.
     /// Queries must be non-decreasing in `t` (event order).
     pub fn rssi_at(&mut self, t: SimTime) -> f64 {
-        let mut rssi = self.mean_rssi_dbm + self.shadow_db_at(t);
+        // Every channel read passes here (rate selection and erasure both
+        // start from the SNR at `t`). Past the horizon the realisation
+        // would silently freeze at its last value, so the audit refuses it;
+        // in nanoseconds, because `SimTime` displays whole milliseconds.
+        diversifi_simcore::sim_assert!(
+            t <= self.real.horizon(),
+            "link read its channel at {} ns, past the realisation horizon {} ns",
+            t.as_nanos(),
+            self.real.horizon().as_nanos()
+        );
+        let mut rssi = self.mean_rssi_dbm + self.real.shadow_at(t);
         if let Some(m) = &self.cfg.mobility {
             rssi -= m.extra_loss_db(t);
         }
@@ -325,9 +297,14 @@ mod tests {
         SeedFactory::new(0x11F1)
     }
 
+    /// A link over a fresh realisation covering `secs` seconds.
+    fn link(cfg: LinkConfig, index: u64, secs: u64) -> LinkModel {
+        LinkModel::new(cfg, &seeds(), index, SimTime::from_secs(secs))
+    }
+
     #[test]
     fn office_link_is_mostly_clean() {
-        let mut link = LinkModel::new(LinkConfig::office(Channel::CH1, 12.0), &seeds(), 0);
+        let mut link = link(LinkConfig::office(Channel::CH1, 12.0), 0, 400);
         let mut t = SimTime::ZERO;
         let mut losses = 0;
         let n = 20_000;
@@ -345,8 +322,8 @@ mod tests {
 
     #[test]
     fn distance_degrades_link() {
-        let mut near = LinkModel::new(LinkConfig::office(Channel::CH1, 8.0), &seeds(), 0);
-        let mut far = LinkModel::new(LinkConfig::office(Channel::CH1, 45.0), &seeds(), 0);
+        let mut near = link(LinkConfig::office(Channel::CH1, 8.0), 0, 1);
+        let mut far = link(LinkConfig::office(Channel::CH1, 45.0), 0, 1);
         let t = SimTime::from_millis(1);
         assert!(near.snr_at(t) > far.snr_at(t));
         let rn = near.select_rate_at(SimTime::from_millis(2));
@@ -360,7 +337,7 @@ mod tests {
         cfg_weak.ge = GeParams::weak_link();
         let strong = LinkConfig::office(Channel::CH1, 10.0);
         let loss_rate = |cfg: LinkConfig, idx: u64| {
-            let mut link = LinkModel::new(cfg, &seeds(), idx);
+            let mut link = link(cfg, idx, 400);
             let mut t = SimTime::ZERO;
             let mut losses = 0;
             let n = 20_000;
@@ -386,8 +363,8 @@ mod tests {
             cfg
         };
         let t_on = SimTime::from_millis(5); // magnetron radiating
-        let mut l24 = LinkModel::new(mk(Channel::CH11), &seeds(), 0);
-        let mut l5 = LinkModel::new(mk(Channel::CH36), &seeds(), 1);
+        let mut l24 = link(mk(Channel::CH11), 0, 1);
+        let mut l5 = link(mk(Channel::CH36), 1, 1);
         let r24 = l24.select_rate_at(t_on);
         let r5 = l5.select_rate_at(t_on);
         assert!(l24.attempt_erasure(t_on, r24, 160) > 0.6);
@@ -401,7 +378,7 @@ mod tests {
         let mut cfg2 = cfg1.clone();
         cfg2.diversity_order = 3;
         let loss = |cfg: LinkConfig| {
-            let mut link = LinkModel::new(cfg, &seeds(), 7);
+            let mut link = link(cfg, 7, 100);
             let mut t = SimTime::ZERO;
             let mut acc = 0.0;
             let n = 20_000;
@@ -424,8 +401,8 @@ mod tests {
         let mut cfg_mimo = cfg.clone();
         cfg_mimo.diversity_order = 4;
         let t = SimTime::from_millis(5);
-        let mut a = LinkModel::new(cfg, &seeds(), 0);
-        let mut b = LinkModel::new(cfg_mimo, &seeds(), 0);
+        let mut a = link(cfg, 0, 1);
+        let mut b = link(cfg_mimo, 0, 1);
         let ra = a.select_rate_at(t);
         let rb = b.select_rate_at(t);
         let ea = a.attempt_erasure(t, ra, 160);
@@ -438,7 +415,7 @@ mod tests {
     fn congestion_adds_wait_and_collisions() {
         let mut cfg = LinkConfig::office(Channel::CH6, 10.0);
         cfg.congestion = Some(Congestion::heavy());
-        let mut link = LinkModel::new(cfg, &seeds(), 0);
+        let mut link = link(cfg, 0, 1);
         let t = SimTime::from_millis(1);
         let rate = link.select_rate_at(t);
         assert!(link.attempt_erasure(t, rate, 160) >= Congestion::heavy().collision_prob * 0.9);
@@ -451,7 +428,7 @@ mod tests {
     fn mobility_swings_snr() {
         let mut cfg = LinkConfig::office(Channel::CH1, 15.0);
         cfg.mobility = Some(MobilityPattern::walking(0.0));
-        let mut link = LinkModel::new(cfg, &seeds(), 0);
+        let mut link = link(cfg, 0, 20);
         let near = link.snr_at(SimTime::from_millis(100));
         let far = link.snr_at(SimTime::from_secs(17));
         assert!(near - far > 8.0, "mobility should cost >8 dB, got {}", near - far);
@@ -459,7 +436,7 @@ mod tests {
 
     #[test]
     fn reported_rssi_is_smoothed() {
-        let mut link = LinkModel::new(LinkConfig::office(Channel::CH1, 15.0), &seeds(), 0);
+        let mut link = link(LinkConfig::office(Channel::CH1, 15.0), 0, 11);
         let mut t = SimTime::ZERO;
         for _ in 0..100 {
             link.rssi_at(t);
@@ -472,38 +449,54 @@ mod tests {
     }
 
     #[test]
-    fn replay_link_is_bit_identical_to_live_link() {
+    fn fresh_link_is_bit_identical_to_cache_hit_link() {
+        // The whole impairment stack over one channel: a link that
+        // materialises its own realisation and a link replaying a cache
+        // hit, whose track another holder has already drawn part of, must
+        // agree bit for bit on every read and every draw.
         let mut cfg = LinkConfig::office(Channel::CH11, 28.0);
         cfg.ge = GeParams::weak_link();
         cfg.microwave = Some(MicrowaveOven::default());
         cfg.congestion = Some(Congestion::heavy());
         cfg.mobility = Some(MobilityPattern::walking(3.0));
         let horizon = SimTime::from_secs(12);
-        let real = std::sync::Arc::new(crate::realization::ChannelRealization::materialize(
-            &cfg, &seeds(), 2, horizon,
-        ));
-        let mut live = LinkModel::new(cfg.clone(), &seeds(), 2);
-        let mut replay = LinkModel::from_realization(cfg, real, &seeds(), 2);
+        let cache = crate::realization::RealizationCache::new(2);
+        let first = cache.get_or_materialize(&cfg, &seeds(), 2, horizon);
+        first.shadow_at(SimTime::from_secs(5));
+        let hit = cache.get_or_materialize(&cfg, &seeds(), 2, horizon);
+        assert!(Arc::ptr_eq(&first, &hit), "the second fetch must hit");
+        let mut fresh = link(cfg.clone(), 2, 12);
+        let mut cached = LinkModel::from_realization(cfg, hit, &seeds(), 2);
         let mut t = SimTime::ZERO;
         while t <= horizon {
-            assert_eq!(live.rssi_at(t).to_bits(), replay.rssi_at(t).to_bits(), "rssi at {t}");
-            assert_eq!(live.reported_rssi().to_bits(), replay.reported_rssi().to_bits());
-            let rate = live.select_rate_at(t);
-            assert_eq!(rate, replay.select_rate_at(t));
+            assert_eq!(fresh.rssi_at(t).to_bits(), cached.rssi_at(t).to_bits(), "rssi at {t}");
+            assert_eq!(fresh.reported_rssi().to_bits(), cached.reported_rssi().to_bits());
+            let rate = fresh.select_rate_at(t);
+            assert_eq!(rate, cached.select_rate_at(t));
             assert_eq!(
-                live.attempt_erasure(t, rate, 160).to_bits(),
-                replay.attempt_erasure(t, rate, 160).to_bits(),
+                fresh.attempt_erasure(t, rate, 160).to_bits(),
+                cached.attempt_erasure(t, rate, 160).to_bits(),
                 "erasure at {t}"
             );
-            assert_eq!(live.sample_attempt(t, rate, 160), replay.sample_attempt(t, rate, 160));
-            assert_eq!(live.access_wait(), replay.access_wait());
+            assert_eq!(fresh.sample_attempt(t, rate, 160), cached.sample_attempt(t, rate, 160));
+            assert_eq!(fresh.access_wait(), cached.access_wait());
             t += SimDuration::from_micros(4_321);
         }
     }
 
     #[test]
+    fn channel_reads_past_the_horizon_trip_the_audit() {
+        let horizon = SimTime::from_secs(1);
+        let mut link = link(LinkConfig::office(Channel::CH1, 12.0), 0, 1);
+        link.rssi_at(horizon);
+        let past = horizon + SimDuration::from_nanos(1);
+        let read = diversifi_simcore::check::capture_panic(|| link.rssi_at(past));
+        assert_eq!(read.is_err(), diversifi_simcore::check::AUDIT_COMPILED);
+    }
+
+    #[test]
     fn storm_erasure_composes_multiplicatively_and_is_reversible() {
-        let mut link = LinkModel::new(LinkConfig::office(Channel::CH1, 12.0), &seeds(), 0);
+        let mut link = link(LinkConfig::office(Channel::CH1, 12.0), 0, 1);
         let t = SimTime::from_millis(1);
         let rate = link.select_rate_at(t);
         let base = link.attempt_erasure(t, rate, 160);
@@ -526,7 +519,7 @@ mod tests {
         cfg.microwave = Some(MicrowaveOven::default());
         cfg.congestion = Some(Congestion::heavy());
         cfg.ge = GeParams::weak_link();
-        let mut link = LinkModel::new(cfg, &seeds(), 0);
+        let mut link = link(cfg, 0, 4);
         let mut t = SimTime::ZERO;
         for _ in 0..5_000 {
             let rate = link.select_rate_at(t);

@@ -186,8 +186,10 @@ mod tests {
         Frame::data(FlowId(0), 0, 160, SimTime::ZERO, ClientId(0), AdapterId(0))
     }
 
+    /// A link whose channel covers the longest test here (2,000 exchanges
+    /// 20 ms apart).
     fn link(cfg: LinkConfig, idx: u64) -> LinkModel {
-        LinkModel::new(cfg, &SeedFactory::new(0x3AC), idx)
+        LinkModel::new(cfg, &SeedFactory::new(0x3AC), idx, SimTime::from_secs(60))
     }
 
     #[test]

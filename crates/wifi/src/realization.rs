@@ -10,17 +10,23 @@
 //! cache ([`RealizationCache`]) so sweep drivers whose arms share channel
 //! parameters stop recomputing the radio environment entirely.
 //!
-//! # Replay ≡ lazy sampling
+//! A realisation is the one source of a link's channel state: a
+//! [`crate::link::LinkModel`] either materialises its own or replays one
+//! from the cache, and the two are bit-identical because a realisation is a
+//! pure function of its [`RealizationKey`].
+//!
+//! # What a realisation is a function of
 //!
 //! - The GE timeline is produced by
 //!   [`GilbertElliott::materialize_until`], which consumes the exact draw
-//!   sequence lazy `state_at` queries would — segment replay is bit-identical.
+//!   sequence lazy [`GilbertElliott::state_at`] queries would; the tests
+//!   compare segment replay against those queries.
 //! - Shadowing is sampled on a fixed tick grid ([`SHADOW_TICK`]). The
 //!   Ornstein–Uhlenbeck transition draws one normal per grid step regardless
-//!   of who asks, so a live [`ShadowCursor`] and a realisation's track read
-//!   the same values. (Exact-transition OU sampled at *event* times would
-//!   make the draw sequence depend on each arm's query pattern — the grid is
-//!   what makes the track shareable across arms.)
+//!   of who asks, so the track's values do not depend on its readers' query
+//!   times. (Exact-transition OU sampled at *event* times would make the
+//!   draw sequence depend on each arm's query pattern — the grid is what
+//!   makes the track shareable across arms.)
 //! - The track is drawn on demand, in tick order, by whichever holder first
 //!   reads past its drawn prefix, so ticks no arm reads are never drawn
 //!   (a primary-only arm never draws the secondary link's track). Draw
@@ -56,20 +62,18 @@ pub const SHADOW_BLOCK: usize = 256;
 /// Ticks a [`ShadowCursor`] draws per block, into a stack buffer.
 const SHADOW_CHUNK: usize = 64;
 
-/// A live Ornstein–Uhlenbeck process advanced on the [`SHADOW_TICK`] grid.
+/// An Ornstein–Uhlenbeck process advanced on the [`SHADOW_TICK`] grid: the
+/// generator behind a realisation's track.
 ///
-/// Draws exactly one normal per grid step, independent of the caller's query
-/// times — the property that makes a live link and a replayed
-/// [`ChannelRealization`] consume identical randomness. It is also the
-/// generator behind a realisation's track: the OU transition coefficients
-/// for one tick are computed once here, so a step is one multiply-add and
-/// one normal draw. `dt` is always exactly [`SHADOW_TICK`], so the hoisted
-/// coefficients are bit-identical to the per-query ones. Both a live
-/// link's gaps and a track's extensions are drawn in blocks of up to 64
-/// ticks by [`OrnsteinUhlenbeck::fill_grid`], whose normals come from one
-/// call-free Box–Muller loop.
+/// Draws exactly one normal per grid step, independent of the caller's
+/// query times. The OU transition coefficients for one tick are computed
+/// once here, so a step is one multiply-add and one normal draw. `dt` is
+/// always exactly [`SHADOW_TICK`], so the hoisted coefficients are
+/// bit-identical to the per-query ones. A track's extensions are drawn in
+/// blocks of up to 64 ticks by [`OrnsteinUhlenbeck::fill_grid`], whose
+/// normals come from one call-free Box–Muller loop.
 #[derive(Clone, Debug)]
-pub struct ShadowCursor {
+pub(crate) struct ShadowCursor {
     ou: OrnsteinUhlenbeck,
     /// Decay and noise s.d. of one [`SHADOW_TICK`] transition.
     a: f64,
@@ -81,21 +85,18 @@ pub struct ShadowCursor {
 impl ShadowCursor {
     /// Wrap an OU process; the cursor holds its stationary initial value
     /// until the first grid step.
-    pub fn new(mut ou: OrnsteinUhlenbeck) -> ShadowCursor {
+    pub(crate) fn new(mut ou: OrnsteinUhlenbeck) -> ShadowCursor {
         let value = ou.at(SimTime::ZERO);
         let (a, noise_sd) = ou.transition_coeffs(SHADOW_TICK.as_secs_f64());
         ShadowCursor { ou, a, noise_sd, tick: 0, value }
     }
 
-    /// Shadowing value (dB) at `t`, snapped down to the grid. Queries must
-    /// be non-decreasing in `t`.
-    pub fn at(&mut self, t: SimTime) -> f64 {
-        self.at_tick(t.as_nanos() / SHADOW_TICK.as_nanos())
-    }
-
-    /// Shadowing value (dB) at grid tick `k`, stepping the process forward
-    /// in blocks. `k` must be non-decreasing.
-    fn at_tick(&mut self, k: u64) -> f64 {
+    /// Shadowing value (dB) at `t`, snapped down to the grid, stepping the
+    /// process forward in blocks. Queries must be non-decreasing in `t`.
+    /// The reference a realisation's track is tested against.
+    #[cfg(test)]
+    fn at(&mut self, t: SimTime) -> f64 {
+        let k = t.as_nanos() / SHADOW_TICK.as_nanos();
         let mut buf = [0.0; SHADOW_CHUNK];
         while self.tick < k {
             let n = ((k - self.tick) as usize).min(SHADOW_CHUNK);
@@ -126,7 +127,9 @@ impl ShadowCursor {
 /// extends first, tick `k` is the `k`-th grid step of the same
 /// `"link-shadow"` stream, so every value is the same pure function of
 /// `(RealizationKey, k)` an eager track would hold. Queries past the
-/// horizon clamp to the final segment / tick, deterministically.
+/// horizon clamp to the final segment / tick, deterministically; a
+/// [`crate::link::LinkModel`] never makes one without tripping the audit
+/// layer, so the horizon a caller picks is a checked bound.
 #[derive(Debug)]
 pub struct ChannelRealization {
     horizon: SimTime,
@@ -145,15 +148,12 @@ pub struct ChannelRealization {
 
 impl ChannelRealization {
     /// Build the realisation for `(cfg, seeds, index)` over `[0, horizon]`
-    /// from the same `"link-ge"` / `"link-shadow"` streams a live
-    /// [`crate::link::LinkModel`] consumes.
+    /// from the `"link-ge"` / `"link-shadow"` streams.
     ///
     /// The Gilbert–Elliott timeline (tens of segments) is materialised
     /// here; the shadowing track is allocated here and drawn by
-    /// [`shadow_at`](Self::shadow_at) as reads reach it, with the
-    /// [`ShadowCursor`] a live link steps. Both draw the grid tick by tick
-    /// from the same stream, so the track is bit-identical to a live
-    /// cursor.
+    /// [`shadow_at`](Self::shadow_at) as reads reach it, tick by tick
+    /// from the `"link-shadow"` stream.
     pub fn materialize(
         cfg: &LinkConfig,
         seeds: &SeedFactory,
@@ -563,7 +563,9 @@ mod tests {
         // The paired-arm pattern: two links over one `Arc`, each reading
         // forward at its own pace in alternating bursts of 50 reads. Each
         // burst carries its arm past the other, so the lead (and with it
-        // which arm extends the track) changes hands every burst.
+        // which arm extends the track) changes hands every burst. An arm
+        // that has reached the horizon stops reading: a link never reads
+        // past its realisation.
         let mut arms = [
             LinkModel::from_realization(cfg.clone(), Arc::clone(&real), &seeds(), 0),
             LinkModel::from_realization(cfg.clone(), Arc::clone(&real), &seeds(), 0),
@@ -574,12 +576,15 @@ mod tests {
         let mut round = 0u64;
         while t[0] <= horizon || t[1] <= horizon {
             let arm = usize::from(round / 50 % 2 == 1);
+            round += 1;
+            if t[arm] > horizon {
+                continue;
+            }
             let got = arms[arm].rssi_at(t[arm]);
-            let k = tick_of(t[arm]).min(want.len() - 1);
+            let k = tick_of(t[arm]);
             let expect = mean + f64::from_bits(want[k]);
             assert_eq!(got.to_bits(), expect.to_bits(), "arm {arm} tick {k}");
             t[arm] += strides[arm];
-            round += 1;
         }
         assert_eq!(real.drawn_ticks(), want.len());
     }

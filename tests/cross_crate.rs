@@ -88,13 +88,14 @@ fn strategies_preserve_trace_invariants() {
 #[test]
 fn qoe_pipeline_consistency_on_simulated_traces() {
     use diversifi::{run_two_nic, TwoNicScenario};
-    use diversifi_wifi::{Channel, GeParams, LinkConfig};
+    use diversifi_wifi::{Channel, GeParams, LinkConfig, RealizationCache};
     let mut a = LinkConfig::office(Channel::CH1, 28.0);
     a.ge = GeParams::weak_link();
     let b = LinkConfig::office(Channel::CH11, 20.0);
     let mut spec = StreamSpec::voip();
     spec.duration = SimDuration::from_secs(30);
-    let run = run_two_nic(&TwoNicScenario::new(spec, a, b), &SeedFactory::new(0xCC));
+    let scn = TwoNicScenario::new(spec, a, b);
+    let run = run_two_nic(&scn, &SeedFactory::new(0xCC), &RealizationCache::new(2));
 
     let playout = PlayoutConfig::default();
     let c = conceal(&run.a.trace, &playout);

@@ -111,8 +111,8 @@ fn corpus_fp(records: &[CallRecord]) -> String {
 }
 
 /// The §4 two-NIC corpus driver replays realisations from per-worker
-/// caches. Rebuild the same corpus with the lazy (uncached) single-run
-/// entry points and demand identical traces.
+/// caches shared across calls. Rebuild the same corpus serially, with a
+/// fresh cache per call, and demand identical traces.
 #[test]
 fn two_nic_corpus_matches_uncached_reference() {
     let opts = AnalysisOptions {
@@ -131,20 +131,22 @@ fn two_nic_corpus_matches_uncached_reference() {
     let seed = 0x9EA2;
     let cached = corpus_fp(&analysis::run_corpus(&opts, seed));
 
-    // Serial, lazy reconstruction of exactly the same corpus.
+    // Serial reconstruction of exactly the same corpus, one cache per call.
     let seeds = SeedFactory::new(seed);
     let envs = corpus::generate_tuned(opts.n_calls, &opts.mix, &seeds, opts.diversity, true);
     let mut reference = String::new();
     for (env, call_seeds) in &envs {
         let scn = TwoNicScenario::new(opts.spec, env.link_a.clone(), env.link_b.clone());
-        let run = run_two_nic(&scn, call_seeds);
+        let cache = RealizationCache::new(2);
+        let run = run_two_nic(&scn, call_seeds, &cache);
         let stronger_cfg = if env.link_a.mean_rssi_dbm() >= env.link_b.mean_rssi_dbm() {
             &env.link_a
         } else {
             &env.link_b
         };
-        let t0 = run_temporal(&opts.spec, stronger_cfg, call_seeds, SimDuration::ZERO);
-        let t100 = run_temporal(&opts.spec, stronger_cfg, call_seeds, SimDuration::from_millis(100));
+        let t0 = run_temporal(&opts.spec, stronger_cfg, call_seeds, SimDuration::ZERO, &cache);
+        let t100 =
+            run_temporal(&opts.spec, stronger_cfg, call_seeds, SimDuration::from_millis(100), &cache);
         for (trace, rssi) in [(&run.a.trace, run.a.rssi_dbm), (&run.b.trace, run.b.rssi_dbm)] {
             trace_fp(&mut reference, trace);
             write!(reference, "rssi={:016x};", rssi.to_bits()).unwrap();
@@ -153,7 +155,7 @@ fn two_nic_corpus_matches_uncached_reference() {
         trace_fp(&mut reference, &t100);
         reference.push('\n');
     }
-    assert_eq!(cached, reference, "cached corpus diverged from lazy single-run reference");
+    assert_eq!(cached, reference, "cached corpus diverged from the per-call-cache reference");
 }
 
 /// Shadowing tracks are drawn only as far as some arm reads them. Run each

@@ -7,21 +7,28 @@
 //! per-packet traces plus every counter the run report exposes, folded
 //! through FNV-1a so a single-bit divergence fails.
 //!
-//! Coverage mirrors the three paths the engine exposes VoIP through:
-//! world runs (the resilience catalogue shapes, paired realisations),
-//! the §4 analysis corpus, and the fleet campaign digests — each at
-//! 1/2/4/8 worker threads, in every feature configuration CI builds
-//! (default, audit, trace, audit+trace; debug and release).
+//! Coverage mirrors the paths the engine exposes VoIP through: world runs
+//! (the resilience catalogue shapes, paired realisations), the §4 analysis
+//! corpus, the fleet campaign digests — each at 1/2/4/8 worker threads —
+//! and the open-loop drivers (FEC, uplink, single link, cross-technology),
+//! in every feature configuration CI builds (default, audit, trace,
+//! audit+trace; debug and release).
 //!
 //! Re-pinning is only legitimate when an engine change *intends* to move
 //! VoIP outputs; run the ignored `print_fingerprints` test to recapture.
 
 use diversifi::analysis::{self, AnalysisOptions, CallRecord};
 use diversifi::campaign::run_fleet_campaign_observed;
+use diversifi::crosstech::{run_cross_technology, CellularConfig};
 use diversifi::scenario::Scenario;
+use diversifi::twonic::{run_fec, run_single, run_temporal, run_two_nic, TwoNicScenario};
+use diversifi::uplink::{run_uplink, UplinkMode};
 use diversifi::world::{RunMode, World, WorldConfig};
 use diversifi_simcore::{FaultKind, FaultPlan, SeedFactory, SimDuration, SimTime, SweepRunner};
-use diversifi_wifi::{Channel, GeParams, LinkConfig};
+use diversifi_voip::{StreamSpec, StreamTrace};
+use diversifi_wifi::{
+    Channel, Congestion, GeParams, LinkConfig, MicrowaveOven, MobilityPattern, RealizationCache,
+};
 use std::fmt::Write as _;
 
 const PIN_WORLD_SWEEP: u64 = 0xcf47b10e69ac7b7b;
@@ -31,6 +38,7 @@ const PIN_PAIRED_FAULTS: u64 = 0xfb1a2a9a83ac4c5b;
 // rounding), which no other output here carries.
 const PIN_CORPUS: u64 = 0xce5f0b99a07c5a8a;
 const PIN_CAMPAIGN: u64 = 0x3665ec7f3bbcb058;
+const PIN_OPEN_LOOP: u64 = 0x49e6d3128890e9ac;
 
 fn fnv(s: &str) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -261,6 +269,58 @@ fn campaign_fp(threads: usize) -> u64 {
     fnv(&s)
 }
 
+/// The open-loop drivers, which build their links outside `World`: FEC,
+/// uplink in both modes, a single link, cross-technology replication and
+/// the two-NIC and temporal arms, over weak, microwave, congested and
+/// walking links so every impairment term reaches the pinned traces.
+fn open_loop_fp() -> u64 {
+    let spec = StreamSpec {
+        packet_bytes: 160,
+        interval: SimDuration::from_millis(20),
+        duration: SimDuration::from_secs(20),
+    };
+    let (weak_a, weak_b) = office_pair();
+    let mut oven = LinkConfig::office(Channel::CH6, 14.0);
+    oven.microwave = Some(MicrowaveOven::default());
+    let mut busy = LinkConfig::office(Channel::CH36, 30.0);
+    busy.congestion = Some(Congestion::heavy());
+    busy.mobility = Some(MobilityPattern::walking(1.0));
+    let mut s = String::new();
+    let trace = |s: &mut String, t: &StreamTrace| {
+        s.push_str(&serde_json::to_string(t).unwrap());
+        s.push('\n');
+    };
+    for i in 0..3u64 {
+        let seeds = SeedFactory::new(0x0BE7 + i);
+        trace(&mut s, &run_fec(&spec, &weak_a, &seeds, 4));
+        for mode in [UplinkMode::SingleLink, UplinkMode::Diversifi] {
+            let (t, st) = run_uplink(&spec, &weak_a, &weak_b, &seeds, mode);
+            trace(&mut s, &t);
+            writeln!(s, "uplink={} {} {}", st.primary_failures, st.recovered, st.switches)
+                .unwrap();
+        }
+        for cfg in [&busy, &oven] {
+            let obs = run_single(&spec, cfg, &seeds, i);
+            trace(&mut s, &obs.trace);
+            writeln!(s, "rssi={:016x}", obs.rssi_dbm.to_bits()).unwrap();
+        }
+        let xt = run_cross_technology(&spec, &oven, &CellularConfig::default(), &seeds);
+        for t in [&xt.wifi, &xt.cellular, &xt.merged] {
+            trace(&mut s, t);
+        }
+        let cache = RealizationCache::new(2);
+        let scn = TwoNicScenario::new(spec, weak_a.clone(), busy.clone());
+        let two = run_two_nic(&scn, &seeds, &cache);
+        for obs in [&two.a, &two.b] {
+            trace(&mut s, &obs.trace);
+            writeln!(s, "rssi={:016x}", obs.rssi_dbm.to_bits()).unwrap();
+        }
+        let temporal = run_temporal(&spec, &weak_b, &seeds, SimDuration::from_millis(100), &cache);
+        trace(&mut s, &temporal);
+    }
+    fnv(&s)
+}
+
 #[test]
 fn world_sweep_is_bit_identical_to_pre_refactor_at_every_thread_count() {
     for threads in [1usize, 2, 4, 8] {
@@ -299,6 +359,11 @@ fn campaign_is_bit_identical_to_pre_refactor_at_every_thread_count() {
     }
 }
 
+#[test]
+fn open_loop_drivers_are_bit_identical_to_pre_refactor() {
+    assert_eq!(open_loop_fp(), PIN_OPEN_LOOP);
+}
+
 /// Recapture helper: `cargo test --test workload_parity -- --ignored --nocapture`.
 /// Only legitimate when an engine change *intends* to move VoIP outputs.
 #[test]
@@ -309,4 +374,5 @@ fn print_fingerprints() {
     println!("PIN_PAIRED_FAULTS: u64 = 0x{:016x};", paired_faults_fp());
     println!("PIN_CORPUS: u64 = 0x{:016x};", corpus_fp(1));
     println!("PIN_CAMPAIGN: u64 = 0x{:016x};", campaign_fp(1));
+    println!("PIN_OPEN_LOOP: u64 = 0x{:016x};", open_loop_fp());
 }
