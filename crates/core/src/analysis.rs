@@ -77,7 +77,7 @@ pub struct AnalysisOptions {
     /// Also simulate temporal replication (needed for Figs. 2c and 5).
     pub temporal: bool,
     /// Include shared-fate environment components (see
-    /// [`corpus::sample_environment_tuned`]).
+    /// [`corpus::sample_environment`]).
     pub shared_fate: bool,
     /// Worker threads.
     pub threads: usize,
@@ -179,8 +179,7 @@ fn simulate_call(
 /// and therefore cannot leak state between calls.
 pub fn run_corpus(opts: &AnalysisOptions, seed: u64) -> Vec<CallRecord> {
     let seeds = SeedFactory::new(seed);
-    let envs =
-        corpus::generate_tuned(opts.n_calls, &opts.mix, &seeds, opts.diversity, opts.shared_fate);
+    let envs = corpus::generate(opts.n_calls, &opts.mix, &seeds, opts.diversity, opts.shared_fate);
     SweepRunner::new(opts.threads).run_indexed_with(
         envs.len(),
         || RealizationCache::new(8),

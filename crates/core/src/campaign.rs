@@ -375,9 +375,6 @@ pub struct FleetCampaignReport {
     /// Checkpoint writes that still failed after retries (those shards
     /// merged fine and simply re-run on resume).
     pub checkpoint_errors: usize,
-    /// Shards that tripped the deterministic-time watchdog (observational
-    /// only; empty when the scenario sets no watchdog).
-    pub slow_shards: Vec<usize>,
     /// Per-arm closed-loop probe runs.
     pub arms: Vec<ArmReport>,
 }
@@ -511,7 +508,6 @@ where
             .map(|q| ShardQuarantineReport { shard: q.shard, reason: q.reason.clone() })
             .collect(),
         checkpoint_errors: outcome.checkpoint_errors,
-        slow_shards: outcome.slow_shards.clone(),
         arms: run_arm_probes(scn),
     };
     Ok(FleetCampaignRun { report, flight: outcome.flight })

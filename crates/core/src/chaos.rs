@@ -72,7 +72,7 @@ use crate::world::{RunMode, RunReport, World, WorldConfig};
 use diversifi_simcore::chaos::{generate_plan, shrink_plan, ChaosBudget, ChaosReproducer};
 use diversifi_simcore::check;
 use diversifi_simcore::{
-    run_campaign_observed, CampaignConfig, DigestSchema, FaultKind, FaultPlan, FlightKey,
+    run_campaign_observed, CampaignConfig, DigestSchema, FaultKind, FaultPlan, FlightKey, Fnv,
     MergedTelemetry, SeedFactory, SimDuration, SimTime, WorkerArena,
 };
 use diversifi_voip::DEFAULT_DEADLINE;
@@ -159,14 +159,8 @@ impl ChaosConfig {
     pub fn fingerprint(&self) -> u64 {
         let budget =
             serde_json::to_string(&self.budget).expect("budget serialization cannot fail");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(budget.as_bytes());
+        let mut h = Fnv::new();
+        h.write(budget.as_bytes());
         for v in [
             self.seed,
             self.plans,
@@ -175,9 +169,9 @@ impl ChaosConfig {
             self.max_findings as u64,
             u64::from(self.canary),
         ] {
-            eat(&v.to_le_bytes());
+            h.write_u64(v);
         }
-        h
+        h.finish()
     }
 
     /// The primary-only arm a plan is judged against: the paired

@@ -112,23 +112,14 @@ fn pick_channels(rng: &mut RngStream, allow_5ghz: bool) -> (Channel, Channel) {
     (a, b)
 }
 
-/// Sample one call environment of the given class.
+/// Sample one call environment of the given class. `shared_fate` controls
+/// the *shared-fate* components (deep corners, shared walks, saturated
+/// venues, wide-splatter ovens). The VoIP corpus includes them — they are
+/// why cross-link replication is not a complete fix in Fig. 6. The
+/// high-rate (5 Mbps) corpus excludes them: that stream is only deployed
+/// where at least one link is viable, and a shared multi-second outage
+/// would drown every strategy identically, showing nothing.
 pub fn sample_environment(
-    kind: ImpairmentKind,
-    rng: &mut RngStream,
-    diversity_order: u8,
-) -> CallEnvironment {
-    sample_environment_tuned(kind, rng, diversity_order, true)
-}
-
-/// Like [`sample_environment`], with control over the *shared-fate*
-/// components (deep corners, shared walks, saturated venues, wide-splatter
-/// ovens). The VoIP corpus includes them — they are why cross-link
-/// replication is not a complete fix in Fig. 6. The high-rate (5 Mbps)
-/// corpus excludes them: that stream is only deployed where at least one
-/// link is viable, and a shared multi-second outage would drown every
-/// strategy identically, showing nothing.
-pub fn sample_environment_tuned(
     kind: ImpairmentKind,
     rng: &mut RngStream,
     diversity_order: u8,
@@ -291,21 +282,11 @@ pub fn sample_environment_tuned(
     CallEnvironment { impairment: kind, link_a, link_b }
 }
 
-/// Generate a corpus of `n` environments with the given mix. Each call gets
-/// its own seed subfactory, so corpora are reproducible and individual
-/// calls can be re-run in isolation.
+/// Generate a corpus of `n` environments with the given mix and the
+/// shared-fate control of [`sample_environment`]. Each call gets its own
+/// seed subfactory, so corpora are reproducible and individual calls can
+/// be re-run in isolation.
 pub fn generate(
-    n: usize,
-    mix: &CorpusMix,
-    seeds: &SeedFactory,
-    diversity_order: u8,
-) -> Vec<(CallEnvironment, SeedFactory)> {
-    generate_tuned(n, mix, seeds, diversity_order, true)
-}
-
-/// [`generate`] with the shared-fate control of
-/// [`sample_environment_tuned`].
-pub fn generate_tuned(
     n: usize,
     mix: &CorpusMix,
     seeds: &SeedFactory,
@@ -319,7 +300,7 @@ pub fn generate_tuned(
             let call_seeds = seeds.subfactory("call", i as u64);
             let mut env_rng = call_seeds.stream("environment", 0);
             (
-                sample_environment_tuned(kind, &mut env_rng, diversity_order, shared_fate),
+                sample_environment(kind, &mut env_rng, diversity_order, shared_fate),
                 call_seeds,
             )
         })
@@ -361,7 +342,7 @@ mod tests {
     fn microwave_env_is_all_24ghz_and_shared_oven() {
         let mut r = rng();
         for _ in 0..100 {
-            let env = sample_environment(ImpairmentKind::Microwave, &mut r, 1);
+            let env = sample_environment(ImpairmentKind::Microwave, &mut r, 1, true);
             assert_eq!(env.link_a.channel.band, Band::Ghz2_4);
             assert_eq!(env.link_b.channel.band, Band::Ghz2_4);
             assert!(env.link_a.microwave.is_some());
@@ -372,7 +353,7 @@ mod tests {
     #[test]
     fn weak_env_is_far() {
         let mut r = rng();
-        let env = sample_environment(ImpairmentKind::WeakLink, &mut r, 1);
+        let env = sample_environment(ImpairmentKind::WeakLink, &mut r, 1, true);
         assert!(env.link_a.distance_m >= 26.0);
         assert!(env.link_b.distance_m > env.link_a.distance_m);
     }
@@ -380,7 +361,7 @@ mod tests {
     #[test]
     fn mobility_env_has_decorrelated_phases() {
         let mut r = rng();
-        let env = sample_environment(ImpairmentKind::ClientMobility, &mut r, 1);
+        let env = sample_environment(ImpairmentKind::ClientMobility, &mut r, 1, true);
         let ma = env.link_a.mobility.unwrap();
         let mb = env.link_b.mobility.unwrap();
         let dphase = (ma.phase - mb.phase).abs();
@@ -391,7 +372,7 @@ mod tests {
     fn secondary_is_farther_than_primary() {
         let mut r = rng();
         for kind in [ImpairmentKind::None, ImpairmentKind::WirelessCongestion] {
-            let env = sample_environment(kind, &mut r, 1);
+            let env = sample_environment(kind, &mut r, 1, true);
             assert!(env.link_b.distance_m > env.link_a.distance_m);
         }
     }
@@ -399,8 +380,8 @@ mod tests {
     #[test]
     fn generate_is_deterministic() {
         let seeds = SeedFactory::new(5);
-        let c1 = generate(20, &CorpusMix::default(), &seeds, 1);
-        let c2 = generate(20, &CorpusMix::default(), &seeds, 1);
+        let c1 = generate(20, &CorpusMix::default(), &seeds, 1, true);
+        let c2 = generate(20, &CorpusMix::default(), &seeds, 1, true);
         for (x, y) in c1.iter().zip(&c2) {
             assert_eq!(x.0.impairment, y.0.impairment);
             assert_eq!(x.0.link_a.distance_m, y.0.link_a.distance_m);
@@ -411,7 +392,7 @@ mod tests {
     #[test]
     fn diversity_order_propagates() {
         let seeds = SeedFactory::new(6);
-        for (env, _) in generate(10, &CorpusMix::default(), &seeds, 2) {
+        for (env, _) in generate(10, &CorpusMix::default(), &seeds, 2, true) {
             assert_eq!(env.link_a.diversity_order, 2);
             assert_eq!(env.link_b.diversity_order, 2);
         }

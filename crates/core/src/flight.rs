@@ -14,20 +14,16 @@
 
 use crate::scenario::{Arm, Scenario};
 use crate::world::{RunMode, World, WorldConfig};
-use diversifi_simcore::{MergedTelemetry, SeedFactory, SweepRunner, WorstK};
+use diversifi_simcore::{Fnv, MergedTelemetry, SeedFactory, SweepRunner, WorstK};
 
 /// Per-call probe seed: the scenario seed folded with the call index
 /// (FNV-1a), so every captured call explores its own channel realisation
 /// instead of all replaying the arm-probe seed.
 fn probe_seed(seed: u64, index: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [seed, index] {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    let mut h = Fnv::new();
+    h.write_u64(seed);
+    h.write_u64(index);
+    h.finish()
 }
 
 /// Replay `(label, config, seeds)` worlds as one serial traced sweep: run

@@ -25,7 +25,7 @@
 use crate::population::PopulationModel;
 use crate::twonic::TwoNicScenario;
 use crate::world::{RunMode, WorldConfig};
-use diversifi_simcore::{CampaignConfig, ChaosBudget, FaultPlan, SimDuration};
+use diversifi_simcore::{CampaignConfig, ChaosBudget, FaultPlan, Fnv, SimDuration};
 use diversifi_voip::{FpsConfig, StreamSpec, WorkloadKind};
 use diversifi_wifi::{Band, Channel, GeParams, LinkConfig};
 use serde::{Deserialize, Serialize, Value};
@@ -552,12 +552,9 @@ impl Scenario {
     pub fn fingerprint(&self) -> u64 {
         let text = serde_json::to_string(&self.to_value())
             .expect("scenario serialization cannot fail");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        let mut h = Fnv::new();
+        h.write(text.as_bytes());
+        h.finish()
     }
 
     // ------------------------------------------------------------ parsing

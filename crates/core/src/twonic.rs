@@ -18,7 +18,6 @@ use diversifi_voip::{StreamSpec, StreamTrace};
 use diversifi_wifi::{
     mac, AdapterId, ClientId, FlowId, Frame, LinkConfig, LinkModel, MacConfig, RealizationCache,
 };
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one simulated two-NIC call.
 #[derive(Clone, Debug)]
@@ -49,29 +48,17 @@ pub struct TwoNicRun {
     pub b: LinkObservation,
 }
 
-/// Tuning for the per-AP downlink pipeline.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct PipelineConfig {
-    /// MAC parameters.
-    pub mac: MacConfig,
-    /// Maximum backlog (time a packet may wait in the AP queue before
-    /// being dropped, emulating a bounded buffer).
-    pub max_backlog: SimDuration,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig { mac: MacConfig::default(), max_backlog: SimDuration::from_millis(500) }
-    }
-}
+/// Maximum backlog of the per-AP downlink pipeline: the time a packet may
+/// wait in the AP queue before being dropped, emulating a bounded buffer.
+const MAX_BACKLOG: SimDuration = SimDuration::from_millis(500);
 
 /// Horizon to which a link's channel realisation is materialised for a
-/// stream of `spec`: the call itself, plus 500 ms (the AP backlog cap here,
-/// the drain tail in `World`), plus 2 s of slack for MAC exchanges
+/// stream of `spec`: the call itself, plus `MAX_BACKLOG` (500 ms, also the
+/// drain tail in `World`), plus 2 s of slack for MAC exchanges
 /// straddling the end. `LinkModel` audits that no read passes it, so the
 /// slack is a checked bound, not a guess.
 pub(crate) fn channel_horizon(spec: &StreamSpec) -> SimTime {
-    SimTime::ZERO + spec.duration + SimDuration::from_millis(500) + SimDuration::from_secs(2)
+    SimTime::ZERO + spec.duration + MAX_BACKLOG + SimDuration::from_secs(2)
 }
 
 /// The link `(link_cfg, seeds, index)` over a stream of `spec`, replaying
@@ -100,9 +87,9 @@ fn run_link(
     seeds: &SeedFactory,
     index: u64,
     lan_delay: SimDuration,
-    pipeline: &PipelineConfig,
     copies: &[SimDuration],
 ) -> LinkObservation {
+    let mac_cfg = MacConfig::default();
     let mut trace = StreamTrace::new(*spec, SimTime::ZERO);
     let mut jitter_rng: RngStream = seeds.stream("lan-jitter", index);
 
@@ -120,7 +107,7 @@ fn run_link(
     let mut rssi_sample: Option<f64> = None;
     for (arrival, seq) in queue {
         let start = ap_free.max(arrival);
-        if start.saturating_since(arrival) > pipeline.max_backlog {
+        if start.saturating_since(arrival) > MAX_BACKLOG {
             continue; // buffer overflow: dropped before the air
         }
         let frame = Frame::data(
@@ -131,7 +118,7 @@ fn run_link(
             ClientId(0),
             AdapterId(0),
         );
-        let out = mac::transmit(&mut link, &pipeline.mac, &frame, start);
+        let out = mac::transmit(&mut link, &mac_cfg, &frame, start);
         ap_free = out.completed_at;
         if out.delivered {
             trace.record_arrival(seq, out.completed_at);
@@ -153,10 +140,9 @@ pub fn run_two_nic(
     seeds: &SeedFactory,
     cache: &RealizationCache,
 ) -> TwoNicRun {
-    let pipeline = PipelineConfig::default();
     let [a, b] = [(&scn.link_a, 0), (&scn.link_b, 1)].map(|(cfg, index)| {
         let link = cached_link(&scn.spec, cfg, seeds, index, cache);
-        run_link(&scn.spec, link, seeds, index, scn.lan_delay, &pipeline, &[SimDuration::ZERO])
+        run_link(&scn.spec, link, seeds, index, scn.lan_delay, &[SimDuration::ZERO])
     });
     TwoNicRun { a, b }
 }
@@ -173,10 +159,9 @@ pub fn run_temporal(
     delta: SimDuration,
     cache: &RealizationCache,
 ) -> StreamTrace {
-    let pipeline = PipelineConfig::default();
     let link = cached_link(spec, link_cfg, seeds, 0, cache);
     let lan_delay = SimDuration::from_micros(500);
-    run_link(spec, link, seeds, 0, lan_delay, &pipeline, &[SimDuration::ZERO, delta]).trace
+    run_link(spec, link, seeds, 0, lan_delay, &[SimDuration::ZERO, delta]).trace
 }
 
 /// A single unreplicated stream over one link (the §4.2 baseline).
@@ -186,9 +171,8 @@ pub fn run_single(
     seeds: &SeedFactory,
     index: u64,
 ) -> LinkObservation {
-    let pipeline = PipelineConfig::default();
     let link = LinkModel::new(link_cfg.clone(), seeds, index, channel_horizon(spec));
-    run_link(spec, link, seeds, index, SimDuration::from_micros(500), &pipeline, &[SimDuration::ZERO])
+    run_link(spec, link, seeds, index, SimDuration::from_micros(500), &[SimDuration::ZERO])
 }
 
 #[cfg(test)]
@@ -365,7 +349,7 @@ pub fn run_fec(
     k: usize,
 ) -> StreamTrace {
     assert!(k >= 2, "FEC group must cover at least 2 data packets");
-    let pipeline = PipelineConfig::default();
+    let mac_cfg = MacConfig::default();
     let mut link = LinkModel::new(link_cfg.clone(), seeds, 0, channel_horizon(spec));
     let mut trace = StreamTrace::new(*spec, SimTime::ZERO);
     let mut jitter_rng: RngStream = seeds.stream("lan-jitter", 0);
@@ -383,7 +367,7 @@ pub fn run_fec(
      -> Option<SimTime> {
         let arrival = sent + lan_delay + SimDuration::from_micros(rng.range_u64(0, 120));
         let start = (*ap_free).max(arrival);
-        if start.saturating_since(arrival) > pipeline.max_backlog {
+        if start.saturating_since(arrival) > MAX_BACKLOG {
             return None;
         }
         let frame = Frame::data(
@@ -394,7 +378,7 @@ pub fn run_fec(
             ClientId(0),
             AdapterId(0),
         );
-        let out = mac::transmit(link, &pipeline.mac, &frame, start);
+        let out = mac::transmit(link, &mac_cfg, &frame, start);
         *ap_free = out.completed_at;
         out.delivered.then_some(out.completed_at)
     };

@@ -5,8 +5,6 @@
 //! - [`packet`] — the stream-packet representation on the LAN.
 //! - [`wan`] — WAN path and relay models for the call-population studies
 //!   (Tables 1–2).
-//! - [`switch`] — an SDN switch with match-action replication rules
-//!   (§5.2.3, Fig. 7c).
 //! - [`middlebox`] — the buffering middlebox with the start/stop retrieval
 //!   protocol (§5.3.2) and the load model behind Table 3 / §6.4.
 //! - [`tcp`] — TCP Reno sender/receiver for the coexistence experiment
@@ -20,13 +18,11 @@
 
 pub mod middlebox;
 pub mod packet;
-pub mod switch;
 pub mod tcp;
 pub mod wan;
 
 pub use middlebox::{Middlebox, MiddleboxConfig, MiddleboxMetrics};
 pub use packet::StreamPacket;
-pub use switch::{FlowMatch, Port, Rule, SdnSwitch};
 pub use tcp::{TcpConfig, TcpReceiver, TcpSegment, TcpSender};
 pub use wan::{RelayNode, WanPath};
 
@@ -96,25 +92,6 @@ mod proptests {
                 }
             }
             prop_assert!(snd.acked_segments <= snd.transmissions);
-        }
-
-        /// The SDN switch: exactly one rule fires per packet; with a default
-        /// rule installed nothing is ever dropped.
-        #[test]
-        fn switch_total_with_default_rule(flows in proptest::collection::vec(0u32..32, 1..200)) {
-            let mut sw = SdnSwitch::new();
-            sw.install(Rule { priority: 0, matcher: FlowMatch::any(), out_ports: vec![Port(9)] });
-            sw.install_diversifi(FlowId(3), Port(1), Port(2), Port(9));
-            for f in flows {
-                let pkt = StreamPacket::new(FlowId(f), 0, 160, SimTime::ZERO);
-                let out = sw.process(&pkt);
-                prop_assert!(!out.is_empty(), "default rule must catch flow {}", f);
-                if f == 3 {
-                    prop_assert_eq!(out.len(), 2, "diversifi flow replicates");
-                } else {
-                    prop_assert_eq!(out.len(), 1);
-                }
-            }
         }
 
         /// Middlebox ring: buffered count never exceeds the cap, and after a

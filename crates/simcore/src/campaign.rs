@@ -43,7 +43,7 @@
 //! campaign` front-end turns it into a calls/sec ticker) and health
 //! through the heartbeat callback.
 //!
-//! # Supervision: quarantine, watchdog, IO retry
+//! # Supervision: quarantine, IO retry
 //!
 //! The engine is a *supervisor*, not just a scheduler — a single bad
 //! shard must never take down a million-call campaign:
@@ -58,24 +58,18 @@
 //!   quarantine list tells the caller exactly what to report. Panics are
 //!   deterministic (a fold is a pure function of its call index), so
 //!   quarantine decisions are too.
-//! - **Shard watchdog.** [`CampaignConfig::watchdog_ns`] flags shards
-//!   whose fold exceeded the threshold into
-//!   [`CampaignOutcome::slow_shards`]. The watchdog *observes wall time
-//!   but never decides results* — it cannot abort or reorder a fold, so
-//!   digests remain bit-identical at every thread count; deterministic
-//!   failures (panics) are the only thing that changes an outcome.
 //! - **IO retry with backoff.** Checkpoint reads and writes retry
-//!   transient errors ([`CampaignConfig::io_retries`] attempts with
-//!   linear backoff) before giving up. A write that still fails is
-//!   counted in [`CampaignOutcome::checkpoint_errors`] and the campaign
-//!   continues — the shard result is correct, a later run simply
-//!   re-executes it; a read that still fails re-runs the shard. A full
-//!   disk degrades a campaign, it does not panic it.
+//!   transient errors (two extra attempts with linear backoff) before
+//!   giving up. A write that still fails is counted in
+//!   [`CampaignOutcome::checkpoint_errors`] and the campaign continues —
+//!   the shard result is correct, a later run simply re-executes it; a
+//!   read that still fails re-runs the shard. A full disk degrades a
+//!   campaign, it does not panic it.
 //!
-//! None of the supervision knobs participates in
-//! [`CampaignConfig::campaign_id`]: they change how faults are *handled*,
-//! never what a fold computes, so checkpoints remain interchangeable and
-//! supervision-off runs stay byte-identical.
+//! Supervision changes how faults are *handled*, never what a fold
+//! computes: digests stay bit-identical at every thread count, and
+//! deterministic failures (panics) are the only thing that changes an
+//! outcome.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -84,7 +78,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::digest::{DigestSchema, ShardDigest};
+use crate::digest::{DigestSchema, Fnv, ShardDigest};
 use crate::flight::WorstK;
 use crate::metrics::LogHistogram;
 use crate::scratch::MetricsScratch;
@@ -123,15 +117,6 @@ pub struct CampaignConfig {
     /// selector is never touched). Part of the campaign id, so
     /// recorder-on and recorder-off checkpoints never mix.
     pub flight_k: usize,
-    /// Watchdog threshold: a freshly executed shard whose fold wall time
-    /// exceeds this many nanoseconds is listed in
-    /// [`CampaignOutcome::slow_shards`]. Purely observational — never
-    /// aborts a fold or perturbs results. `None` disables it. Not part of
-    /// the campaign id.
-    pub watchdog_ns: Option<u64>,
-    /// Extra attempts after a failed checkpoint read/write before giving
-    /// up (linear backoff between attempts). Not part of the campaign id.
-    pub io_retries: u32,
 }
 
 impl CampaignConfig {
@@ -146,8 +131,6 @@ impl CampaignConfig {
             config_fingerprint: 0,
             max_new_shards: None,
             flight_k: 0,
-            watchdog_ns: None,
-            io_retries: 2,
         }
     }
 
@@ -169,7 +152,7 @@ impl CampaignConfig {
     /// shard plan, and the flight retention, so a checkpoint from any
     /// other campaign shape can never be resumed into this one.
     pub fn campaign_id(&self, schema: &DigestSchema) -> u64 {
-        let mut id = 0xcbf29ce484222325u64;
+        let mut id = Fnv::new();
         for v in [
             self.config_fingerprint,
             schema.fingerprint(),
@@ -177,12 +160,9 @@ impl CampaignConfig {
             self.shard_size,
             self.flight_k as u64,
         ] {
-            for b in v.to_le_bytes() {
-                id ^= b as u64;
-                id = id.wrapping_mul(0x100000001b3);
-            }
+            id.write_u64(v);
         }
-        id
+        id.finish()
     }
 }
 
@@ -299,27 +279,24 @@ pub struct CampaignOutcome {
     /// shards' results are correct and merged; they simply re-run on
     /// resume.
     pub checkpoint_errors: usize,
-    /// Freshly executed shards whose fold wall time exceeded
-    /// [`CampaignConfig::watchdog_ns`] (sorted). Observational only.
-    pub slow_shards: Vec<usize>,
 }
 
 fn shard_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s:06}.json"))
 }
 
-/// Run `op` up to `1 + retries` times with linear backoff, returning the
-/// first success or the final error. `NotFound` never retries — an absent
-/// checkpoint is a state, not a transient fault.
-fn with_io_retry<T>(
-    retries: u32,
-    mut op: impl FnMut() -> std::io::Result<T>,
-) -> std::io::Result<T> {
+/// Extra attempts after a failed checkpoint read/write before giving up.
+const IO_RETRIES: u32 = 2;
+
+/// Run `op` up to `1 + IO_RETRIES` times with linear backoff, returning
+/// the first success or the final error. `NotFound` never retries — an
+/// absent checkpoint is a state, not a transient fault.
+fn with_io_retry<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
     let mut attempt = 0u32;
     loop {
         match op() {
             Ok(v) => return Ok(v),
-            Err(e) if attempt < retries && e.kind() != std::io::ErrorKind::NotFound => {
+            Err(e) if attempt < IO_RETRIES && e.kind() != std::io::ErrorKind::NotFound => {
                 attempt += 1;
                 std::thread::sleep(Duration::from_millis(10 * u64::from(attempt)));
             }
@@ -341,9 +318,8 @@ fn load_shard(
     schema: &DigestSchema,
     want: (u64, u64),
     flight_k: usize,
-    retries: u32,
 ) -> Option<(ShardDigest, WorstK)> {
-    let text = with_io_retry(retries, || std::fs::read_to_string(shard_path(dir, s))).ok()?;
+    let text = with_io_retry(|| std::fs::read_to_string(shard_path(dir, s))).ok()?;
     let v: Value = serde_json::from_str(&text).ok()?;
     let file_id = v.get("campaign_id").and_then(Value::as_u64)?;
     if file_id != id {
@@ -376,7 +352,6 @@ fn store_shard(
     schema: &DigestSchema,
     digest: &ShardDigest,
     worst: Option<&WorstK>,
-    retries: u32,
 ) -> std::io::Result<()> {
     let mut fields = vec![
         ("campaign_id".to_string(), Value::U64(id)),
@@ -389,7 +364,7 @@ fn store_shard(
     let text = serde_json::to_string(&Value::Object(fields))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     let tmp = dir.join(format!("shard-{s:06}.json.tmp"));
-    with_io_retry(retries, || {
+    with_io_retry(|| {
         std::fs::write(&tmp, &text)?;
         std::fs::rename(&tmp, shard_path(dir, s))
     })
@@ -458,7 +433,6 @@ where
             complete: true,
             quarantined: Vec::new(),
             checkpoint_errors: 0,
-            slow_shards: Vec::new(),
         });
     }
 
@@ -480,7 +454,7 @@ where
         std::fs::create_dir_all(dir)?;
         for (s, v) in valid.iter_mut().enumerate() {
             let loaded =
-                load_shard(dir, s, id, schema, cfg.shard_range(s), cfg.flight_k, cfg.io_retries);
+                load_shard(dir, s, id, schema, cfg.shard_range(s), cfg.flight_k);
             *v = loaded.is_some();
             if let Some((d, w)) = loaded.filter(|_| prefix == s) {
                 let merge_start = Instant::now();
@@ -554,7 +528,6 @@ where
     let mut complete = true;
     let mut merge_ok = true;
     let mut quarantined: Vec<ShardQuarantine> = Vec::new();
-    let mut slow_shards: Vec<usize> = Vec::new();
     let mut next = prefix;
     while next < shards_total {
         let n = batch.min(shards_total - next);
@@ -570,15 +543,7 @@ where
                     let Some(dir) = cfg.checkpoint_dir.as_ref() else {
                         return ShardResult::Missing; // unreachable: valid implies dir
                     };
-                    return match load_shard(
-                        dir,
-                        s,
-                        id,
-                        schema,
-                        (first, len),
-                        cfg.flight_k,
-                        cfg.io_retries,
-                    ) {
+                    return match load_shard(dir, s, id, schema, (first, len), cfg.flight_k) {
                         Some((d, w)) => ShardResult::Done(d, w, None),
                         None => ShardResult::Missing,
                     };
@@ -628,8 +593,7 @@ where
                     // later run simply re-executes it.
                     let write_start = Instant::now();
                     let flight = (cfg.flight_k > 0).then_some(&worst);
-                    if store_shard(dir, s, id, schema, &digest, flight, cfg.io_retries).is_err()
-                    {
+                    if store_shard(dir, s, id, schema, &digest, flight).is_err() {
                         checkpoint_errors.fetch_add(1, Ordering::Relaxed);
                     }
                     checkpoint_write_ns = elapsed_ns(write_start);
@@ -663,9 +627,6 @@ where
                             health.checkpoint_write_us.record(ckpt / 1_000);
                         }
                         health.calls_folded += d.len();
-                        if cfg.watchdog_ns.is_some_and(|limit| wall > limit) {
-                            slow_shards.push(s);
-                        }
                     }
                     if merge_ok {
                         merge_shard(&mut merged, &mut merged_flight, d, &w);
@@ -719,7 +680,6 @@ where
         complete,
         quarantined,
         checkpoint_errors: checkpoint_errors.load(Ordering::Relaxed),
-        slow_shards,
     })
 }
 
@@ -1211,22 +1171,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&clean_dir);
     }
 
-    /// The watchdog observes (flags slow shards) but never decides: the
-    /// fingerprint is bit-identical with it on or off.
-    #[test]
-    fn watchdog_is_observational_only() {
-        let (schema, ids) = schema();
-        let mut cfg = CampaignConfig::new(4000);
-        cfg.shard_size = 500;
-        let off = run(&cfg, &schema, fold(ids)).unwrap();
-        assert!(off.slow_shards.is_empty(), "no watchdog, no flags");
-        cfg.watchdog_ns = Some(0); // every fold exceeds 0 ns
-        let on = run(&cfg, &schema, fold(ids)).unwrap();
-        assert!(on.complete);
-        assert_eq!(on.fingerprint, off.fingerprint);
-        assert_eq!(on.slow_shards, (0..cfg.shards()).collect::<Vec<_>>());
-    }
-
     /// A checkpoint write that keeps failing is counted and survived —
     /// the campaign completes with a correct digest; only resume coverage
     /// is lost for that shard.
@@ -1246,7 +1190,6 @@ mod tests {
         let mut cfg = CampaignConfig::new(2000);
         cfg.shard_size = 500;
         cfg.checkpoint_dir = Some(dir.clone());
-        cfg.io_retries = 1;
         let out = run(&cfg, &schema, fold(ids)).unwrap();
         assert!(out.complete, "IO failure must not block the fold");
         assert_eq!(out.checkpoint_errors, 1);

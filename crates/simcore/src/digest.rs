@@ -749,27 +749,40 @@ impl ShardDigest {
     }
 }
 
-/// FNV-1a, 64-bit — tiny, dependency-free, stable across platforms.
-struct Fnv(u64);
+/// FNV-1a, 64-bit — tiny, dependency-free, stable across platforms. The
+/// workspace's one implementation: seed labels, campaign ids, digest,
+/// scenario and chaos fingerprints all hash through it.
+#[derive(Debug)]
+pub struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Fnv {
+    /// The FNV-1a offset basis.
+    pub fn new() -> Fnv {
         Fnv(0xcbf29ce484222325)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
+    /// Fold `bytes` in, one at a time.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x100000001b3);
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
+    /// Fold `v` in as its eight little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
-    fn finish(&self) -> u64 {
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
     }
 }
 

@@ -74,7 +74,7 @@ pub use chaos::{
     generate_plan, max_concurrency, outage_fraction, shrink_plan, ChaosBudget, ChaosReproducer,
     ShrinkOutcome, FAULT_KIND_COUNT, SHRINK_FLOOR,
 };
-pub use digest::{ChannelId, ChannelKind, DigestSchema, QuantileSketch, ShardDigest, Welford};
+pub use digest::{ChannelId, ChannelKind, DigestSchema, Fnv, QuantileSketch, ShardDigest, Welford};
 pub use fault::{FaultEffect, FaultKind, FaultOutcome, FaultPlan, FaultSpec, FaultWindow};
 pub use flight::{FlightKey, WorstK};
 pub use metrics::{LogHistogram, MetricsRegistry};

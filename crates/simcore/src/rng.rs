@@ -12,6 +12,7 @@
 //!    so A/B comparisons (e.g. DiversiFi on vs off over the *same* channel
 //!    realisation) are paired experiments, not noise.
 
+use crate::digest::Fnv;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,12 +28,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// FNV-1a hash of a label, mixing a stable string identity into seed space.
 fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write(label.as_bytes());
+    h.finish()
 }
 
 /// A factory of independent, reproducible RNG streams.

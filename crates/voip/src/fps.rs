@@ -225,11 +225,6 @@ pub fn session_metrics(
     FpsSessionMetrics { state_miss, worst_window_pct, outage_ms, qoe: q.clamp(0.0, 100.0) }
 }
 
-/// The QoE component of [`session_metrics`].
-pub fn session_qoe(cfg: &FpsConfig, loss_pct: f64, burst_ratio: f64, delay_ms: f64) -> f64 {
-    session_metrics(cfg, loss_pct, burst_ratio, delay_ms).qoe
-}
-
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -429,22 +424,22 @@ mod tests {
         let cfg = FpsConfig::office();
         let mut prev = f64::INFINITY;
         for loss in [0.0, 0.5, 2.0, 10.0, 50.0] {
-            let q = session_qoe(&cfg, loss, 1.0, 20.0);
+            let q = session_metrics(&cfg, loss, 1.0, 20.0).qoe;
             assert!(q <= prev);
             prev = q;
         }
         let mut prev = f64::INFINITY;
         for delay in [5.0, 40.0, 70.0, 90.0, 200.0] {
-            let q = session_qoe(&cfg, 1.0, 1.0, delay);
+            let q = session_metrics(&cfg, 1.0, 1.0, delay).qoe;
             assert!(q <= prev);
             prev = q;
         }
         let mut prev = f64::INFINITY;
         for burst in [1.0, 2.0, 4.0, 8.0] {
-            let q = session_qoe(&cfg, 5.0, burst, 20.0);
+            let q = session_metrics(&cfg, 5.0, burst, 20.0).qoe;
             assert!(q <= prev);
             prev = q;
         }
-        assert!(session_qoe(&cfg, 0.0, 1.0, 5.0) > 99.9);
+        assert!(session_metrics(&cfg, 0.0, 1.0, 5.0).qoe > 99.9);
     }
 }

@@ -23,7 +23,6 @@
 // stdout/stderr; CI's `clippy -D warnings` enforces this.
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod codecfec;
 pub mod emodel;
 pub mod fps;
 pub mod metrics;
@@ -32,16 +31,12 @@ pub mod stream;
 pub mod trace;
 pub mod workload;
 
-pub use codecfec::{conceal_with_lbrr, LbrrConfig, LbrrStats};
 pub use emodel::{burst_ratio, evaluate, CallQuality, CodecModel, PcrModel};
 pub use fps::{
-    fps_qoe, session_metrics, session_qoe, tick_stats, FpsConfig, FpsOutcome, FpsSessionMetrics,
-    TickStats, FPS_QOE_POOR,
+    fps_qoe, session_metrics, tick_stats, FpsConfig, FpsOutcome, FpsSessionMetrics, TickStats,
+    FPS_QOE_POOR,
 };
-pub use playout::{
-    conceal, conceal_adaptive, delay_histogram_into, AdaptivePlayout, ConcealmentStats,
-    PlayoutConfig,
-};
+pub use playout::{conceal, delay_histogram_into, ConcealmentStats, PlayoutConfig};
 pub use stream::StreamSpec;
 pub use trace::{PacketFate, StreamTrace, DEFAULT_DEADLINE};
 pub use workload::{
@@ -147,18 +142,11 @@ mod proptests {
             prop_assert!(w + 1e-9 >= tr.loss_rate(d) * 100.0 - 1e-9);
         }
 
-        /// Late packets are a subset of deliveries, and the adaptive playout
-        /// buffer accounts for every packet exactly once, just like the
-        /// fixed-delay one.
+        /// Late packets are a subset of deliveries.
         #[test]
         fn late_packets_bounded_by_deliveries(tr in arb_trace()) {
             let c = conceal(&tr, &PlayoutConfig::default());
             prop_assert!(c.late <= tr.delivered_count(), "late {} > delivered {}", c.late, tr.delivered_count());
-            let mut buf = AdaptivePlayout::interactive();
-            let ca = conceal_adaptive(&tr, &mut buf);
-            prop_assert_eq!(ca.total(), tr.len() as u64);
-            prop_assert!(buf.current_delay() >= buf.min_delay);
-            prop_assert!(buf.current_delay() <= buf.max_delay);
         }
 
         /// The trace is insensitive to network reordering: arrivals recorded

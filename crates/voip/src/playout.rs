@@ -69,8 +69,8 @@ impl Default for PlayoutConfig {
 /// Accumulate the per-delivered-packet one-way delay distribution of a
 /// trace (microseconds) into a telemetry histogram. Lost packets contribute
 /// nothing; late-but-delivered packets contribute their real delay, so the
-/// histogram's tail shows exactly the recoveries an adaptive buffer would
-/// discard.
+/// histogram's tail shows exactly the recoveries a tighter playout deadline
+/// would discard.
 pub fn delay_histogram_into(trace: &StreamTrace, hist: &mut diversifi_simcore::LogHistogram) {
     for fate in &trace.fates {
         if let Some(at) = fate.arrival {
@@ -181,175 +181,5 @@ mod tests {
         // Two bursts: each contributes 1 interpolation + 1 extrapolation.
         assert_eq!(s.interpolated, 2);
         assert_eq!(s.extrapolated, 2);
-    }
-}
-
-/// An adaptive playout buffer in the WebRTC/NetEQ mold: the playout delay
-/// tracks a high percentile of recently observed network delay plus a
-/// safety margin, clamped to a configured range.
-///
-/// This matters to DiversiFi: packets recovered via the secondary arrive
-/// up to `MaxTolerableDelay` (100 ms) late, so an adaptive buffer that has
-/// tightened below that will discard recoveries as late — the reason
-/// Algorithm 1's MTD must be chosen against the receiver's playout policy.
-#[derive(Clone, Debug)]
-pub struct AdaptivePlayout {
-    /// Minimum playout delay.
-    pub min_delay: SimDuration,
-    /// Maximum playout delay.
-    pub max_delay: SimDuration,
-    /// Safety margin added to the tracked delay percentile.
-    pub margin: SimDuration,
-    /// Exponential forgetting factor per packet (0 < f < 1; larger = slower).
-    pub forgetting: f64,
-    /// Current delay estimate (ms), tracking near the observed maximum.
-    estimate_ms: f64,
-}
-
-impl AdaptivePlayout {
-    /// A typical interactive-audio configuration.
-    pub fn interactive() -> AdaptivePlayout {
-        AdaptivePlayout {
-            min_delay: SimDuration::from_millis(40),
-            max_delay: SimDuration::from_millis(200),
-            margin: SimDuration::from_millis(20),
-            forgetting: 0.998,
-            estimate_ms: 20.0,
-        }
-    }
-
-    /// Observe one packet's one-way delay and update the estimate: jump to
-    /// new maxima immediately (spike mode), decay slowly otherwise.
-    pub fn observe(&mut self, delay: SimDuration) {
-        let d = delay.as_millis_f64();
-        if d > self.estimate_ms {
-            self.estimate_ms = d;
-        } else {
-            self.estimate_ms = self.estimate_ms * self.forgetting + d * (1.0 - self.forgetting);
-        }
-    }
-
-    /// The playout delay the buffer would currently use.
-    pub fn current_delay(&self) -> SimDuration {
-        let target = SimDuration::from_secs_f64(self.estimate_ms / 1000.0) + self.margin;
-        target.max(self.min_delay).min(self.max_delay)
-    }
-}
-
-/// Run a trace through the *adaptive* playout buffer: per packet, the
-/// playout deadline uses the delay the buffer had adapted to at that point.
-pub fn conceal_adaptive(trace: &StreamTrace, buf: &mut AdaptivePlayout) -> ConcealmentStats {
-    let mut stats = ConcealmentStats::default();
-    let mut in_burst = false;
-    for fate in &trace.fates {
-        let deadline = buf.current_delay();
-        let playable = match fate.arrival {
-            Some(at) => {
-                let delay = at.saturating_since(fate.sent);
-                buf.observe(delay);
-                let on_time = delay <= deadline;
-                if !on_time {
-                    stats.late += 1;
-                }
-                on_time
-            }
-            None => false,
-        };
-        if playable {
-            stats.played += 1;
-            in_burst = false;
-        } else if !in_burst {
-            stats.interpolated += 1;
-            in_burst = true;
-        } else {
-            stats.extrapolated += 1;
-        }
-    }
-    stats
-}
-
-#[cfg(test)]
-mod adaptive_tests {
-    use super::*;
-    use crate::stream::StreamSpec;
-    use diversifi_simcore::SimTime;
-
-    fn trace_with_delays(delays_ms: &[Option<u64>]) -> StreamTrace {
-        let spec = StreamSpec {
-            packet_bytes: 160,
-            interval: SimDuration::from_millis(20),
-            duration: SimDuration::from_millis(20 * delays_ms.len() as u64),
-        };
-        let mut tr = StreamTrace::new(spec, SimTime::ZERO);
-        for (i, d) in delays_ms.iter().enumerate() {
-            if let Some(ms) = d {
-                let sent = tr.fates[i].sent;
-                tr.record_arrival(i as u64, sent + SimDuration::from_millis(*ms));
-            }
-        }
-        tr
-    }
-
-    #[test]
-    fn adapts_down_on_quiet_network() {
-        let mut buf = AdaptivePlayout::interactive();
-        for _ in 0..5000 {
-            buf.observe(SimDuration::from_millis(8));
-        }
-        let d = buf.current_delay();
-        assert!(d <= SimDuration::from_millis(60), "should tighten, got {d}");
-        assert!(d >= buf.min_delay);
-    }
-
-    #[test]
-    fn spikes_open_the_buffer_immediately() {
-        let mut buf = AdaptivePlayout::interactive();
-        for _ in 0..1000 {
-            buf.observe(SimDuration::from_millis(8));
-        }
-        buf.observe(SimDuration::from_millis(120));
-        assert!(
-            buf.current_delay() >= SimDuration::from_millis(140),
-            "spike must open the buffer: {}",
-            buf.current_delay()
-        );
-    }
-
-    #[test]
-    fn clamped_to_max() {
-        let mut buf = AdaptivePlayout::interactive();
-        buf.observe(SimDuration::from_secs(2));
-        assert_eq!(buf.current_delay(), buf.max_delay);
-    }
-
-    #[test]
-    fn tight_buffer_discards_diversifi_recoveries() {
-        // A long quiet phase tightens the buffer to ~30 ms; then a
-        // recovered packet arrives 100 ms late and is discarded — exactly
-        // why MTD must respect the receiver's playout policy.
-        let mut pattern: Vec<Option<u64>> = vec![Some(8); 500];
-        pattern.push(Some(100)); // recovered via secondary
-        pattern.extend(std::iter::repeat_n(Some(8), 10));
-        let tr = trace_with_delays(&pattern);
-        let mut buf = AdaptivePlayout::interactive();
-        let stats = conceal_adaptive(&tr, &mut buf);
-        assert!(stats.late >= 1, "the late recovery should miss the tightened buffer");
-        // A fixed 150 ms buffer would have played it.
-        let fixed = conceal(&tr, &PlayoutConfig::default());
-        assert_eq!(fixed.late, 0);
-    }
-
-    #[test]
-    fn after_spike_subsequent_recoveries_play() {
-        // Once one recovery spike opened the buffer, later 100 ms
-        // recoveries are on time.
-        let mut pattern: Vec<Option<u64>> = vec![Some(8); 100];
-        pattern.push(Some(110));
-        pattern.extend(std::iter::repeat_n(Some(8), 50));
-        pattern.push(Some(100));
-        let tr = trace_with_delays(&pattern);
-        let mut buf = AdaptivePlayout::interactive();
-        let stats = conceal_adaptive(&tr, &mut buf);
-        assert!(stats.late <= 1, "only the first spike may be late, got {}", stats.late);
     }
 }

@@ -56,7 +56,7 @@ pub use radio::{PhyRate, NOISE_FLOOR_DBM, RATE_LADDER};
 pub use realization::{
     ChannelRealization, RealizationCache, RealizationKey, SHADOW_BLOCK, SHADOW_TICK,
 };
-pub use scan::{DeployedAp, Deployment, ScanEntry, ScanTiming, TimedScan, CONNECTABLE_RSSI_DBM};
+pub use scan::{DeployedAp, Deployment, ScanEntry, CONNECTABLE_RSSI_DBM};
 
 #[cfg(test)]
 mod proptests {

@@ -5,14 +5,13 @@
 //! count: a 2-D venue with deployed access points (each radio possibly
 //! announcing several virtual BSSIDs), passive scanning with an RSSI
 //! cut-off, and the per-channel grouping the survey's "distinct channels"
-//! series needs. The `diversifi` core crate's survey builds on it, and the
-//! multi-link client uses the scan result to pick its primary and
-//! secondary associations the way §5.2.2 describes (strongest AP first,
-//! next-best second, on a different radio where possible).
+//! series needs. The `diversifi` core crate's survey (Fig. 1) is its only
+//! user: the closed-loop world takes its two links from configuration, not
+//! from a scan.
 
 use crate::channel::{Band, Channel};
 use crate::radio;
-use diversifi_simcore::{RngStream, SimDuration};
+use diversifi_simcore::RngStream;
 use serde::{Deserialize, Serialize};
 
 /// A deployed physical access-point radio.
@@ -64,43 +63,6 @@ pub struct ScanEntry {
 /// The RSSI below which an AP is not usefully connectable (association
 /// succeeds but the link is unusable) — a common driver threshold.
 pub const CONNECTABLE_RSSI_DBM: f64 = -82.0;
-
-/// Timing of a passive scan sweep.
-///
-/// §5.2.2's association choice needs a scan, and scanning is not free: the
-/// radio retunes per channel and then sits through a beacon interval on
-/// each. Time spent off the home channel is traffic-blind time for the
-/// association — exactly the cost Algorithm 1's hop budget has to respect.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct ScanTiming {
-    /// Radio retune cost per channel switch (PLL settle + firmware).
-    pub channel_switch: SimDuration,
-    /// Listening dwell per channel — one 802.11 beacon interval (102.4 ms)
-    /// guarantees every AP on the channel beacons once during the stay.
-    pub dwell: SimDuration,
-}
-
-impl Default for ScanTiming {
-    fn default() -> Self {
-        ScanTiming {
-            channel_switch: SimDuration::from_micros(2_300),
-            dwell: SimDuration::from_micros(102_400),
-        }
-    }
-}
-
-/// Outcome of a [`Deployment::timed_scan`].
-#[derive(Clone, Debug)]
-pub struct TimedScan {
-    /// Beacons heard on the visited channels, strongest first.
-    pub entries: Vec<ScanEntry>,
-    /// Total wall-clock cost of the sweep, including the retune back home.
-    pub elapsed: SimDuration,
-    /// Of `elapsed`, the time spent away from the home channel (the
-    /// traffic-blind window). Dwelling on the home channel costs time but
-    /// not connectivity.
-    pub offline: SimDuration,
-}
 
 impl Deployment {
     /// Generate an enterprise-style grid deployment: radios every
@@ -195,61 +157,6 @@ impl Deployment {
         channels.dedup();
         (bssids, channels.len())
     }
-
-    /// Sweep `channels` from `home`, collecting beacons and accounting the
-    /// time cost: each foreign channel costs a retune plus a dwell (all of
-    /// it offline), the home channel costs only its dwell (online — the
-    /// radio keeps receiving traffic while it listens), and visiting any
-    /// foreign channel costs one final retune back home.
-    pub fn timed_scan(
-        &self,
-        x: f64,
-        y: f64,
-        channels: &[Channel],
-        timing: &ScanTiming,
-        home: Channel,
-    ) -> TimedScan {
-        let mut elapsed = SimDuration::ZERO;
-        let mut offline = SimDuration::ZERO;
-        let mut left_home = false;
-        for ch in channels {
-            if *ch == home {
-                elapsed += timing.dwell;
-            } else {
-                elapsed += timing.channel_switch + timing.dwell;
-                offline += timing.channel_switch + timing.dwell;
-                left_home = true;
-            }
-        }
-        if left_home {
-            elapsed += timing.channel_switch;
-            offline += timing.channel_switch;
-        }
-        let entries = self
-            .scan(x, y)
-            .into_iter()
-            .filter(|e| channels.contains(&e.channel))
-            .collect();
-        TimedScan { entries, elapsed, offline }
-    }
-
-    /// §5.2.2's association choice: the strongest connectable BSSID as the
-    /// primary and the next-best on a *different radio* (preferring a
-    /// different channel) as the secondary. Returns radio indices.
-    pub fn pick_primary_secondary(&self, x: f64, y: f64) -> Option<(usize, usize)> {
-        let entries: Vec<ScanEntry> = self
-            .scan(x, y)
-            .into_iter()
-            .filter(|e| e.connectable && e.rssi_dbm >= CONNECTABLE_RSSI_DBM)
-            .collect();
-        let primary = entries.first()?;
-        // Prefer a different channel; fall back to any different radio.
-        let secondary = entries
-            .iter()
-            .find(|e| e.ap_index != primary.ap_index && e.channel != primary.channel)
-            .or_else(|| entries.iter().find(|e| e.ap_index != primary.ap_index))?;
-        Some((primary.ap_index, secondary.ap_index))
-    }
 }
 
 #[cfg(test)]
@@ -328,74 +235,6 @@ mod tests {
         }
         let (bssids, channels) = d.survey_counts(30.0, 15.0);
         assert_eq!((bssids, channels), (0, 0));
-        assert!(d.pick_primary_secondary(30.0, 15.0).is_none());
-    }
-
-    #[test]
-    fn primary_secondary_prefer_distinct_channels() {
-        let d = office();
-        let (p, s) = d.pick_primary_secondary(30.0, 15.0).expect("office has choices");
-        assert_ne!(p, s, "different radios");
-        // If any different-channel option existed, it was taken.
-        let alt_exists = d
-            .aps
-            .iter()
-            .enumerate()
-            .any(|(i, ap)| i != p && ap.channel != d.aps[p].channel
-                && d.rssi_from(i, 30.0, 15.0) >= CONNECTABLE_RSSI_DBM);
-        if alt_exists {
-            assert_ne!(d.aps[p].channel, d.aps[s].channel);
-        }
-    }
-
-    #[test]
-    fn primary_is_the_strongest() {
-        let d = office();
-        let (p, _) = d.pick_primary_secondary(10.0, 10.0).unwrap();
-        let rssi_p = d.rssi_from(p, 10.0, 10.0);
-        for i in 0..d.aps.len() {
-            assert!(rssi_p >= d.rssi_from(i, 10.0, 10.0) - 1e-9);
-        }
-    }
-
-    #[test]
-    fn timed_scan_pins_sweep_cost() {
-        // 1/6/11 sweep from CH1: home dwell (102.4 ms, online) + two
-        // foreign visits (2.3 + 102.4 ms each, offline) + one retune home
-        // (2.3 ms, offline). Exact microsecond accounting, no tolerance.
-        let d = office();
-        let t = ScanTiming::default();
-        let sweep = [Channel::CH1, Channel::CH6, Channel::CH11];
-        let ts = d.timed_scan(30.0, 15.0, &sweep, &t, Channel::CH1);
-        assert_eq!(ts.elapsed.as_micros(), 102_400 + 2 * (2_300 + 102_400) + 2_300);
-        assert_eq!(ts.offline.as_micros(), 2 * (2_300 + 102_400) + 2_300);
-        assert_eq!(
-            (ts.elapsed - ts.offline).as_micros(),
-            102_400,
-            "only the home dwell is online time"
-        );
-    }
-
-    #[test]
-    fn home_only_scan_never_goes_offline() {
-        let d = office();
-        let t = ScanTiming::default();
-        let ts = d.timed_scan(30.0, 15.0, &[Channel::CH1], &t, Channel::CH1);
-        assert_eq!(ts.offline.as_micros(), 0);
-        assert_eq!(ts.elapsed, t.dwell);
-    }
-
-    #[test]
-    fn timed_scan_hears_exactly_the_visited_channels() {
-        let d = office();
-        let t = ScanTiming::default();
-        let sweep = [Channel::CH1, Channel::CH6];
-        let ts = d.timed_scan(30.0, 15.0, &sweep, &t, Channel::CH1);
-        let full = d.scan(30.0, 15.0);
-        let expected: Vec<_> =
-            full.into_iter().filter(|e| sweep.contains(&e.channel)).collect();
-        assert_eq!(ts.entries, expected);
-        assert!(ts.entries.iter().all(|e| sweep.contains(&e.channel)));
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The unmodified-AP deployment: SDN switch + middlebox (§5.3.2).
+//! The unmodified-AP deployment: replication toward a middlebox (§5.3.2).
 //!
-//! Walks through the full §5.3.2 control plane — installing the
-//! match-action replication rule, registering the flow at the middlebox,
-//! then running a call where the client fetches missing packets with the
-//! start/stop protocol — and compares the recovery latency budget against
-//! the customized-AP deployment (the paper's Table 3).
+//! Registers the flow at the middlebox, then runs a call where the world
+//! replicates the stream toward it and the client fetches missing packets
+//! with the start/stop protocol, and compares the recovery latency budget
+//! against the customized-AP deployment (the paper's Table 3).
 //!
 //! Run with:
 //! ```text
@@ -13,31 +12,21 @@
 
 use diversifi::evaluation::{measure_switch_delays, middlebox_scalability, table3_row};
 use diversifi::world::{RunMode, World, WorldConfig};
-use diversifi_net::{Middlebox, MiddleboxConfig, Port, SdnSwitch, StreamPacket};
-use diversifi_simcore::{SeedFactory, SimTime};
+use diversifi_net::{Middlebox, MiddleboxConfig};
+use diversifi_simcore::SeedFactory;
 use diversifi_voip::DEFAULT_DEADLINE;
 use diversifi_wifi::{Channel, FlowId, GeParams, LinkConfig};
 
 fn main() {
     // --- Control plane: what the client's library sets up on the LAN. ---
-    println!("1. Installing SDN match-action rules (Open vSwitch style):");
-    let mut switch = SdnSwitch::new();
     let voip = FlowId(1);
-    let (to_primary_ap, to_middlebox) = (Port(1), Port(2));
-    switch.install_diversifi(voip, to_primary_ap, to_middlebox, to_primary_ap);
-    println!("   {} rules installed; real-time flow replicated to ports {:?}",
-        switch.rule_count(),
-        switch.process(&StreamPacket::new(voip, 0, 160, SimTime::ZERO)));
-    println!("   other traffic: {:?} (untouched)\n",
-        switch.process(&StreamPacket::new(FlowId(9), 0, 1460, SimTime::ZERO)));
-
-    println!("2. Registering the flow at the middlebox (head-drop ring of 5):");
+    println!("1. Registering the flow at the middlebox (head-drop ring of 5):");
     let mut mbox = Middlebox::new(MiddleboxConfig::default());
     mbox.register(voip, Some(5));
     println!("   service delay at this load: {}\n", mbox.service_delay());
 
     // --- Data plane: a full call in middlebox mode. ---
-    println!("3. Running a 2-minute call with the unmodified secondary AP:");
+    println!("2. Running a 2-minute call with the unmodified secondary AP:");
     let primary = LinkConfig::office(Channel::CH1, 18.0);
     let mut secondary = LinkConfig::office(Channel::CH11, 26.0);
     secondary.ge = GeParams::weak_link();
@@ -52,7 +41,7 @@ fn main() {
     );
 
     // --- Table 3: latency budget of both deployments. ---
-    println!("4. Recovery-delay breakdown over ~100 switches (paper Table 3):");
+    println!("3. Recovery-delay breakdown over ~100 switches (paper Table 3):");
     let ap = table3_row(&measure_switch_delays(RunMode::DiversifiCustomAp, 100, 7));
     let mb = table3_row(&measure_switch_delays(RunMode::DiversifiMiddlebox, 100, 7));
     println!("              total  switching  network  queuing   (ms)");
@@ -66,7 +55,7 @@ fn main() {
     );
 
     // --- §6.4 scalability. ---
-    println!("\n5. One middlebox serves a building (§6.4):");
+    println!("\n4. One middlebox serves a building (§6.4):");
     for (n, ms) in middlebox_scalability(&[0, 500, 1000]) {
         println!("   {n:>4} concurrent streams → recovery delay {ms:.2} ms");
     }

@@ -2,38 +2,27 @@
 //! that no single crate's unit tests can check.
 
 use diversifi_client::LinkObservation;
-use diversifi_net::{FlowMatch, Middlebox, MiddleboxConfig, Port, SdnSwitch, StreamPacket};
+use diversifi_net::{Middlebox, MiddleboxConfig, StreamPacket};
 use diversifi_simcore::{SeedFactory, SimDuration, SimTime};
 use diversifi_voip::{conceal, PlayoutConfig, StreamSpec, StreamTrace, DEFAULT_DEADLINE};
 use diversifi_wifi::FlowId;
 
-/// The SDN switch and the middlebox compose: what the switch replicates is
-/// exactly what the middlebox buffers, and the start protocol returns the
-/// most recent window.
+/// The middlebox keeps only the most recent window of a replicated
+/// stream, and the start protocol returns it from the requested sequence.
 #[test]
 fn switch_feeds_middlebox() {
     let flow = FlowId(42);
-    let mut switch = SdnSwitch::new();
-    switch.install_diversifi(flow, Port(1), Port(2), Port(1));
     let mut mbox = Middlebox::new(MiddleboxConfig::default());
     mbox.register(flow, Some(5));
 
     let spec = StreamSpec::voip();
     for (seq, sent) in spec.schedule(SimTime::ZERO).take(50) {
-        let pkt = StreamPacket::new(flow, seq, spec.packet_bytes, sent);
-        let ports = switch.process(&pkt);
-        assert_eq!(ports, vec![Port(1), Port(2)]);
-        // Port 2 is the middlebox path.
-        mbox.ingest(pkt);
+        mbox.ingest(StreamPacket::new(flow, seq, spec.packet_bytes, sent));
     }
     assert_eq!(mbox.buffered(flow), 5, "only the ring stays");
     let (_, burst) = mbox.start(flow, 47);
     let seqs: Vec<u64> = burst.iter().map(|p| p.seq).collect();
     assert_eq!(seqs, vec![47, 48, 49]);
-    // Cleanup path: removing the rule stops replication.
-    switch.remove(FlowMatch::flow(flow));
-    let pkt = StreamPacket::new(flow, 50, spec.packet_bytes, SimTime::from_secs(1));
-    assert_eq!(switch.process(&pkt), vec![Port(1)]);
 }
 
 /// voip trace semantics match client strategy semantics: a strategy's

@@ -133,7 +133,7 @@ fn two_nic_corpus_matches_uncached_reference() {
 
     // Serial reconstruction of exactly the same corpus, one cache per call.
     let seeds = SeedFactory::new(seed);
-    let envs = corpus::generate_tuned(opts.n_calls, &opts.mix, &seeds, opts.diversity, true);
+    let envs = corpus::generate(opts.n_calls, &opts.mix, &seeds, opts.diversity, true);
     let mut reference = String::new();
     for (env, call_seeds) in &envs {
         let scn = TwoNicScenario::new(opts.spec, env.link_a.clone(), env.link_b.clone());
