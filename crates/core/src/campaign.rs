@@ -552,7 +552,7 @@ fn run_arm_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::{pcr_of_calls, simulate_calls, table1};
+    use crate::population::{simulate_calls, table1};
 
     /// The fleet campaign with the scenario's own execution knobs.
     fn run_scenario(scn: &Scenario) -> FleetCampaignReport {
@@ -586,8 +586,7 @@ mod tests {
             assert_eq!(got.baseline_pcr.to_bits(), want.baseline_pcr.to_bits());
         }
         assert_eq!(report.calls, 20_000);
-        let exact_pcr = pcr_of_calls(&calls);
-        assert_eq!(report.poor_rate.to_bits(), exact_pcr.to_bits());
+        assert_eq!(report.poor_rate.to_bits(), exact.all.baseline_pcr.to_bits());
         assert_eq!(report.workload, "voip");
         assert!(report.fps.is_none(), "voip campaigns carry no FPS stats");
     }

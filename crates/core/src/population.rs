@@ -306,15 +306,6 @@ fn pcr(calls: &[&RatedCall]) -> f64 {
     calls.iter().filter(|c| c.rated_poor).count() as f64 / calls.len() as f64
 }
 
-/// Poor-call rate over a whole population (same division [`table1`]'s
-/// global baseline uses).
-pub fn pcr_of_calls(calls: &[RatedCall]) -> f64 {
-    if calls.is_empty() {
-        return 0.0;
-    }
-    calls.iter().filter(|c| c.rated_poor).count() as f64 / calls.len() as f64
-}
-
 /// The paper's relative difference: `(PCR_all − PCR_X) / PCR_all · 100`.
 pub fn relative_delta(pcr_all: f64, pcr_subset: f64) -> f64 {
     if pcr_all == 0.0 {

@@ -103,21 +103,38 @@ impl QuantileSketch {
         }
     }
 
+    /// Compact every over-full level from `start` up, stopping at the
+    /// first level within capacity: sort the level, promote every other
+    /// item (from the offset the level's parity picks) into the next level
+    /// and clear it.
+    ///
+    /// The sort runs on [`order_key`]s, whose `u64` order is the values'
+    /// order. Level 0 holds unordered inserts, so it takes the unstable
+    /// sort. An upper level is a concatenation of sorted runs (each earlier
+    /// compaction, and each `merge`, appends one), which the stable sort
+    /// merges in near-linear time. On finite values without `-0.0`, equal
+    /// keys are bit-identical values, so either sort yields the one sorted
+    /// order.
     fn compact_from(&mut self, start: usize) {
+        let mut keys: Vec<u64> = Vec::new();
         let mut i = start;
         while i < self.levels.len() && self.levels[i].len() > 2 * self.k {
-            self.levels[i].sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+            keys.clear();
+            keys.extend(self.levels[i].iter().map(|&x| order_key(x)));
+            if i == 0 {
+                keys.sort_unstable();
+            } else {
+                keys.sort();
+            }
             let offset = (self.parity[i] & 1) as usize;
             self.parity[i] += 1;
-            let promoted: Vec<f64> =
-                self.levels[i].iter().copied().skip(offset).step_by(2).collect();
-            self.levels[i].clear();
-            self.levels[i].shrink_to(2 * self.k + 1);
             if i + 1 == self.levels.len() {
                 self.levels.push(Vec::new());
                 self.parity.push(0);
             }
-            self.levels[i + 1].extend(promoted);
+            let (lower, upper) = self.levels.split_at_mut(i + 1);
+            lower[i].clear();
+            upper[0].extend(keys.iter().skip(offset).step_by(2).map(|&k| from_order_key(k)));
             i += 1;
         }
     }
@@ -153,24 +170,43 @@ impl QuantileSketch {
             let mut buf = self.levels[0].clone();
             return quantile_unsorted(&mut buf, q);
         }
-        let mut weighted: Vec<(f64, u64)> = Vec::with_capacity(self.retained());
+        let mut weighted: Vec<(u64, u64)> = Vec::with_capacity(self.retained());
         for (i, lvl) in self.levels.iter().enumerate() {
             let w = 1u64 << i;
-            weighted.extend(lvl.iter().map(|&x| (x, w)));
+            weighted.extend(lvl.iter().map(|&x| (order_key(x), w)));
         }
-        weighted.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        weighted.sort_unstable();
         let total: u64 = weighted.iter().map(|(_, w)| w).sum();
         // Same nearest-rank convention as `quantile_unsorted`.
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
-        for (x, w) in &weighted {
+        for &(key, w) in &weighted {
             seen += w;
             if seen >= rank {
-                return *x;
+                return from_order_key(key);
             }
         }
-        weighted.last().unwrap().0
+        from_order_key(weighted.last().unwrap().0)
     }
+}
+
+/// The `u64` whose unsigned order is `x`'s order (IEEE 754 total order):
+/// a negative value has every bit flipped, a non-negative one only its
+/// sign bit. On the sketch's domain, finite values with `-0.0` normalised
+/// away, this is the `partial_cmp` order, and two values share a key only
+/// when they share their bits.
+#[inline]
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    let sign_mask = ((bits as i64) >> 63) as u64;
+    bits ^ (sign_mask | 1 << 63)
+}
+
+/// The inverse of [`order_key`].
+#[inline]
+fn from_order_key(key: u64) -> f64 {
+    let sign_mask = !((key as i64) >> 63) as u64;
+    f64::from_bits(key ^ (sign_mask | 1 << 63))
 }
 
 /// The retained values go out as their exact `u64` bit patterns under
@@ -757,11 +793,13 @@ pub struct Fnv(u64);
 
 impl Fnv {
     /// The FNV-1a offset basis.
+    #[inline]
     pub fn new() -> Fnv {
         Fnv(0xcbf29ce484222325)
     }
 
     /// Fold `bytes` in, one at a time.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
@@ -775,6 +813,7 @@ impl Fnv {
     }
 
     /// The hash of everything written so far.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.0
     }
@@ -905,6 +944,168 @@ mod tests {
             s.levels.iter().map(|l| l.iter().map(|x| x.to_bits()).collect()).collect();
         nan[0][0] = f64::NAN.to_bits();
         assert!(QuantileSketch::from_value(&rename("level_bits", nan.to_value())).is_err());
+    }
+
+    /// The comparison-sort compaction the order-key sort replaced, kept
+    /// verbatim as the reference it must match bit for bit.
+    fn reference_compact_from(s: &mut QuantileSketch, start: usize) {
+        let mut i = start;
+        while i < s.levels.len() && s.levels[i].len() > 2 * s.k {
+            s.levels[i].sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+            let offset = (s.parity[i] & 1) as usize;
+            s.parity[i] += 1;
+            let promoted: Vec<f64> = s.levels[i].iter().copied().skip(offset).step_by(2).collect();
+            s.levels[i].clear();
+            s.levels[i].shrink_to(2 * s.k + 1);
+            if i + 1 == s.levels.len() {
+                s.levels.push(Vec::new());
+                s.parity.push(0);
+            }
+            s.levels[i + 1].extend(promoted);
+            i += 1;
+        }
+    }
+
+    fn reference_insert(s: &mut QuantileSketch, x: f64) {
+        assert!(x.is_finite());
+        let x = if x == 0.0 { 0.0 } else { x };
+        s.levels[0].push(x);
+        s.count += 1;
+        if s.levels[0].len() > 2 * s.k {
+            reference_compact_from(s, 0);
+        }
+    }
+
+    fn reference_merge(s: &mut QuantileSketch, other: &QuantileSketch) {
+        assert_eq!(s.k, other.k);
+        while s.levels.len() < other.levels.len() {
+            s.levels.push(Vec::new());
+            s.parity.push(0);
+        }
+        for (i, lvl) in other.levels.iter().enumerate() {
+            s.levels[i].extend_from_slice(lvl);
+        }
+        for (p, q) in s.parity.iter_mut().zip(other.parity.iter()) {
+            *p += q;
+        }
+        s.count += other.count;
+        reference_compact_from(s, 0);
+    }
+
+    /// The double with these bits, or, for an infinity or NaN pattern,
+    /// the finite one with the exponent's top bit cleared.
+    pub(super) fn finite_from_bits(bits: u64) -> f64 {
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            x
+        } else {
+            f64::from_bits(bits & !(1 << 62))
+        }
+    }
+
+    /// A stream that exercises every corner of the order: negatives,
+    /// a small pool of repeated values, `0.0` and `-0.0` inserts,
+    /// subnormals of both signs and arbitrary finite bit patterns.
+    pub(super) fn mixed_stream(seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = SeedFactory::new(seed).stream("mixed", 0);
+        let pool: Vec<f64> = (0..7).map(|_| rng.normal(0.0, 10.0)).collect();
+        (0..n)
+            .map(|_| match rng.index(7) {
+                0 | 1 => rng.normal(0.0, 1e3),
+                2 => pool[rng.index(pool.len())],
+                3 => 0.0,
+                4 => -0.0,
+                5 => {
+                    let sub = f64::from_bits(rng.range_u64(1, 1 << 52));
+                    if rng.chance(0.5) {
+                        -sub
+                    } else {
+                        sub
+                    }
+                }
+                _ => finite_from_bits(rng.range_u64(0, u64::MAX)),
+            })
+            .collect()
+    }
+
+    /// Sketch `xs` in shards of `shard` values and merge them in shard
+    /// order, through the order-key path and through the reference.
+    pub(super) fn sketch_both_ways(
+        xs: &[f64],
+        k: usize,
+        shard: usize,
+    ) -> (QuantileSketch, QuantileSketch) {
+        let (mut fast, mut slow) = (QuantileSketch::new(k), QuantileSketch::new(k));
+        for chunk in xs.chunks(shard) {
+            let (mut a, mut b) = (QuantileSketch::new(k), QuantileSketch::new(k));
+            for &x in chunk {
+                a.insert(x);
+                reference_insert(&mut b, x);
+            }
+            fast.merge(&a);
+            reference_merge(&mut slow, &b);
+        }
+        (fast, slow)
+    }
+
+    pub(super) fn assert_same_sketch(fast: &QuantileSketch, slow: &QuantileSketch) {
+        assert_eq!(fast.count, slow.count);
+        assert_eq!(fast.parity, slow.parity);
+        let bits = |s: &QuantileSketch| -> Vec<Vec<u64>> {
+            s.levels.iter().map(|l| l.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(fast), bits(slow));
+        let mut schema = DigestSchema::new();
+        schema.sketch("x");
+        let digest = |s: &QuantileSketch| ShardDigest {
+            first: 0,
+            len: s.count,
+            channels: vec![ChannelState::Sketch(s.clone())],
+        };
+        assert_eq!(digest(fast).fingerprint(&schema), digest(slow).fingerprint(&schema));
+        for q in [0.0, 0.1, 0.5, 0.9, 1.0] {
+            assert_eq!(fast.quantile(q).to_bits(), slow.quantile(q).to_bits(), "q={q}");
+        }
+    }
+
+    #[test]
+    fn order_key_compaction_matches_comparison_sort_reference() {
+        // At the campaign's own capacity: a never-compacted stream, one
+        // that has compacted once, and two several levels deep, each
+        // inserted whole and merged from shards of several sizes.
+        for (seed, n, depth) in
+            [(1u64, 2 * SKETCH_K, 1), (2, 2 * SKETCH_K + 1, 2), (3, 5_000, 5), (4, 200_000, 10)]
+        {
+            let xs = mixed_stream(seed, n);
+            for shard in [n, 511, 1000, 4096] {
+                let (fast, slow) = sketch_both_ways(&xs, SKETCH_K, shard);
+                assert_same_sketch(&fast, &slow);
+                if shard == n {
+                    assert_eq!(fast.levels.len(), depth, "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_key_orders_and_inverts_edge_values() {
+        let edges = [
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+        ];
+        for w in edges.windows(2) {
+            assert!(order_key(w[0]) < order_key(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        for x in edges.into_iter().chain([-0.0]) {
+            assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits());
+        }
     }
 
     #[test]
@@ -1080,6 +1281,35 @@ mod proptests {
                 exact.to_bits(),
                 "q={} sharded={} exact={}", q, merged.quantile(q), exact
             );
+        }
+
+        /// The order-key compaction keeps every stored bit of the
+        /// comparison-sort reference: levels, parities, count and digest
+        /// fingerprint, for streams inserted and merged in shard order, at
+        /// capacities small enough to stack many levels.
+        #[test]
+        fn order_key_compaction_matches_reference(
+            seed in any::<u64>(),
+            n in 1usize..6000,
+            k in 2usize..40,
+            shard in 1usize..3000,
+        ) {
+            let xs = super::tests::mixed_stream(seed, n);
+            let (fast, slow) = super::tests::sketch_both_ways(&xs, k, shard);
+            super::tests::assert_same_sketch(&fast, &slow);
+        }
+
+        /// The order key is strictly monotone in IEEE 754 total order (the
+        /// `partial_cmp` order away from `-0.0`) and inverts exactly, on
+        /// every finite double.
+        #[test]
+        fn order_key_is_monotone_and_invertible(a in any::<u64>(), b in any::<u64>()) {
+            let (x, y) = (super::tests::finite_from_bits(a), super::tests::finite_from_bits(b));
+            prop_assert_eq!(order_key(x).cmp(&order_key(y)), x.total_cmp(&y));
+            if x < y {
+                prop_assert!(order_key(x) < order_key(y));
+            }
+            prop_assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits());
         }
 
         /// Past the compaction threshold exactness is no longer promised,

@@ -27,6 +27,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// FNV-1a hash of a label, mixing a stable string identity into seed space.
+#[inline]
 fn fnv1a(label: &str) -> u64 {
     let mut h = Fnv::new();
     h.write(label.as_bytes());
@@ -52,6 +53,7 @@ impl SeedFactory {
 
     /// Derive the stream for a component identified by (`label`, `index`).
     /// The same (master, label, index) always yields the same stream.
+    #[inline]
     pub fn stream(&self, label: &str, index: u64) -> RngStream {
         let mut s = self.master ^ fnv1a(label) ^ index.wrapping_mul(0xA24B_AED4_963E_E407);
         // Two rounds of splitmix to decorrelate structured inputs.
@@ -62,6 +64,7 @@ impl SeedFactory {
 
     /// A derived factory, for components that own sub-components (e.g. a
     /// scenario derives a factory per simulated call).
+    #[inline]
     pub fn subfactory(&self, label: &str, index: u64) -> SeedFactory {
         let mut s = self.master ^ fnv1a(label) ^ index.wrapping_mul(0xD6E8_FEB8_6659_FD93);
         SeedFactory { master: splitmix64(&mut s) }
