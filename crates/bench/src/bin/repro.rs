@@ -1686,7 +1686,7 @@ fn resilience(ctx: &mut Ctx) -> Verdict {
     // downlink + input uplink) and the deadline-based session QoE instead
     // of MOS.
     let fps_rows = paired(WorkloadKind::Fps(fps_knobs), 0xF5511E)?;
-    let fps = |r: &RunReport| *r.workload.fps().expect("fps outcome");
+    let fps = |r: &RunReport| r.fps.expect("fps outcome");
     let mut fps_t = TextTable::new(&[
         "Scenario",
         "Tick miss base (%)",

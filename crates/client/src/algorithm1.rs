@@ -20,13 +20,13 @@
 //! unit-testable without a radio model.
 
 use diversifi_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 use crate::strategy::LinkSide;
 
 /// Where the replicated copy is buffered (§5.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum DeploymentMode {
     /// §5.3.1 — the secondary AP itself buffers, in a short head-drop
     /// queue; packet selection is implicit via arrival timing.
@@ -37,7 +37,7 @@ pub enum DeploymentMode {
 }
 
 /// Algorithm 1 constants.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Algorithm1Config {
     /// IPS: stream inter-packet spacing (from the RTP profile).
     pub inter_packet_spacing: SimDuration,
@@ -95,7 +95,7 @@ impl Algorithm1Config {
 }
 
 /// Instructions to the world (the radio/driver layer).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Command {
     /// Begin the switch to the secondary link: send Null(PM=1) to the
     /// primary AP, retune, send Null(PM=0) to the secondary AP.
@@ -113,7 +113,7 @@ pub enum Command {
 }
 
 /// Why the client is (or will be) on the secondary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 enum VisitReason {
     Recovery,
     Keepalive,
@@ -123,7 +123,7 @@ enum VisitReason {
 }
 
 /// Where the client's NIC currently is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Residency {
     /// Tuned to the primary AP's channel, awake there.
     Primary,
@@ -136,7 +136,7 @@ pub enum Residency {
 }
 
 /// Counters the evaluation reads out.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct Alg1Stats {
     /// Recovery visits to the secondary.
     pub recovery_visits: u64,

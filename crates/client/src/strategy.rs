@@ -17,7 +17,7 @@
 
 use diversifi_simcore::{SimDuration, SimTime};
 use diversifi_voip::StreamTrace;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A link's delivery trace plus the side-channel the strategies key off.
 #[derive(Clone, Debug)]
@@ -29,7 +29,7 @@ pub struct LinkObservation {
 }
 
 /// Which of the two links a strategy is currently consuming.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum LinkSide {
     /// The primary (initially chosen) link.
     Primary,
@@ -99,7 +99,7 @@ pub fn better(
 }
 
 /// Parameters of the Divert-style fine-grained selector.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct DivertConfig {
     /// Window size in frames (H).
     pub window: usize,

@@ -16,7 +16,8 @@ use crate::scenario::{Arm, Scenario};
 use crate::world::World;
 use diversifi_simcore::{
     run_campaign_observed, CampaignConfig, CampaignHealth, CampaignProgress, ChannelId,
-    DigestSchema, FlightKey, HeartbeatSample, SeedFactory, ShardDigest, WorkerArena, WorstK,
+    DigestSchema, FlightKey, HeartbeatSample, SeedFactory, ShardDigest, ShardQuarantine,
+    WorkerArena, WorstK,
 };
 use diversifi_voip::{session_metrics, FpsConfig, WorkloadKind, DEFAULT_DEADLINE, FPS_QOE_POOR};
 use diversifi_wifi::RealizationCache;
@@ -313,16 +314,6 @@ impl CampaignHealthReport {
     }
 }
 
-/// One quarantined shard in the committed report (mirror of the engine's
-/// [`diversifi_simcore::ShardQuarantine`], which stays serde-free).
-#[derive(Clone, Debug, Serialize)]
-pub struct ShardQuarantineReport {
-    /// The shard index.
-    pub shard: usize,
-    /// The stringified panic payload that poisoned it.
-    pub reason: String,
-}
-
 /// The campaign-level artifact written by `repro campaign`.
 #[derive(Clone, Debug, Serialize)]
 pub struct FleetCampaignReport {
@@ -371,7 +362,7 @@ pub struct FleetCampaignReport {
     /// Shards the supervisor quarantined after a fold panic. A completed
     /// campaign always reports an empty list (quarantine blocks the
     /// merge), but the field keeps degraded artifacts self-describing.
-    pub quarantined: Vec<ShardQuarantineReport>,
+    pub quarantined: Vec<ShardQuarantine>,
     /// Checkpoint writes that still failed after retries (those shards
     /// merged fine and simply re-run on resume).
     pub checkpoint_errors: usize,
@@ -502,11 +493,7 @@ where
         fps,
         flight: flight_entries,
         health: CampaignHealthReport::from_health(&outcome.health),
-        quarantined: outcome
-            .quarantined
-            .iter()
-            .map(|q| ShardQuarantineReport { shard: q.shard, reason: q.reason.clone() })
-            .collect(),
+        quarantined: outcome.quarantined,
         checkpoint_errors: outcome.checkpoint_errors,
         arms: run_arm_probes(scn),
     };
@@ -535,7 +522,6 @@ fn run_arm_probe(
     let seeds = SeedFactory::new(scn.seed);
     let r = World::new_cached_in(&cfg, &seeds, cache, arena).run_in(arena);
     let n = r.trace.len().max(1) as f64;
-    let fps = r.workload.fps();
     ArmReport {
         name: arm.name.clone(),
         mode: crate::scenario::mode_tag(arm.mode).to_string(),
@@ -543,9 +529,9 @@ fn run_arm_probe(
         loss_pct: r.trace.loss_rate(DEFAULT_DEADLINE) * 100.0,
         wasteful_dup_pct: 100.0 * r.secondary_wasteful_tx as f64 / n,
         secondary_air_pct: 100.0 * r.secondary_air_tx as f64 / n,
-        tick_miss_pct: fps.map(|o| 100.0 * o.state.miss_rate()),
-        input_miss_pct: fps.map(|o| 100.0 * o.input.miss_rate()),
-        qoe: fps.map(|o| o.qoe),
+        tick_miss_pct: r.fps.map(|o| 100.0 * o.state.miss_rate()),
+        input_miss_pct: r.fps.map(|o| 100.0 * o.input.miss_rate()),
+        qoe: r.fps.map(|o| o.qoe),
     }
 }
 

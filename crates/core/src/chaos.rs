@@ -67,7 +67,7 @@
 //! [`PacketLedger`]: diversifi_simcore::check::PacketLedger
 
 use crate::flight::replay_traced;
-use crate::scenario::Scenario;
+use crate::scenario::{ChaosSpec, Scenario};
 use crate::world::{RunMode, RunReport, World, WorldConfig};
 use diversifi_simcore::chaos::{generate_plan, shrink_plan, ChaosBudget, ChaosReproducer};
 use diversifi_simcore::check;
@@ -118,20 +118,22 @@ pub struct ChaosConfig {
 impl ChaosConfig {
     /// Chaos defaults on the failure-injection testbed deployment (decent
     /// primary, weak far secondary — the pairing where robustness claims
-    /// are actually at risk).
+    /// are actually at risk). The scan and oracle knobs are a scenario's
+    /// default `[chaos]` section ([`ChaosSpec::default`]).
     pub fn new(seed: u64) -> ChaosConfig {
         let primary = LinkConfig::office(Channel::CH1, 18.0);
         let mut secondary = LinkConfig::office(Channel::CH11, 24.0);
         secondary.ge = GeParams::weak_link();
+        let ChaosSpec { plans, budget, mttr_slack, tolerance, max_findings } = ChaosSpec::default();
         ChaosConfig {
             seed,
-            plans: 200,
-            budget: ChaosBudget::default(),
+            plans,
+            budget,
             primary,
             secondary,
-            mttr_slack: SimDuration::from_secs(5),
-            tolerance: 0.02,
-            max_findings: 8,
+            mttr_slack,
+            tolerance,
+            max_findings,
             threads: 0,
             shard_size: 16,
             canary: false,

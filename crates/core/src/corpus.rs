@@ -13,7 +13,7 @@ use diversifi_simcore::{RngStream, SeedFactory, SimDuration};
 use diversifi_wifi::{
     Channel, Congestion, GeParams, ImpairmentKind, LinkConfig, MicrowaveOven, MobilityPattern,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The two links a call has available.
 #[derive(Clone, Debug)]
@@ -27,7 +27,7 @@ pub struct CallEnvironment {
 }
 
 /// Weights over impairment classes for corpus generation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct CorpusMix {
     /// Fraction of ordinary calls.
     pub none: f64,

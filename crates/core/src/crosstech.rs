@@ -13,14 +13,14 @@ use crate::twonic::run_single;
 use diversifi_simcore::{RngStream, SeedFactory, SimDuration, SimTime};
 use diversifi_voip::{StreamSpec, StreamTrace};
 use diversifi_wifi::LinkConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An LTE-class cellular bearer.
 ///
 /// Compared to WiFi: higher base latency, heavier jitter tail (scheduler +
 /// HARQ), *much* rarer loss — and complete immunity to ISM-band
 /// interference. Periodic handovers produce short outages.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct CellularConfig {
     /// One-way air + core-network latency floor.
     pub base_delay: SimDuration,

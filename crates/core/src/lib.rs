@@ -76,7 +76,7 @@ pub mod world;
 pub use analysis::{AnalysisOptions, CallRecord, QualityParams, Strategy};
 pub use campaign::{
     run_fleet_campaign_observed, CampaignHealthReport, FleetCampaignReport, FleetCampaignRun,
-    FleetSchema, FlightEntryReport, ShardQuarantineReport,
+    FleetSchema, FlightEntryReport,
 };
 pub use chaos::{
     capture_reproducer, evaluate_plan, replay_reproducer, run_chaos, ChaosConfig, ChaosFinding,

@@ -1,6 +1,7 @@
 //! Plain-text table/figure rendering and JSON artifact output for the
 //! reproduction harness.
 
+use diversifi_simcore::export::write_text_atomic;
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -64,14 +65,14 @@ pub fn signed_pct(v: f64) -> String {
     format!("{}{:.1}%", if v >= 0.0 { "+" } else { "-" }, v.abs())
 }
 
-/// Write a JSON artifact under `dir/name.json`; returns the path. Creates
-/// the directory if needed.
+/// Write a JSON artifact under `dir/name.json` atomically
+/// ([`write_text_atomic`]); returns the path. Creates the directory if
+/// needed.
 pub fn write_json<T: Serialize>(dir: &str, name: &str, value: &T) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
     let path = format!("{dir}/{name}.json");
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    std::fs::write(&path, json)?;
+    write_text_atomic(std::path::Path::new(&path), &json)?;
     Ok(path)
 }
 

@@ -461,24 +461,6 @@ impl Scenario {
 
     // ------------------------------------------------------------ presets
 
-    /// The short-range healthy office pair the §4 two-NIC experiments use
-    /// (CH1 @ 10 m / CH11 @ 14 m, both good).
-    pub fn office_short(name: &str, seed: u64) -> Scenario {
-        let mut s = Scenario::new(name, seed);
-        s.primary = ApSpec::new(Channel::CH1, 10.0, LinkQuality::Good);
-        s.secondary = ApSpec::new(Channel::CH11, 14.0, LinkQuality::Good);
-        s
-    }
-
-    /// Two weak links at the office edge (CH1 @ 30 m / CH11 @ 35 m), the
-    /// §4 "both links fade" stress pair.
-    pub fn office_weak_pair(name: &str, seed: u64) -> Scenario {
-        let mut s = Scenario::new(name, seed);
-        s.primary = ApSpec::new(Channel::CH1, 30.0, LinkQuality::Weak);
-        s.secondary = ApSpec::new(Channel::CH11, 35.0, LinkQuality::Weak);
-        s
-    }
-
     /// The §6 testbed default: decent primary, marginal far secondary,
     /// with the three paired evaluation arms.
     pub fn testbed(name: &str, seed: u64) -> Scenario {
@@ -1398,8 +1380,11 @@ mod tests {
     }
 
     #[test]
-    fn office_short_preset_matches_twonic_hand_setup() {
-        let two = Scenario::office_short("s", 1).two_nic();
+    fn ap_specs_lower_to_twonic_hand_setup() {
+        let mut scn = Scenario::new("s", 1);
+        scn.primary = ApSpec::new(Channel::CH1, 10.0, LinkQuality::Good);
+        scn.secondary = ApSpec::new(Channel::CH11, 14.0, LinkQuality::Good);
+        let two = scn.two_nic();
         assert_eq!(two.link_a.channel, Channel::CH1);
         assert_eq!(two.link_a.distance_m, 10.0);
         assert_eq!(two.link_a.ge, GeParams::good_link());

@@ -178,6 +178,7 @@ pub fn run_single(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ApSpec, LinkQuality, Scenario};
     use diversifi_voip::DEFAULT_DEADLINE;
     use diversifi_wifi::Channel;
 
@@ -187,9 +188,11 @@ mod tests {
 
     #[test]
     fn clean_links_deliver_nearly_everything() {
-        // The declarative preset lowers to the same hand-built pair this
-        // test used to construct (CH1 @ 10 m / CH11 @ 14 m, both good).
-        let scn = crate::scenario::Scenario::office_short("clean", 0).two_nic();
+        // The short-range healthy office pair (CH1 @ 10 m / CH11 @ 14 m).
+        let mut office = Scenario::new("clean", 0);
+        office.primary = ApSpec::new(Channel::CH1, 10.0, LinkQuality::Good);
+        office.secondary = ApSpec::new(Channel::CH11, 14.0, LinkQuality::Good);
+        let scn = office.two_nic();
         let run = run_two_nic(&scn, &seeds(0), &RealizationCache::new(2));
         assert!(run.a.trace.loss_rate(DEFAULT_DEADLINE) < 0.05);
         assert!(run.b.trace.loss_rate(DEFAULT_DEADLINE) < 0.05);
@@ -198,7 +201,11 @@ mod tests {
 
     #[test]
     fn merged_beats_both_links() {
-        let scn = crate::scenario::Scenario::office_weak_pair("weak", 0).two_nic();
+        // Two weak links at the office edge (CH1 @ 30 m / CH11 @ 35 m).
+        let mut office = Scenario::new("weak", 0);
+        office.primary = ApSpec::new(Channel::CH1, 30.0, LinkQuality::Weak);
+        office.secondary = ApSpec::new(Channel::CH11, 35.0, LinkQuality::Weak);
+        let scn = office.two_nic();
         let run = run_two_nic(&scn, &seeds(1), &RealizationCache::new(2));
         let la = run.a.trace.loss_rate(DEFAULT_DEADLINE);
         let lb = run.b.trace.loss_rate(DEFAULT_DEADLINE);

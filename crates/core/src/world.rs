@@ -39,19 +39,18 @@ use diversifi_simcore::{
     TraceDetail, TraceKind, WorkerArena,
 };
 use diversifi_voip::{
-    InputFate, StreamSpec, StreamTrace, WorkloadKind, WorkloadOutcome, WorkloadState,
-    DEFAULT_DEADLINE,
+    FpsOutcome, InputFate, StreamSpec, StreamTrace, WorkloadKind, WorkloadState, DEFAULT_DEADLINE,
 };
 use diversifi_wifi::{
     mac, AccessPoint, AdapterId, ApConfig, ApId, ChannelRealization, ClientId, Enqueued, FlowId,
     Frame, FrameKind, LinkConfig, LinkModel, MacMetrics, QueueDiscipline, RealizationCache,
     TxOutcome,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Which client behaviour this run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum RunMode {
     /// Client stays on the primary link; no replication (baseline).
     PrimaryOnly,
@@ -206,7 +205,7 @@ impl WorldConfig {
 
 /// Measured components of one primary→secondary recovery switch, feeding
 /// Table 3.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct SwitchDelaySample {
     /// Channel switch + PS signalling (ms).
     pub switching_ms: f64,
@@ -224,7 +223,7 @@ impl SwitchDelaySample {
 }
 
 /// Everything a run produces. The per-client fields (`trace`,
-/// `primary_deliveries`, `alg_stats`, `switch_delays`, `workload`)
+/// `primary_deliveries`, `alg_stats`, `switch_delays`, `fps`)
 /// describe the first client; a fleet's other clients are in
 /// `other_clients`.
 #[derive(Clone, Debug)]
@@ -250,9 +249,9 @@ pub struct RunReport {
     /// One entry per injected fault window: when it struck, when it cleared,
     /// and when the stream was first heard again (MTTR).
     pub fault_outcomes: Vec<FaultOutcome>,
-    /// Workload-native quality summary (`Voip` carries nothing extra; FPS
-    /// carries per-tick deadline metrics and the deadline-based QoE).
-    pub workload: WorkloadOutcome,
+    /// FPS per-tick deadline metrics and deadline-based QoE; `None` for
+    /// VoIP, whose MOS and loss figures come from `trace`.
+    pub fps: Option<FpsOutcome>,
     /// A fleet's clients after the first, in [`WorldConfig::fleet`] order;
     /// empty for a single-client world.
     pub other_clients: Vec<ClientOutcome>,
@@ -804,8 +803,8 @@ impl<'a> World<'a> {
             }
             reg.histogram(ComponentId::playout(), "delay_us", &delay);
             let workload = &self.clients[0].workload;
-            match workload {
-                WorkloadState::Voip(_) => {
+            match workload.fps_outcome() {
+                None => {
                     let pcfg = diversifi_voip::PlayoutConfig::default();
                     let conceal = diversifi_voip::conceal(workload.trace(), &pcfg);
                     let q = diversifi_voip::evaluate(
@@ -818,30 +817,28 @@ impl<'a> World<'a> {
                     reg.gauge(ComponentId::playout(), "emodel_r", q.r_factor);
                     reg.gauge(ComponentId::playout(), "mos", q.mos);
                 }
-                WorkloadState::Fps(_) => {
-                    if let WorkloadOutcome::Fps(o) = workload.outcome() {
-                        reg.counter(ComponentId::playout(), "ticks_on_time", o.state.on_time);
-                        reg.counter(ComponentId::playout(), "ticks_late", o.state.late);
-                        reg.counter(ComponentId::playout(), "ticks_lost", o.state.lost);
-                        reg.counter(ComponentId::playout(), "input_ticks_on_time", o.input.on_time);
-                        reg.counter(
-                            ComponentId::playout(),
-                            "input_ticks_missed",
-                            o.input.late + o.input.lost,
-                        );
-                        reg.counter(ComponentId::playout(), "input_ticks_blackout", o.input_blackout);
-                        reg.gauge(
-                            ComponentId::playout(),
-                            "tick_worst_window_pct",
-                            o.state.worst_window_pct,
-                        );
-                        reg.gauge(
-                            ComponentId::playout(),
-                            "tick_longest_outage",
-                            o.state.longest_outage_ticks as f64,
-                        );
-                        reg.gauge(ComponentId::playout(), "fps_qoe", o.qoe);
-                    }
+                Some(o) => {
+                    reg.counter(ComponentId::playout(), "ticks_on_time", o.state.on_time);
+                    reg.counter(ComponentId::playout(), "ticks_late", o.state.late);
+                    reg.counter(ComponentId::playout(), "ticks_lost", o.state.lost);
+                    reg.counter(ComponentId::playout(), "input_ticks_on_time", o.input.on_time);
+                    reg.counter(
+                        ComponentId::playout(),
+                        "input_ticks_missed",
+                        o.input.late + o.input.lost,
+                    );
+                    reg.counter(ComponentId::playout(), "input_ticks_blackout", o.input_blackout);
+                    reg.gauge(
+                        ComponentId::playout(),
+                        "tick_worst_window_pct",
+                        o.state.worst_window_pct,
+                    );
+                    reg.gauge(
+                        ComponentId::playout(),
+                        "tick_longest_outage",
+                        o.state.longest_outage_ticks as f64,
+                    );
+                    reg.gauge(ComponentId::playout(), "fps_qoe", o.qoe);
                 }
             }
             let primary_deliveries = self.clients.iter().map(|c| c.primary_deliveries).sum();
@@ -896,7 +893,7 @@ impl<'a> World<'a> {
             .map(|c| ClientOutcome { alg_stats: alg_stats(&c), trace: c.workload.finish().0 })
             .collect();
         let first_stats = alg_stats(&first);
-        let (trace, workload_outcome) = first.workload.finish();
+        let (trace, fps) = first.workload.finish();
         let report = RunReport {
             trace,
             primary_deliveries: first.primary_deliveries,
@@ -912,7 +909,7 @@ impl<'a> World<'a> {
             ),
             switch_delays: first.switch_delays,
             fault_outcomes,
-            workload: workload_outcome,
+            fps,
             other_clients,
             events,
         };
@@ -1463,12 +1460,7 @@ impl<'a> World<'a> {
         // path cannot afford the PS fix's 5: the next tick is 15 ms away).
         let fate = match self.send_uplink_control(3) {
             Some(delay) => {
-                InputFate::Delivered(now + delay + self.cfg.lan_delay + self.brownout_extra_delay())
-            }
-            None => InputFate::Lost,
-        };
-        match fate {
-            InputFate::Delivered(at) => {
+                let at = now + delay + self.cfg.lan_delay + self.brownout_extra_delay();
                 self.tick_ledger.delivered();
                 trace_event!(
                     now,
@@ -1479,9 +1471,13 @@ impl<'a> World<'a> {
                         flight: at.saturating_since(now).as_micros().min(u16::MAX as u64) as u16,
                     },
                 );
+                InputFate::Delivered(at)
             }
-            _ => self.tick_ledger.lost(),
-        }
+            None => {
+                self.tick_ledger.lost();
+                InputFate::Lost
+            }
+        };
         self.clients[client].workload.record_input(tick, fate);
     }
 

@@ -16,11 +16,11 @@ use crate::packet::StreamPacket;
 use diversifi_simcore::metrics::{LogHistogram, MetricsRegistry};
 use diversifi_simcore::{telemetry, ComponentId, SimDuration};
 use diversifi_wifi::FlowId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Middlebox tuning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct MiddleboxConfig {
     /// Ring capacity per registered flow (packets) — like the customized
     /// AP's queue, sized to MaxTolerableDelay / InterPacketSpacing.

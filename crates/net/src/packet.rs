@@ -2,11 +2,11 @@
 
 use diversifi_simcore::SimTime;
 use diversifi_wifi::FlowId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One packet of a real-time stream as it moves through the wired network
 /// (sender → SDN switch → AP / middlebox).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct StreamPacket {
     /// The flow it belongs to.
     pub flow: FlowId,

@@ -11,11 +11,11 @@
 //! granularity for throughput dynamics.
 
 use diversifi_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// TCP tuning parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct TcpConfig {
     /// Maximum segment size in bytes (used only for byte accounting).
     pub mss: u32,
@@ -48,7 +48,7 @@ impl Default for TcpConfig {
 }
 
 /// A data segment on the wire (sequence number = segment index).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct TcpSegment {
     /// Segment index (0-based).
     pub seq: u64,

@@ -7,10 +7,10 @@
 //! (42–63% PCR, an artifact of relay overload the authors call out).
 
 use diversifi_simcore::{RngStream, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A one-way WAN path.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct WanPath {
     /// Propagation + transmission floor.
     pub base_delay: SimDuration,
@@ -55,7 +55,7 @@ impl WanPath {
 }
 
 /// A cloud relay carrying many concurrent calls.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct RelayNode {
     /// Utilisation of the relay's forwarding capacity, 0..1+. The paper's
     /// overloaded relays correspond to ρ near (or past) 1.

@@ -79,6 +79,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::digest::{DigestSchema, Fnv, ShardDigest};
+use crate::export::write_text_atomic;
 use crate::flight::WorstK;
 use crate::metrics::LogHistogram;
 use crate::scratch::MetricsScratch;
@@ -239,8 +240,8 @@ impl CampaignHealth {
 }
 
 /// One quarantined shard: a fold that panicked and was isolated instead
-/// of killing the campaign.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// of killing the campaign. Serialised as is into the campaign report.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ShardQuarantine {
     /// The shard index.
     pub shard: usize,
@@ -341,10 +342,10 @@ fn load_shard(
     Some((d, worst))
 }
 
-/// Write one shard checkpoint atomically (temp file in the same directory,
-/// then rename), so a kill mid-write leaves either the old state or a
-/// `.tmp` orphan — never a half-written checkpoint under the final name.
-/// Transient write/rename errors retry with backoff.
+/// Write one shard checkpoint through [`write_text_atomic`], so a kill
+/// mid-write leaves either the old state or a `.tmp` orphan — never a
+/// half-written checkpoint under the final name. Transient write/rename
+/// errors retry with backoff.
 fn store_shard(
     dir: &Path,
     s: usize,
@@ -363,11 +364,8 @@ fn store_shard(
     }
     let text = serde_json::to_string(&Value::Object(fields))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let tmp = dir.join(format!("shard-{s:06}.json.tmp"));
-    with_io_retry(|| {
-        std::fs::write(&tmp, &text)?;
-        std::fs::rename(&tmp, shard_path(dir, s))
-    })
+    let path = shard_path(dir, s);
+    with_io_retry(|| write_text_atomic(&path, &text))
 }
 
 /// Stringify a `catch_unwind` payload for the quarantine report.
@@ -1109,6 +1107,9 @@ mod tests {
             // Every healthy shard still ran.
             assert_eq!(out.shards_run, cfg.shards() - 1, "threads={threads}");
         }
+        // The campaign report serialises the record field by field.
+        let q = ShardQuarantine { shard: 3, reason: "poisoned \"x\"".into() };
+        assert_eq!(serde_json::to_string(&q).unwrap(), r#"{"shard":3,"reason":"poisoned \"x\""}"#);
     }
 
     /// Satellite: resume-after-quarantine. A campaign with one poisoned

@@ -295,7 +295,10 @@ pub fn sweep_report(merged: &MergedTelemetry) -> String {
 /// full disk) mid-write leaves either the old artifact or none — never a
 /// truncated one. Parent directories are created as needed. Errors are
 /// propagated, not panicked: artifact IO failing must degrade the run
-/// (skip the artifact, report the error), not kill it.
+/// (skip the artifact, report the error), not kill it. A failed write or
+/// rename removes the temp file it made. `repro`'s artifacts (through
+/// `report::write_json` or directly) and campaign checkpoints are all
+/// written through here.
 pub fn write_text_atomic(path: &std::path::Path, text: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -305,8 +308,11 @@ pub fn write_text_atomic(path: &std::path::Path, text: &str) -> std::io::Result<
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    let written = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 #[cfg(test)]
@@ -550,6 +556,12 @@ mod tests {
         let blocked = dir.join("blocked.json");
         std::fs::create_dir_all(dir.join("blocked.json.tmp")).unwrap();
         assert!(write_text_atomic(&blocked, "x").is_err());
+        // A directory squatting on the target itself: the temp file is
+        // written, the rename fails, and the temp file is removed again.
+        let squatted = dir.join("squatted.json");
+        std::fs::create_dir_all(squatted.join("inner")).unwrap();
+        assert!(write_text_atomic(&squatted, "x").is_err());
+        assert!(!dir.join("squatted.json.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

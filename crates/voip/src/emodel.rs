@@ -21,10 +21,10 @@
 use crate::playout::ConcealmentStats;
 use crate::trace::StreamTrace;
 use diversifi_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Codec-dependent E-model constants.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct CodecModel {
     /// Equipment impairment at zero loss (G.711 = 0).
     pub ie: f64,
@@ -42,7 +42,7 @@ impl CodecModel {
 }
 
 /// E-model evaluation of one call.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct CallQuality {
     /// Transmission rating factor R (0–93.2 here).
     pub r_factor: f64,
@@ -178,7 +178,7 @@ pub fn mos_from_stats(
 
 /// The classifier that turns per-call quality into the paper's headline
 /// metric.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct PcrModel {
     /// Calls with overall MOS below this are "poor" (the bottom two points
     /// of the 5-point user-rating scale).

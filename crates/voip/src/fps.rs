@@ -12,10 +12,10 @@
 use crate::stream::StreamSpec;
 use crate::trace::StreamTrace;
 use diversifi_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static parameters of one FPS session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct FpsConfig {
     /// Frame cadence — one state burst down and one input tick up per tick.
     pub tick: SimDuration,
@@ -62,7 +62,7 @@ impl FpsConfig {
 }
 
 /// Per-tick deadline metrics for one direction of one session.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct TickStats {
     /// Ticks in the session.
     pub ticks: u64,
@@ -143,7 +143,7 @@ pub fn tick_stats(trace: &StreamTrace, deadline: SimDuration, window: SimDuratio
 
 /// Full quality summary of one FPS session, attached to run reports and
 /// resilience artifacts.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct FpsOutcome {
     /// Downlink state-tick metrics (deadline = `cfg.deadline`).
     pub state: TickStats,
@@ -176,7 +176,7 @@ pub const FPS_QOE_POOR: f64 = 60.0;
 /// Session-level FPS metrics estimated from per-call *hop statistics*
 /// (the fleet population model's loss / burstiness / delay draws), for
 /// campaign folds where no per-tick trace exists.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct FpsSessionMetrics {
     /// Estimated state-tick miss fraction (loss + deadline-late).
     pub state_miss: f64,

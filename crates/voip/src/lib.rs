@@ -12,8 +12,8 @@
 //!   impairment, MOS mapping, and the Poor-Call-Rate classifier.
 //! - [`metrics`] — figure-level helpers: loss correlation, burst
 //!   histograms, worst-window ECDFs.
-//! - [`workload`] — the pluggable workload layer: what the world
-//!   simulates *for* (source shape, delivery accounting, QoE reduction).
+//! - [`workload`] — the workload layer: what the world simulates *for*
+//!   (source shape, delivery accounting, FPS deadline reduction).
 //! - [`fps`] — the cloud-gaming FPS workload: tick traffic with hard
 //!   per-tick deadlines and a deadline-based QoE score.
 
@@ -39,9 +39,7 @@ pub use fps::{
 pub use playout::{conceal, delay_histogram_into, ConcealmentStats, PlayoutConfig};
 pub use stream::StreamSpec;
 pub use trace::{PacketFate, StreamTrace, DEFAULT_DEADLINE};
-pub use workload::{
-    FpsWorkload, InputFate, VoipWorkload, Workload, WorkloadKind, WorkloadOutcome, WorkloadState,
-};
+pub use workload::{InputFate, WorkloadKind, WorkloadState};
 
 #[cfg(test)]
 mod proptests {

@@ -11,10 +11,10 @@
 
 use crate::trace::StreamTrace;
 use diversifi_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Concealment accounting for one call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ConcealmentStats {
     /// Packets played from actual received audio.
     pub played: u64,
@@ -33,27 +33,10 @@ impl ConcealmentStats {
     pub fn total(&self) -> u64 {
         self.played + self.interpolated + self.extrapolated
     }
-
-    /// Fraction of audio that had to be concealed at all.
-    pub fn concealed_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        (self.interpolated + self.extrapolated) as f64 / self.total() as f64
-    }
-
-    /// Fraction of audio concealed by *extrapolation* — the perceptually
-    /// expensive kind, driven by burst losses.
-    pub fn extrapolated_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        self.extrapolated as f64 / self.total() as f64
-    }
 }
 
 /// Playout-buffer configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct PlayoutConfig {
     /// Fixed playout delay: packet `i` is played `playout_delay` after its
     /// send time. 100–150 ms is typical for interactive audio.
@@ -134,7 +117,7 @@ mod tests {
         let tr = mk_trace(&[Some(5); 10]);
         let s = conceal(&tr, &PlayoutConfig::default());
         assert_eq!(s.played, 10);
-        assert_eq!(s.concealed_fraction(), 0.0);
+        assert_eq!(s.interpolated + s.extrapolated, 0);
         assert_eq!(s.total(), 10);
     }
 
@@ -152,7 +135,6 @@ mod tests {
         let s = conceal(&tr, &PlayoutConfig::default());
         assert_eq!(s.interpolated, 1);
         assert_eq!(s.extrapolated, 2);
-        assert!(s.extrapolated_fraction() > 0.3);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //!   packets, 1.6 ms spacing (§4.5).
 
 use diversifi_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static description of a constant-bit-rate real-time stream. In a real
 /// deployment this comes from the RTP payload-type profile (RFC 3551), so
 /// applications need no modification (§5.2.1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct StreamSpec {
     /// Application payload bytes per packet.
     pub packet_bytes: u32,

@@ -9,10 +9,10 @@
 
 use crate::stream::StreamSpec;
 use diversifi_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What happened to one packet.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct PacketFate {
     /// When the source emitted it.
     pub sent: SimTime,
@@ -37,7 +37,7 @@ impl PacketFate {
 }
 
 /// The full per-packet record of one stream at one receiver.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct StreamTrace {
     /// The stream's static parameters.
     pub spec: StreamSpec,
@@ -153,23 +153,6 @@ impl StreamTrace {
     /// One-way delays of delivered packets, in milliseconds.
     pub fn delays_ms(&self) -> Vec<f64> {
         self.fates.iter().filter_map(|f| f.delay()).map(|d| d.as_millis_f64()).collect()
-    }
-
-    /// RFC 3550 interarrival jitter estimate (ms): smoothed absolute
-    /// difference of successive transit times.
-    pub fn rfc3550_jitter_ms(&self) -> f64 {
-        let mut jitter = 0.0f64;
-        let mut prev_transit: Option<f64> = None;
-        for f in &self.fates {
-            if let Some(d) = f.delay() {
-                let transit = d.as_millis_f64();
-                if let Some(p) = prev_transit {
-                    jitter += ((transit - p).abs() - jitter) / 16.0;
-                }
-                prev_transit = Some(transit);
-            }
-        }
-        jitter
     }
 
     /// Per-packet delay jitter series (ms) for trace plots like Fig. 3:
@@ -378,14 +361,12 @@ mod tests {
     #[test]
     fn jitter_of_constant_delay_is_zero() {
         let tr = mk_trace(&[Some(7), Some(7), Some(7), Some(7)]);
-        assert_eq!(tr.rfc3550_jitter_ms(), 0.0);
         assert!(tr.jitter_series_ms().iter().all(|(_, j)| *j == 0.0));
     }
 
     #[test]
     fn jitter_reflects_delay_variation() {
         let tr = mk_trace(&[Some(5), Some(45), Some(5), Some(45), Some(5), Some(45)]);
-        assert!(tr.rfc3550_jitter_ms() > 5.0);
         let series = tr.jitter_series_ms();
         assert_eq!(series.len(), 5);
         assert!(series.iter().all(|(_, j)| (*j - 40.0).abs() < 1e-9));

@@ -1,34 +1,33 @@
-//! The pluggable workload layer.
+//! The workload layer: what the world simulates *for*.
 //!
-//! A [`Workload`] is what the world simulates *for*: it owns the source
-//! model's shape (a downlink [`StreamSpec`], optionally an uplink tick
-//! stream), the per-packet delivery accounting, and the reduction to
-//! workload-native quality metrics. The world stays workload-agnostic —
-//! it moves frames over channels and reports deliveries through this
-//! trait; everything G.711- or FPS-specific lives behind it.
+//! A [`WorkloadKind`] names the traffic a world carries (the paper's VoIP
+//! stream, or cloud-gaming FPS tick traffic); a [`WorkloadState`] holds one
+//! client's live accounting of it: the downlink delivery trace and, for
+//! FPS, the uplink input ticks. The world moves frames over channels and
+//! reports deliveries here; the G.711- and FPS-specific reductions live
+//! downstream of the trace and in [`WorkloadState::fps_outcome`].
 //!
 //! Contract (DESIGN.md §14):
-//! - construction and every `record_*` call must be deterministic pure
-//!   state updates — a workload never draws randomness and never observes
+//! - construction and every `record_*` call are deterministic pure state
+//!   updates — a workload never draws randomness and never observes
 //!   wall-clock, so runs stay a pure function of `(WorldConfig, seed)`;
-//! - `record_arrival`/`delivered` must preserve the earliest-arrival
-//!   semantics of [`StreamTrace`] (duplicates keep the first arrival);
-//! - workloads with no uplink stream return `None` from `input_spec` and
-//!   must never see `record_input` — the VoIP world schedules no input
-//!   ticks, which is what keeps the refactor byte-identical to the
-//!   pre-trait engine (no extra events, no extra RNG draws);
-//! - every emitted input tick must reach exactly one [`InputFate`] so the
+//! - `record_arrival`/`delivered` keep the earliest-arrival semantics of
+//!   [`StreamTrace`] (duplicates keep the first arrival);
+//! - VoIP has no uplink stream: `input_spec` is `None`, the world
+//!   schedules no input ticks (no extra events, no extra RNG draws), and
+//!   `record_input` is never called;
+//! - every emitted input tick reaches exactly one [`InputFate`] so the
 //!   tick ledger closes (`emitted == delivered + lost + blackout`).
 
 use crate::fps::{fps_qoe, tick_stats, FpsConfig, FpsOutcome};
 use crate::stream::StreamSpec;
 use crate::trace::StreamTrace;
 use diversifi_simcore::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which workload a world runs. The configuration-level counterpart of
 /// [`WorkloadState`] (which holds the live accounting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum WorkloadKind {
     /// G.711 VoIP: the paper's workload, quality via E-model MOS.
     Voip,
@@ -71,209 +70,95 @@ pub enum InputFate {
     Blackout,
 }
 
-/// Workload-native quality summary, attached to every run report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum WorkloadOutcome {
-    /// VoIP carries nothing extra: MOS and loss figures are computed from
-    /// the trace downstream, exactly as before the workload layer existed.
-    Voip,
-    /// FPS deadline metrics and QoE.
-    Fps(FpsOutcome),
-}
-
-impl WorkloadOutcome {
-    /// The FPS outcome, if this run was an FPS session.
-    pub fn fps(&self) -> Option<&FpsOutcome> {
-        match self {
-            WorkloadOutcome::Voip => None,
-            WorkloadOutcome::Fps(o) => Some(o),
-        }
-    }
-}
-
-/// What the world needs from a workload. See the module docs for the
-/// determinism and ledger obligations implementations must uphold.
-pub trait Workload {
-    /// The uplink tick stream, if the workload has one.
-    fn input_spec(&self) -> Option<StreamSpec>;
-    /// A downlink packet reached the client's application.
-    fn record_arrival(&mut self, seq: u64, at: SimTime);
-    /// Has downlink packet `seq` arrived (at any time)?
-    fn delivered(&self, seq: u64) -> bool;
-    /// An uplink input tick reached its terminal fate.
-    fn record_input(&mut self, tick: u64, fate: InputFate);
-    /// The downlink delivery trace (shared vocabulary for every workload).
-    fn trace(&self) -> &StreamTrace;
-    /// Reduce to the workload-native quality summary without consuming.
-    fn outcome(&self) -> WorkloadOutcome;
-}
-
-/// The VoIP workload: a transparent wrapper around the [`StreamTrace`]
-/// the world used to own directly. Byte-identical behaviour by
-/// construction — every method is the code the world inlined before.
+/// The live accounting of one client's workload: the downlink delivery
+/// trace every workload has, plus the uplink input side an FPS session
+/// adds. One type for every workload, so the per-delivery path is a plain
+/// field access with no dispatch.
 #[derive(Clone, Debug)]
-pub struct VoipWorkload {
-    /// The downlink delivery trace.
-    pub trace: StreamTrace,
+pub struct WorkloadState {
+    /// Downlink delivery trace (VoIP packets or FPS state ticks).
+    trace: StreamTrace,
+    /// The FPS uplink side; `None` for VoIP.
+    fps: Option<FpsInput>,
 }
 
-impl VoipWorkload {
-    /// Fresh all-lost trace for `spec` starting at `start`.
-    pub fn new(spec: StreamSpec, start: SimTime) -> VoipWorkload {
-        VoipWorkload { trace: StreamTrace::new(spec, start) }
-    }
-}
-
-impl Workload for VoipWorkload {
-    fn input_spec(&self) -> Option<StreamSpec> {
-        None
-    }
-    fn record_arrival(&mut self, seq: u64, at: SimTime) {
-        self.trace.record_arrival(seq, at);
-    }
-    fn delivered(&self, seq: u64) -> bool {
-        self.trace.fates[seq as usize].arrival.is_some()
-    }
-    fn record_input(&mut self, _tick: u64, _fate: InputFate) {
-        unreachable!("VoIP has no input ticks (input_spec() is None)");
-    }
-    fn trace(&self) -> &StreamTrace {
-        &self.trace
-    }
-    fn outcome(&self) -> WorkloadOutcome {
-        WorkloadOutcome::Voip
-    }
-}
-
-/// The FPS workload: state ticks down (the `trace`), input ticks up.
+/// An FPS session's uplink side: its parameters and input-tick accounting.
 #[derive(Clone, Debug)]
-pub struct FpsWorkload {
+struct FpsInput {
     /// Session parameters.
-    pub cfg: FpsConfig,
-    /// Downlink state-tick delivery trace.
-    pub trace: StreamTrace,
+    cfg: FpsConfig,
     /// Uplink input-tick delivery trace (arrival = at the server).
-    pub input: StreamTrace,
+    input: StreamTrace,
     /// Input ticks that fired while the client had no usable radio.
-    pub input_blackout: u64,
-}
-
-impl FpsWorkload {
-    /// Fresh session. `spec` is the world's downlink spec, which must be
-    /// the one `cfg.downlink_spec()` produces (the world may shorten the
-    /// duration for tests; the tick cadence and sizes must match).
-    pub fn new(cfg: FpsConfig, spec: StreamSpec, start: SimTime) -> FpsWorkload {
-        let mut input_spec = cfg.input_spec();
-        input_spec.duration = spec.duration;
-        FpsWorkload {
-            cfg,
-            trace: StreamTrace::new(spec, start),
-            input: StreamTrace::new(input_spec, start),
-            input_blackout: 0,
-        }
-    }
-}
-
-impl Workload for FpsWorkload {
-    fn input_spec(&self) -> Option<StreamSpec> {
-        Some(self.input.spec)
-    }
-    fn record_arrival(&mut self, seq: u64, at: SimTime) {
-        self.trace.record_arrival(seq, at);
-    }
-    fn delivered(&self, seq: u64) -> bool {
-        self.trace.fates[seq as usize].arrival.is_some()
-    }
-    fn record_input(&mut self, tick: u64, fate: InputFate) {
-        match fate {
-            InputFate::Delivered(at) => self.input.record_arrival(tick, at),
-            InputFate::Lost => {}
-            InputFate::Blackout => self.input_blackout += 1,
-        }
-    }
-    fn trace(&self) -> &StreamTrace {
-        &self.trace
-    }
-    fn outcome(&self) -> WorkloadOutcome {
-        let state = tick_stats(&self.trace, self.cfg.deadline, self.cfg.window);
-        let input = tick_stats(&self.input, self.cfg.input_deadline, self.cfg.window);
-        WorkloadOutcome::Fps(FpsOutcome {
-            state,
-            input,
-            input_blackout: self.input_blackout,
-            qoe: fps_qoe(&self.cfg, &state, &input),
-        })
-    }
-}
-
-/// Enum dispatch over the workload implementations, so the world stays a
-/// non-generic type (monomorphising `World` per workload would double the
-/// hot path's code size for no benefit — there are two variants and the
-/// dispatch is far off the per-frame path).
-#[derive(Clone, Debug)]
-pub enum WorkloadState {
-    /// See [`VoipWorkload`].
-    Voip(VoipWorkload),
-    /// See [`FpsWorkload`].
-    Fps(FpsWorkload),
+    blackout: u64,
 }
 
 impl WorkloadState {
-    /// Build the live state for `kind` over the world's downlink `spec`.
+    /// Fresh state for `kind` over the world's downlink `spec`, starting
+    /// at `start`. For FPS, `spec` must be the one `cfg.downlink_spec()`
+    /// produces (the world may shorten the duration for tests; the tick
+    /// cadence and sizes must match); the input stream takes its duration.
     pub fn new(kind: WorkloadKind, spec: StreamSpec, start: SimTime) -> WorkloadState {
-        match kind {
-            WorkloadKind::Voip => WorkloadState::Voip(VoipWorkload::new(spec, start)),
-            WorkloadKind::Fps(cfg) => WorkloadState::Fps(FpsWorkload::new(cfg, spec, start)),
-        }
-    }
-
-    fn as_dyn(&self) -> &dyn Workload {
-        match self {
-            WorkloadState::Voip(w) => w,
-            WorkloadState::Fps(w) => w,
-        }
-    }
-
-    fn as_dyn_mut(&mut self) -> &mut dyn Workload {
-        match self {
-            WorkloadState::Voip(w) => w,
-            WorkloadState::Fps(w) => w,
-        }
-    }
-
-    /// See [`Workload::input_spec`].
-    pub fn input_spec(&self) -> Option<StreamSpec> {
-        self.as_dyn().input_spec()
-    }
-    /// See [`Workload::record_arrival`].
-    pub fn record_arrival(&mut self, seq: u64, at: SimTime) {
-        self.as_dyn_mut().record_arrival(seq, at);
-    }
-    /// See [`Workload::delivered`].
-    pub fn delivered(&self, seq: u64) -> bool {
-        self.as_dyn().delivered(seq)
-    }
-    /// See [`Workload::record_input`].
-    pub fn record_input(&mut self, tick: u64, fate: InputFate) {
-        self.as_dyn_mut().record_input(tick, fate);
-    }
-    /// See [`Workload::trace`].
-    pub fn trace(&self) -> &StreamTrace {
-        self.as_dyn().trace()
-    }
-    /// See [`Workload::outcome`].
-    pub fn outcome(&self) -> WorkloadOutcome {
-        self.as_dyn().outcome()
-    }
-
-    /// Consume into the final trace + quality summary for the run report.
-    pub fn finish(self) -> (StreamTrace, WorkloadOutcome) {
-        let outcome = self.outcome();
-        let trace = match self {
-            WorkloadState::Voip(w) => w.trace,
-            WorkloadState::Fps(w) => w.trace,
+        let fps = match kind {
+            WorkloadKind::Voip => None,
+            WorkloadKind::Fps(cfg) => {
+                let mut input_spec = cfg.input_spec();
+                input_spec.duration = spec.duration;
+                Some(FpsInput { cfg, input: StreamTrace::new(input_spec, start), blackout: 0 })
+            }
         };
-        (trace, outcome)
+        WorkloadState { trace: StreamTrace::new(spec, start), fps }
+    }
+
+    /// The uplink tick stream, if the workload has one (FPS only).
+    pub fn input_spec(&self) -> Option<StreamSpec> {
+        self.fps.as_ref().map(|f| f.input.spec)
+    }
+
+    /// A downlink packet reached the client's application.
+    pub fn record_arrival(&mut self, seq: u64, at: SimTime) {
+        self.trace.record_arrival(seq, at);
+    }
+
+    /// Has downlink packet `seq` arrived (at any time)?
+    pub fn delivered(&self, seq: u64) -> bool {
+        self.trace.fates[seq as usize].arrival.is_some()
+    }
+
+    /// An uplink input tick reached its terminal fate. Only an FPS
+    /// session has input ticks; the world schedules none for VoIP.
+    pub fn record_input(&mut self, tick: u64, fate: InputFate) {
+        let fps = self.fps.as_mut().expect("VoIP has no input ticks (input_spec() is None)");
+        match fate {
+            InputFate::Delivered(at) => fps.input.record_arrival(tick, at),
+            InputFate::Lost => {}
+            InputFate::Blackout => fps.blackout += 1,
+        }
+    }
+
+    /// The downlink delivery trace.
+    pub fn trace(&self) -> &StreamTrace {
+        &self.trace
+    }
+
+    /// The FPS deadline metrics and QoE of the session so far; `None` for
+    /// VoIP, whose MOS and loss figures come from the trace downstream.
+    pub fn fps_outcome(&self) -> Option<FpsOutcome> {
+        let fps = self.fps.as_ref()?;
+        let state = tick_stats(&self.trace, fps.cfg.deadline, fps.cfg.window);
+        let input = tick_stats(&fps.input, fps.cfg.input_deadline, fps.cfg.window);
+        Some(FpsOutcome {
+            state,
+            input,
+            input_blackout: fps.blackout,
+            qoe: fps_qoe(&fps.cfg, &state, &input),
+        })
+    }
+
+    /// Consume into the final downlink trace and FPS outcome.
+    pub fn finish(self) -> (StreamTrace, Option<FpsOutcome>) {
+        let outcome = self.fps_outcome();
+        (self.trace, outcome)
     }
 }
 
@@ -295,7 +180,7 @@ mod tests {
         w.record_arrival(0, at + SimDuration::from_millis(50));
         let (trace, outcome) = w.finish();
         assert_eq!(trace.fates[0].arrival, Some(at));
-        assert!(matches!(outcome, WorkloadOutcome::Voip));
+        assert!(outcome.is_none());
     }
 
     #[test]
@@ -321,7 +206,7 @@ mod tests {
             w.record_input(tick, fate);
         }
         let (_, outcome) = w.finish();
-        let o = outcome.fps().expect("fps outcome");
+        let o = outcome.expect("fps outcome");
         assert_eq!((o.state.ticks, o.state.on_time, o.state.lost), (10, 8, 2));
         assert_eq!((o.input.ticks, o.input.on_time, o.input.lost), (10, 7, 3));
         assert_eq!(o.input_blackout, 2);

@@ -25,11 +25,11 @@ use crate::ids::{AdapterId, ApId};
 use crate::mac::MacConfig;
 use diversifi_simcore::metrics::{LogHistogram, MetricsRegistry};
 use diversifi_simcore::{telemetry, ComponentId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// How a station's power-save buffer sheds load when full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum QueueDiscipline {
     /// Drop the arriving frame when the queue is full (stock behaviour).
     TailDrop {
@@ -90,7 +90,7 @@ impl Station {
 }
 
 /// Static AP parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ApConfig {
     /// This AP's identity.
     pub id: ApId,

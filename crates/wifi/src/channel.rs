@@ -6,11 +6,11 @@
 //! smallest cross-link gain for that impairment when no 5 GHz link is
 //! available.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A WiFi frequency band.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Band {
     /// The 2.4 GHz ISM band (channels 1–13, 20 MHz wide, 5 MHz spacing).
     Ghz2_4,
@@ -30,7 +30,7 @@ impl Band {
 }
 
 /// One WiFi channel: a band plus channel number.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct Channel {
     /// The band the channel lives in.
     pub band: Band,

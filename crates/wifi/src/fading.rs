@@ -17,10 +17,10 @@
 //! keeping draws deterministic per component stream.
 
 use diversifi_simcore::{RngStream, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The two Gilbert–Elliott channel states.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum GeState {
     /// Channel is in its good state: loss governed by PHY SNR only.
     Good,
@@ -29,7 +29,7 @@ pub enum GeState {
 }
 
 /// Parameters of the Gilbert–Elliott process.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct GeParams {
     /// Mean dwell time in the Good state.
     pub mean_good: SimDuration,
@@ -189,7 +189,7 @@ impl GilbertElliott {
 
 /// One dwell interval of a materialised Gilbert–Elliott timeline: the channel
 /// holds `state` until (exclusive) `until`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct GeSegment {
     /// Channel state during this dwell.
     pub state: GeState,

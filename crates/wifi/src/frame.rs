@@ -2,12 +2,12 @@
 
 use crate::ids::{AdapterId, ClientId, FlowId};
 use diversifi_simcore::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Payload class of a data frame. The simulator does not carry real bytes
 /// over the air — the content lives with the network layer — but the MAC
 /// needs sizes and flow identities for airtime and queueing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum FrameKind {
     /// A downlink data frame carrying one network packet.
     Data,
@@ -23,7 +23,7 @@ pub enum FrameKind {
 }
 
 /// A MAC-level frame.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Frame {
     /// What kind of frame this is.
     pub kind: FrameKind,
@@ -63,11 +63,6 @@ impl Frame {
             _ => self.size_bytes + 34 + 8,
         }
     }
-
-    /// `true` for the two power-management Null frames.
-    pub fn is_null(&self) -> bool {
-        matches!(self.kind, FrameKind::NullSleep | FrameKind::NullWake)
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +79,6 @@ mod tests {
         assert_eq!(f.kind, FrameKind::Data);
         assert_eq!(f.seq, 7);
         assert_eq!(f.size_bytes, 160);
-        assert!(!f.is_null());
     }
 
     #[test]
@@ -98,8 +92,7 @@ mod tests {
         let mut f = mk();
         f.kind = FrameKind::NullSleep;
         assert_eq!(f.air_bytes(), 34);
-        assert!(f.is_null());
         f.kind = FrameKind::NullWake;
-        assert!(f.is_null());
+        assert_eq!(f.air_bytes(), 34);
     }
 }

@@ -1,24 +1,24 @@
 //! Stable identifiers for simulated WiFi entities.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifies an access point (BSSID stand-in).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct ApId(pub u16);
 
 /// Identifies a client device (one physical machine).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct ClientId(pub u16);
 
 /// Identifies a virtual adapter on a client (DiversiFi creates several:
 /// `DEF`, primary, secondary — each with its own MAC address and
 /// association, per §5.2.2 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct AdapterId(pub u16);
 
 /// Identifies an end-to-end flow (a stream, a TCP connection, …).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct FlowId(pub u32);
 
 impl fmt::Display for ApId {

@@ -4,7 +4,7 @@
 
 use crate::channel::{Band, Channel};
 use diversifi_simcore::{RngStream, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A microwave oven near the client.
 ///
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// destroyed with high probability; 5 GHz links are untouched. This is why
 /// the paper's Fig. 6 shows cross-link replication helping least for the
 /// microwave impairment when both links are 2.4 GHz.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct MicrowaveOven {
     /// Full mains cycle (on + off): 16.67 ms at 60 Hz mains.
     pub period: SimDuration,
@@ -73,7 +73,7 @@ impl MicrowaveOven {
 }
 
 /// Contention from other traffic on the same channel.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Congestion {
     /// Long-run fraction of airtime occupied by other stations.
     pub busy_fraction: f64,
@@ -123,7 +123,7 @@ impl Congestion {
 /// Client mobility: a slow, large-amplitude swing in path loss (walking
 /// between rooms) on top of faster shadowing handled by the link's OU
 /// process.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct MobilityPattern {
     /// Peak extra path loss (dB) at the far end of the walk.
     pub amplitude_db: f64,
@@ -154,7 +154,7 @@ impl MobilityPattern {
 
 /// The label the evaluation corpus attaches to a simulated call, matching
 /// the categories of the paper's Fig. 6.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum ImpairmentKind {
     /// No special impairment (ordinary office conditions).
     None,

@@ -26,11 +26,11 @@ use crate::impairment::{Congestion, MicrowaveOven, MobilityPattern};
 use crate::radio::{self, PhyRate};
 use crate::realization::ChannelRealization;
 use diversifi_simcore::{RngStream, SeedFactory, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Static description of one AP↔client link.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct LinkConfig {
     /// Channel the AP operates on.
     pub channel: Channel,

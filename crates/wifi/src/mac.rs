@@ -14,10 +14,10 @@ use crate::link::LinkModel;
 use crate::radio::{fallback_rate, PhyRate};
 use diversifi_simcore::metrics::{LogHistogram, MetricsRegistry};
 use diversifi_simcore::{ComponentId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// 802.11 MAC timing and retry parameters (802.11n OFDM values).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct MacConfig {
     /// Maximum number of retries after the first attempt (dot11LongRetryLimit−1).
     pub retry_limit: u8,
@@ -56,7 +56,7 @@ impl Default for MacConfig {
 }
 
 /// The result of transmitting one frame.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct TxOutcome {
     /// Whether the frame (and its ACK) got through within the retry budget.
     pub delivered: bool,

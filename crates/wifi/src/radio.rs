@@ -6,14 +6,14 @@
 //! behaviour of Minstrel-class algorithms at the granularity that matters
 //! for loss/latency statistics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Thermal-noise floor plus typical receiver noise figure, in dBm, for a
 /// 20 MHz channel.
 pub const NOISE_FLOOR_DBM: f64 = -92.0;
 
 /// One entry of the PHY rate ladder.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct PhyRate {
     /// MCS index (0–7).
     pub mcs: u8,

@@ -12,10 +12,10 @@
 use crate::channel::{Band, Channel};
 use crate::radio;
 use diversifi_simcore::RngStream;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A deployed physical access-point radio.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct DeployedAp {
     /// Position in metres within the venue.
     pub x: f64,
@@ -33,7 +33,7 @@ pub struct DeployedAp {
 }
 
 /// A venue with a deployment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Deployment {
     /// Venue width (m).
     pub width_m: f64,
@@ -46,7 +46,7 @@ pub struct Deployment {
 }
 
 /// One beacon heard during a scan.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ScanEntry {
     /// Index of the radio in the deployment.
     pub ap_index: usize,

@@ -30,7 +30,7 @@ fn fps_cfg(mode: RunMode) -> WorldConfig {
 const TICKS: u64 = 2000; // 30 s / 15 ms
 
 fn fps_outcome(r: &RunReport) -> FpsOutcome {
-    *r.workload.fps().expect("FPS run must produce an FPS outcome")
+    r.fps.expect("FPS run must produce an FPS outcome")
 }
 
 /// The tick ledger's external closure: every tick the session emitted is

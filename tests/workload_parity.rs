@@ -1,21 +1,23 @@
-//! VoIP-through-the-trait parity suite.
+//! Workload-layer parity suite.
 //!
-//! The `Workload` refactor promises the VoIP path is *bit-identical* to
-//! the engine before the trait existed. The `PIN_*` constants below were
-//! captured from the tree immediately before the refactor landed (same
-//! grid, same seeds) and must never drift: every fingerprint covers full
-//! per-packet traces plus every counter the run report exposes, folded
-//! through FNV-1a so a single-bit divergence fails.
+//! The VoIP path through the workload layer promises to be *bit-identical*
+//! to the engine before that layer existed. The VoIP `PIN_*` constants
+//! below were captured from the tree immediately before the layer landed
+//! (same grid, same seeds) and must never drift: every fingerprint covers
+//! full per-packet traces plus every counter the run report exposes,
+//! folded through FNV-1a so a single-bit divergence fails.
 //!
 //! Coverage mirrors the paths the engine exposes VoIP through: world runs
 //! (the resilience catalogue shapes, paired realisations), the §4 analysis
 //! corpus, the fleet campaign digests — each at 1/2/4/8 worker threads —
 //! and the open-loop drivers (FEC, uplink, single link, cross-technology),
 //! in every feature configuration CI builds (default, audit, trace,
-//! audit+trace; debug and release).
+//! audit+trace; debug and release). `PIN_FPS_WORLD` adds the closed-loop
+//! FPS worlds (state ticks down, input ticks up), captured before the
+//! workload state became one struct.
 //!
 //! Re-pinning is only legitimate when an engine change *intends* to move
-//! VoIP outputs; run the ignored `print_fingerprints` test to recapture.
+//! these outputs; run the ignored `print_fingerprints` test to recapture.
 
 use diversifi::analysis::{self, AnalysisOptions, CallRecord};
 use diversifi::campaign::run_fleet_campaign_observed;
@@ -25,7 +27,7 @@ use diversifi::twonic::{run_fec, run_single, run_temporal, run_two_nic, TwoNicSc
 use diversifi::uplink::{run_uplink, UplinkMode};
 use diversifi::world::{RunMode, World, WorldConfig};
 use diversifi_simcore::{FaultKind, FaultPlan, SeedFactory, SimDuration, SimTime, SweepRunner};
-use diversifi_voip::{StreamSpec, StreamTrace};
+use diversifi_voip::{FpsConfig, StreamSpec, StreamTrace, TickStats, WorkloadKind};
 use diversifi_wifi::{
     Channel, Congestion, GeParams, LinkConfig, MicrowaveOven, MobilityPattern, RealizationCache,
 };
@@ -39,6 +41,7 @@ const PIN_PAIRED_FAULTS: u64 = 0xfb1a2a9a83ac4c5b;
 const PIN_CORPUS: u64 = 0xce5f0b99a07c5a8a;
 const PIN_CAMPAIGN: u64 = 0x3665ec7f3bbcb058;
 const PIN_OPEN_LOOP: u64 = 0x49e6d3128890e9ac;
+const PIN_FPS_WORLD: u64 = 0x0701071354b0c545;
 
 fn fnv(s: &str) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -321,6 +324,55 @@ fn open_loop_fp() -> u64 {
     fnv(&s)
 }
 
+/// Closed-loop FPS worlds: `FpsConfig::office()` sessions (12 s) in the
+/// customized-AP DiversiFi and primary-only modes, each healthy and under
+/// a 1 s `UplinkOutage` that strands input ticks. Hashes the state-tick
+/// trace, every `FpsOutcome` field (the input trace through its tick
+/// statistics, which is all a run report carries of it) and `alg_stats`.
+fn fps_world_fp(threads: usize) -> u64 {
+    let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+    let mut grid = Vec::new();
+    for (i, mode) in [RunMode::DiversifiCustomAp, RunMode::PrimaryOnly].into_iter().enumerate() {
+        for (j, faults) in [
+            FaultPlan::none(),
+            FaultPlan::none()
+                .with(at(5), FaultKind::UplinkOutage { duration: SimDuration::from_secs(1) }),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (a, b) = office_pair();
+            let mut cfg = WorldConfig::testbed(a, b);
+            let mut fps = FpsConfig::office();
+            fps.duration = SimDuration::from_secs(12);
+            cfg.set_workload(WorkloadKind::Fps(fps));
+            cfg.mode = mode;
+            cfg.faults = faults;
+            grid.push((cfg, 0xF950 + (2 * i + j) as u64));
+        }
+    }
+    let rows = SweepRunner::new(threads).run_indexed(grid.len(), |i| {
+        let (cfg, seed) = &grid[i];
+        let r = World::new(cfg, &SeedFactory::new(*seed)).run();
+        let o = r.fps.expect("an FPS world reports an FPS outcome");
+        let mut s = serde_json::to_string(&r.trace).expect("trace serialises");
+        for t in [&o.state, &o.input] {
+            let TickStats { ticks, on_time, late, lost, worst_window_pct, longest_outage_ticks } =
+                *t;
+            write!(
+                s,
+                "|{ticks} {on_time} {late} {lost} {:016x} {longest_outage_ticks}",
+                worst_window_pct.to_bits()
+            )
+            .unwrap();
+        }
+        let qoe = o.qoe.to_bits();
+        writeln!(s, "|blackout={} qoe={qoe:016x} alg={:?}", o.input_blackout, r.alg_stats).unwrap();
+        s
+    });
+    fnv(&rows.concat())
+}
+
 #[test]
 fn world_sweep_is_bit_identical_to_pre_refactor_at_every_thread_count() {
     for threads in [1usize, 2, 4, 8] {
@@ -364,6 +416,17 @@ fn open_loop_drivers_are_bit_identical_to_pre_refactor() {
     assert_eq!(open_loop_fp(), PIN_OPEN_LOOP);
 }
 
+#[test]
+fn fps_worlds_are_bit_identical_at_every_thread_count() {
+    for threads in [1usize, 2, 4, 8] {
+        assert_eq!(
+            fps_world_fp(threads),
+            PIN_FPS_WORLD,
+            "FPS worlds diverged from the pinned fingerprint at threads={threads}"
+        );
+    }
+}
+
 /// Recapture helper: `cargo test --test workload_parity -- --ignored --nocapture`.
 /// Only legitimate when an engine change *intends* to move VoIP outputs.
 #[test]
@@ -375,4 +438,5 @@ fn print_fingerprints() {
     println!("PIN_CORPUS: u64 = 0x{:016x};", corpus_fp(1));
     println!("PIN_CAMPAIGN: u64 = 0x{:016x};", campaign_fp(1));
     println!("PIN_OPEN_LOOP: u64 = 0x{:016x};", open_loop_fp());
+    println!("PIN_FPS_WORLD: u64 = 0x{:016x};", fps_world_fp(1));
 }
